@@ -12,6 +12,7 @@ from .repeater import (
     RepeaterChain,
     EndToEndResult,
     span_entanglement_attempt,
+    span_attempts,
     memory_decay,
     entanglement_swap,
     teleport,
@@ -50,6 +51,7 @@ __all__ = [
     "RepeaterChain",
     "EndToEndResult",
     "span_entanglement_attempt",
+    "span_attempts",
     "memory_decay",
     "entanglement_swap",
     "teleport",

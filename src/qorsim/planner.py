@@ -42,8 +42,10 @@ from .repeater import (
     MemorySpec,
     QorsNode,
     RepeaterChain,
+    SpanAttempt,
     simulate_chain_mc,
-    span_entanglement_attempt,
+    span_attempts,
+    span_entanglement_attempt,  # noqa: F401  (kept importable from planner, as before)
 )
 
 SCHEMA_VERSION = 1
@@ -214,18 +216,7 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
     defaults = raw.get("defaults", {})
     _require(isinstance(defaults, dict), f"{path}: defaults must be an object")
     params = dict(DEFAULT_PARAMS)
-    for key, val in defaults.items():
-        _require(key in DEFAULT_PARAMS, f"{path}: unknown defaults key {key!r}")
-        expect_bool = isinstance(DEFAULT_PARAMS[key], bool)
-        if expect_bool:
-            _require(isinstance(val, bool), f"{path}: defaults.{key} must be a boolean")
-            params[key] = val
-        else:
-            _require(
-                isinstance(val, (int, float)) and not isinstance(val, bool),
-                f"{path}: defaults.{key} must be a number",
-            )
-            params[key] = float(val)
+    params.update(_checked_params(defaults, "defaults", f"{path}: "))
 
     return RouteConfig(
         name=name,
@@ -237,6 +228,34 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
     )
 
 
+def _checked_params(values: dict, what: str, where: str = "") -> dict[str, float | bool]:
+    """Route defaults or parameter overrides, type-checked against
+    DEFAULT_PARAMS: known keys only, a boolean where the default is one, a
+    number (returned as float) elsewhere. Raises ConfigError."""
+    out: dict[str, float | bool] = {}
+    for key, val in values.items():
+        _require(key in DEFAULT_PARAMS, f"{where}unknown {what} key {key!r}")
+        if isinstance(DEFAULT_PARAMS[key], bool):
+            _require(isinstance(val, bool), f"{where}{what} {key!r} must be a boolean, got {val!r}")
+            out[key] = val
+        else:
+            _require(
+                isinstance(val, (int, float)) and not isinstance(val, bool),
+                f"{where}{what} {key!r} must be a number, got {val!r}",
+            )
+            out[key] = float(val)
+    return out
+
+
+def _effective_params(
+    route: RouteConfig, param_overrides: dict[str, float | bool] | None
+) -> dict[str, float | bool]:
+    """The route's parameters with the checked overrides applied."""
+    params = dict(route.params)
+    params.update(_checked_params(param_overrides or {}, "parameter override"))
+    return params
+
+
 def build_chain(
     route: RouteConfig,
     technology: str = TECH_ENTANGLEMENT,
@@ -245,11 +264,7 @@ def build_chain(
     """Spans from consecutive site gaps, one repeater node per interior hut."""
     if technology not in TECHNOLOGIES:
         raise ConfigError(f"unknown technology {technology!r}")
-    params = dict(route.params)
-    for key, val in (param_overrides or {}).items():
-        if key not in DEFAULT_PARAMS:
-            raise ConfigError(f"unknown parameter override {key!r}")
-        params[key] = val
+    params = _effective_params(route, param_overrides)
 
     noise = params["coexistence_noise_prob"] if route.coexistence else 0.0
     try:
@@ -293,7 +308,11 @@ def build_chain(
         raise ConfigError(f"route {route.name!r}: {e}") from None
 
 
-def _config_hash(route: RouteConfig) -> str:
+def _config_hash(
+    route: RouteConfig, param_overrides: dict[str, float | bool] | None = None
+) -> str:
+    """SHA-256 of the route and the parameters a plan actually uses: the
+    route's defaults with ``param_overrides`` applied."""
     canon = {
         "name": route.name,
         "sites": [
@@ -305,34 +324,29 @@ def _config_hash(route: RouteConfig) -> str:
         "group_index": route.fiber.group_index,
         "quantum_band": route.quantum_band.name,
         "coexistence": route.coexistence,
-        "params": route.params,
+        "params": _effective_params(route, param_overrides),
     }
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def spans_table(chain: RepeaterChain) -> list[dict]:
-    """Per-span summary used by reports and the channel subcommand."""
-    rows = []
-    n = len(chain.spans)
+def spans_table(
+    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
+) -> list[dict]:
+    """Per-span summary used by reports and the channel subcommand.
+    ``attempts`` (from span_attempts(chain)) saves recomputing them."""
+    if attempts is None:
+        attempts = span_attempts(chain)
     target = phi_plus()
-    for i, span in enumerate(chain.spans):
-        left = chain.nodes[i - 1] if i > 0 else None
-        right = chain.nodes[i] if i < n - 1 else None
-        attempt = span_entanglement_attempt(
-            span,
-            detector_efficiency=left.detector_efficiency if left else 1.0,
-            memory=right.memory if right else None,
-        )
-        rows.append(
-            {
-                "index": i,
-                "length_km": float(span.length_km),
-                "transmittance": float(attempt.transmittance),
-                "fidelity": float(fidelity(attempt.state, target)),
-            }
-        )
-    return rows
+    return [
+        {
+            "index": i,
+            "length_km": float(span.length_km),
+            "transmittance": float(attempt.transmittance),
+            "fidelity": float(fidelity(attempt.state, target)),
+        }
+        for i, (span, attempt) in enumerate(zip(chain.spans, attempts))
+    ]
 
 
 def run_plan(
@@ -345,85 +359,89 @@ def run_plan(
 ) -> dict | list[dict]:
     """Full feasibility report: verdict, spans, simulation, key rates.
 
-    technology "both" returns [entanglement report, one_way report].
-    One-way transport is assessed against its loss budget only; its
-    end_to_end and qkd sections are null.
+    technology "both" returns [entanglement report, one_way report]; the
+    two share one chain and one set of span attempts. One-way transport is
+    assessed against its loss budget only; its end_to_end and qkd sections
+    are null.
     """
     if technology == "both":
-        return [
-            run_plan(route, t, trials, seed, workers, param_overrides)
-            for t in TECHNOLOGIES
-        ]
-    if technology not in TECHNOLOGIES:
+        technologies = TECHNOLOGIES
+    elif technology in TECHNOLOGIES:
+        technologies = (technology,)
+    else:
         raise ConfigError(f"unknown technology {technology!r}")
 
-    chain = build_chain(route, technology, param_overrides)
-    params = dict(route.params)
-    for key, val in (param_overrides or {}).items():
-        params[key] = val
-
-    verdict = assess_chain(
-        chain,
-        technology,
-        one_way_spec=OneWayRepeaterSpec(
-            loss_threshold_db=params["one_way_loss_threshold_db"],
-            cryogenic_required=bool(params["one_way_cryogenic"]),
-        ),
-        max_heralding_km=params["max_heralding_km"],
-        coexistence=route.coexistence,
-    )
-
-    end_to_end = None
-    qkd_section = None
-    if technology == TECH_ENTANGLEMENT:
-        result = simulate_chain_mc(chain, trials=trials, seed=seed, workers=workers)
-        metrics = key_metrics_from_result(result)
-        end_to_end = {
-            "fidelity": result.fidelity,
-            "pair_rate_hz": result.pair_rate_hz,
-            "latency_s": result.mean_latency_s,
-        }
-        qkd_section = {
-            "qber": metrics.qber,
-            "sifted_rate_hz": metrics.sifted_rate_hz,
-            "secret_key_rate_hz": metrics.secret_key_rate_hz,
-            "secure": metrics.secure,
-        }
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "route": {
-            "name": route.name,
-            "fiber_type": route.fiber.type_name,
-            "quantum_band": route.quantum_band.name,
-            "coexistence": route.coexistence,
-            "length_km": route.length_km,
-            "site_count": len(route.sites),
-        },
-        "technology": technology,
-        "spans": spans_table(chain),
-        "end_to_end": end_to_end,
-        "qkd": qkd_section,
-        "verdict": {
-            "feasible": verdict.feasible,
-            "violations": [
-                {
-                    "requirement": v.requirement,
-                    "span_index": v.span_index,
-                    "detail": v.detail,
-                }
-                for v in verdict.violations
-            ],
-        },
-        "provenance": {
-            "seed": seed,
-            "trials": trials,
-            "config_hash": _config_hash(route),
-            "version": __version__,
-        },
+    chain = build_chain(route, technologies[0], param_overrides)
+    params = _effective_params(route, param_overrides)
+    attempts = span_attempts(chain)
+    provenance = {
+        "seed": seed,
+        "trials": trials,
+        "config_hash": _config_hash(route, param_overrides),
+        "version": __version__,
     }
-    validate_report(report)
-    return report
+    reports = []
+    for tech in technologies:
+        verdict = assess_chain(
+            chain,
+            tech,
+            one_way_spec=OneWayRepeaterSpec(
+                loss_threshold_db=params["one_way_loss_threshold_db"],
+                cryogenic_required=bool(params["one_way_cryogenic"]),
+            ),
+            max_heralding_km=params["max_heralding_km"],
+            coexistence=route.coexistence,
+        )
+
+        end_to_end = None
+        qkd_section = None
+        if tech == TECH_ENTANGLEMENT:
+            result = simulate_chain_mc(
+                chain, trials=trials, seed=seed, workers=workers, attempts=attempts
+            )
+            metrics = key_metrics_from_result(result)
+            end_to_end = {
+                "fidelity": result.fidelity,
+                "pair_rate_hz": result.pair_rate_hz,
+                "latency_s": result.mean_latency_s,
+            }
+            qkd_section = {
+                "qber": metrics.qber,
+                "sifted_rate_hz": metrics.sifted_rate_hz,
+                "secret_key_rate_hz": metrics.secret_key_rate_hz,
+                "secure": metrics.secure,
+            }
+
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "route": {
+                "name": route.name,
+                "fiber_type": route.fiber.type_name,
+                "quantum_band": route.quantum_band.name,
+                "coexistence": route.coexistence,
+                "length_km": route.length_km,
+                "site_count": len(route.sites),
+            },
+            "technology": tech,
+            "spans": spans_table(chain, attempts),
+            "end_to_end": end_to_end,
+            "qkd": qkd_section,
+            "verdict": {
+                "feasible": verdict.feasible,
+                "violations": [
+                    {
+                        "requirement": v.requirement,
+                        "span_index": v.span_index,
+                        "detail": v.detail,
+                    }
+                    for v in verdict.violations
+                ],
+            },
+            "provenance": dict(provenance),
+        }
+        validate_report(report)
+        reports.append(report)
+    return reports if technology == "both" else reports[0]
 
 
 _REPORT_KEYS = {

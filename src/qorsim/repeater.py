@@ -39,15 +39,12 @@ from .linalg import (
     DensityMatrix,
     DimensionError,
     StateError,
-    bell_diagonal_weights,
 )
 
 # Geometric attempt counts with success probability below this are modeled
 # by their exponential limit in the analytic engine (grid sums would need
 # millions of terms; the relative error of the limit is O(p)).
 GEOM_EXACT_MIN_P = 1e-4
-
-_PHI_PLUS_VEC = BELL_KETS[0]
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,54 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
     return DensityMatrix((out + out.conj().T) / 2)
 
 
-# Chain engines.
+# Chain engines. Every span state the span stack produces is diagonal in
+# the Bell basis, and memory decay (depolarizing), the visibility penalty
+# (dephasing) and the odd-parity swap keep it so. Both engines therefore
+# carry a pair as its four Bell weights (index bit 0: X part, bit 1: Z part
+# of the one-sided Pauli that maps Phi+ to the Bell state).
+
+# Largest off-diagonal Bell-basis element a span state may have.
+BELL_DIAGONAL_TOL = 1e-12
+_XOR = np.array([[g ^ k for k in range(4)] for g in range(4)])
+
+
+def _bell_decay(b: np.ndarray, lam) -> np.ndarray:
+    """Depolarize one or both qubits with total survival weight lam."""
+    return lam * b + (1.0 - lam) / 4.0
+
+
+def _bell_dephase(b: np.ndarray, p: float) -> np.ndarray:
+    """Phase-flip one qubit with probability p."""
+    flipped = b[..., [2, 3, 0, 1]]
+    return (1.0 - p) * b + p * flipped
+
+
+def _bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bell weights after swapping pairs a and b: out[k] = sum_g a[g] b[g ^ k].
+    Works on stacks of weight vectors along leading axes."""
+    out = a[..., 0:1] * b
+    for g in range(1, 4):
+        out = out + a[..., g:g + 1] * b[..., _XOR[g]]
+    return out
+
+
+def _bell_matrix(b: np.ndarray) -> np.ndarray:
+    """The Bell-diagonal 4x4 state with weights b."""
+    return np.einsum("k,ki,kj->ij", b, BELL_KETS, BELL_KETS.conj())
+
+
+def _bell_weights(state: DensityMatrix) -> np.ndarray:
+    """Bell weights of a state the engines treat as Bell-diagonal; raises
+    StateError if any off-diagonal Bell-basis element exceeds
+    BELL_DIAGONAL_TOL (a channel that is not a Pauli mixture would)."""
+    m = BELL_KETS.conj() @ state.matrix @ BELL_KETS.T
+    off = float(np.abs(m - np.diag(np.diag(m))).max())
+    if off > BELL_DIAGONAL_TOL:
+        raise StateError(
+            f"span state is not Bell-diagonal: off-diagonal residual {off:.3e}"
+        )
+    return np.real(np.diag(m)).copy()
+
 
 @dataclass(frozen=True)
 class _SpanModel:
@@ -276,51 +320,62 @@ class _SpanModel:
     success_prob: float
     cycle_s: float
     one_way_s: float
-    ready_state: np.ndarray       # pre-ready decay folded in
-    left_decay_rate: float        # 1/coherence at the left holder, 0 if ideal
-    right_decay_rate: float
+    ready_bell: np.ndarray        # Bell weights at ready time, pre-ready decay folded in
+    right_decay_rate: float       # 1/coherence at the right holder, 0 if ideal
 
 
-def _decay_qubit_raw(rho: np.ndarray, qubit: int, rate: float, dwell: float) -> np.ndarray:
-    """Fast path for memory_decay on a raw 4x4 array."""
-    if rate == 0.0 or dwell == 0.0:
-        return rho
-    lam = math.exp(-rate * dwell)
-    t = rho.reshape(2, 2, 2, 2)
-    if qubit == 0:
-        reduced = np.einsum("ijik->jk", t)
-        mixed = np.kron(np.eye(2) / 2.0, reduced)
-    else:
-        reduced = np.einsum("ijkj->ik", t)
-        mixed = np.kron(reduced, np.eye(2) / 2.0)
-    return lam * rho + (1.0 - lam) * mixed
+def _span_ends(chain: RepeaterChain, i: int) -> tuple[QorsNode | None, QorsNode | None]:
+    """The nodes at the left and right end of span i; None at an end station."""
+    left = chain.nodes[i - 1] if i > 0 else None
+    right = chain.nodes[i] if i < len(chain.spans) - 1 else None
+    return left, right
 
 
-def _span_models(chain: RepeaterChain) -> list[_SpanModel]:
-    n = len(chain.spans)
-    models = []
+def span_attempts(chain: RepeaterChain) -> tuple[SpanAttempt, ...]:
+    """Each span's heralded attempt, with the detector of the node at its
+    left end and the memory of the node at its right end (end stations are
+    ideal)."""
+    attempts = []
     for i, span in enumerate(chain.spans):
-        left = chain.nodes[i - 1] if i > 0 else None
-        right = chain.nodes[i] if i < n - 1 else None
-        attempt = span_entanglement_attempt(
-            span,
-            detector_efficiency=left.detector_efficiency if left else 1.0,
-            memory=right.memory if right else None,
+        left, right = _span_ends(chain, i)
+        attempts.append(
+            span_entanglement_attempt(
+                span,
+                detector_efficiency=left.detector_efficiency if left else 1.0,
+                memory=right.memory if right else None,
+            )
         )
+    return tuple(attempts)
+
+
+def _span_models(
+    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
+) -> list[_SpanModel]:
+    """Engine inputs per span, from ``attempts`` (span_attempts(chain) when
+    not given). Raises StateError if a heralded state is not Bell-diagonal;
+    the pre-ready memory decay cannot make it so."""
+    if attempts is None:
+        attempts = span_attempts(chain)
+    if len(attempts) != len(chain.spans):
+        raise DimensionError(
+            f"{len(chain.spans)} spans need as many attempts, got {len(attempts)}"
+        )
+    models = []
+    for i, (span, attempt) in enumerate(zip(chain.spans, attempts)):
+        left, right = _span_ends(chain, i)
+        left_rate = 1.0 / left.memory.coherence_time if left else 0.0
+        right_rate = 1.0 / right.memory.coherence_time if right else 0.0
         one_way = photon_dwell_time(span)
-        state = attempt.state
-        if left is not None:
-            state = memory_decay(state, one_way, left.memory, qubit=0)
-        if right is not None:
-            state = memory_decay(state, 2.0 * one_way, right.memory, qubit=1)
+        # By ready time the left qubit has aged one one-way delay, the right
+        # qubit one round trip.
+        lam = math.exp(-(left_rate * one_way + right_rate * 2.0 * one_way))
         models.append(
             _SpanModel(
                 success_prob=attempt.success_probability,
                 cycle_s=1.0 / chain.attempt_rate + 2.0 * one_way,
                 one_way_s=one_way,
-                ready_state=state.matrix,
-                left_decay_rate=1.0 / left.memory.coherence_time if left else 0.0,
-                right_decay_rate=1.0 / right.memory.coherence_time if right else 0.0,
+                ready_bell=_bell_decay(_bell_weights(attempt.state), lam),
+                right_decay_rate=right_rate,
             )
         )
     return models
@@ -341,88 +396,119 @@ def _run_trial(
     cutoff: float,
     final_delay: float,
     rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, list[float]]:
+    """One protocol run: the delivered pair's ready time and, per node, the
+    decay factors (frontier, span) of the two pairs its last successful
+    swap joined, flattened as [f_0, s_0, f_1, s_1, ...].
+
+    Draw order: one geometric per span generation, one uniform per swap.
+    """
     n = len(models)
+    decays = [1.0] * (2 * (n - 1))
 
     def gen_span(i: int, t0: float) -> float:
         m = models[i]
         k = int(rng.geometric(m.success_prob)) if m.success_prob < 1.0 else 1
         return t0 + k * m.cycle_s
 
-    def build(i: int, t0: float) -> tuple[float, np.ndarray, float]:
-        """Frontier over spans 0..i-1: (ready time, state, last decay time)."""
+    def build(i: int, t0: float) -> tuple[float, float]:
+        """Frontier over spans 0..i-1: (ready time, last decay time). A
+        success overwrites the decay factors of node i-2, so after the top
+        call they describe the swaps that built the delivered pair."""
         if i == 1:
             r = gen_span(0, t0)
-            return r, models[0].ready_state, r
+            return r, r
         m = models[i - 1]
         node = nodes[i - 2]
         while True:
-            t_f, s_f, u_f = build(i - 1, t0)
+            t_f, u_f = build(i - 1, t0)
             t_s = gen_span(i - 1, t0)
-            u_s = t_s
             while True:
                 if t_s - t_f > cutoff:
-                    t_f, s_f, u_f = build(i - 1, t_f + cutoff)
+                    t_f, u_f = build(i - 1, t_f + cutoff)
                 elif t_f - t_s > cutoff:
                     t_s = gen_span(i - 1, t_s + cutoff)
-                    u_s = t_s
                 else:
                     break
             t_swap = max(t_f, t_s)
-            node_rate = 1.0 / node.memory.coherence_time
-            s_f = _decay_qubit_raw(s_f, 1, node_rate, t_swap - u_f)
-            s_s = _decay_qubit_raw(m.ready_state, 0, node_rate, t_swap - u_s)
-            s_s = _decay_qubit_raw(s_s, 1, m.right_decay_rate, t_swap - u_s)
             q = node.bsm_success_prob * node.memory.read_efficiency**2
             if rng.random() < q:
-                out = _swap_states(s_f, s_s, node.bsm_visibility_penalty)
+                # The frontier's node-side qubit waited at the node; both
+                # qubits of the span pair waited, at the node and at the
+                # span's right holder.
+                node_rate = 1.0 / node.memory.coherence_time
+                decays[2 * (i - 2)] = math.exp(-node_rate * (t_swap - u_f))
+                decays[2 * (i - 2) + 1] = math.exp(
+                    -(node_rate + m.right_decay_rate) * (t_swap - t_s)
+                )
                 notify = m.one_way_s if i < n else final_delay
-                return t_swap + notify, out, t_swap
+                return t_swap + notify, t_swap
             t0 = t_swap
 
-    ready, state, _ = build(n, 0.0)
-    return ready, state
+    ready, _ = build(n, 0.0)
+    return ready, decays
+
+
+def _delivered_bells(
+    models: list[_SpanModel], nodes: tuple[QorsNode, ...], decays: np.ndarray
+) -> np.ndarray:
+    """Bell weights of each trial's delivered pair, shape (trials, 4), from
+    the decay factors _run_trial recorded, shape (trials, 2 * nodes)."""
+    b = np.broadcast_to(models[0].ready_bell, (len(decays), 4))
+    for j, node in enumerate(nodes):
+        lam_f = decays[:, 2 * j:2 * j + 1]
+        lam_s = decays[:, 2 * j + 1:2 * j + 2]
+        left = _bell_dephase(_bell_decay(b, lam_f), node.bsm_visibility_penalty)
+        b = _bell_convolve(left, _bell_decay(models[j + 1].ready_bell, lam_s))
+    return b
 
 
 def _run_trial_range(
-    chain: RepeaterChain, seed: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    models = _span_models(chain)
+    models: list[_SpanModel], chain: RepeaterChain, seed: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials lo..hi-1: ready times and delivered Bell weights."""
     final_delay = _final_classical_delay(models)
     times = np.empty(hi - lo)
-    states = np.empty((hi - lo, 4, 4), dtype=complex)
+    decays = np.empty((hi - lo, 2 * len(chain.nodes)))
     for i in range(lo, hi):
         rng = np.random.default_rng([seed, i])
-        t, s = _run_trial(models, chain.nodes, chain.memory_cutoff, final_delay, rng)
-        times[i - lo] = t
-        states[i - lo] = s
-    fidelities = np.real(
-        np.einsum("i,nij,j->n", _PHI_PLUS_VEC.conj(), states, _PHI_PLUS_VEC)
-    )
-    return times, fidelities, states
+        times[i - lo], decays[i - lo] = _run_trial(
+            models, chain.nodes, chain.memory_cutoff, final_delay, rng
+        )
+    return times, _delivered_bells(models, chain.nodes, decays)
 
 
 def simulate_chain_mc(
-    chain: RepeaterChain, trials: int, seed: int = 42, workers: int = 1
+    chain: RepeaterChain,
+    trials: int,
+    seed: int = 42,
+    workers: int = 1,
+    attempts: tuple[SpanAttempt, ...] | None = None,
 ) -> EndToEndResult:
     """Monte Carlo over full protocol runs.
 
-    Each trial draws per-trial randomness from default_rng([seed, index]),
-    so results are byte-identical for any worker count. Every delivered
-    state is validated as a density matrix.
+    Each trial draws from its own PCG64 stream, default_rng([seed, index]),
+    so results are byte-identical for any worker count. A trial samples
+    only times; the delivered pair is carried as Bell weights, folded from
+    the decay each successful swap's inputs accumulated. Every delivered
+    weight vector is checked (weights >= -1e-12, sum 1 within 1e-10) and
+    mean_state is the Bell-diagonal state of the mean weights. ``attempts``
+    (from span_attempts(chain)) saves recomputing the span stacks.
     """
     if trials < 1:
         raise StateError("need at least one trial")
     if workers < 1:
         raise StateError("worker count must be positive")
+    models = _span_models(chain, attempts)
     if workers == 1 or trials < 4 * workers:
-        times, fids, states = _run_trial_range(chain, seed, 0, trials)
+        times, bells = _run_trial_range(models, chain, seed, 0, trials)
     else:
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(
                     _run_trial_range,
+                    [models] * workers,
                     [chain] * workers,
                     [seed] * workers,
                     bounds[:-1],
@@ -430,10 +516,12 @@ def simulate_chain_mc(
                 )
             )
         times = np.concatenate([p[0] for p in parts])
-        fids = np.concatenate([p[1] for p in parts])
-        states = np.concatenate([p[2] for p in parts])
+        bells = np.concatenate([p[1] for p in parts])
 
-    mean_state = DensityMatrix(states.mean(axis=0))
+    if bells.min() < -1e-12 or np.abs(bells.sum(axis=1) - 1.0).max() > 1e-10:
+        raise StateError("a delivered pair has invalid Bell weights")
+    fids = bells[:, 0]
+    mean_state = DensityMatrix(_bell_matrix(bells.mean(axis=0)))
     mean_t = float(times.mean())
     fid = float(fids.mean())
     fid_se = float(fids.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -563,23 +651,6 @@ def _expected_wait_decay(a, b, rate: float) -> float:
     return lb / (la + lb) + la / (la + lb) * lb / (lb + rate)
 
 
-def _bell_decay(b: np.ndarray, lam: float) -> np.ndarray:
-    return lam * b + (1.0 - lam) / 4.0
-
-
-def _bell_dephase(b: np.ndarray, p: float) -> np.ndarray:
-    flipped = b[[2, 3, 0, 1]]
-    return (1.0 - p) * b + p * flipped
-
-
-def _bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(4)
-    for g in range(4):
-        for h in range(4):
-            out[g ^ h] += a[g] * b[h]
-    return out
-
-
 def _expected_swap_bell(
     b_front: np.ndarray,
     b_span: np.ndarray,
@@ -608,31 +679,10 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     """
     models = _span_models(chain)
     n = len(models)
-
-    if n == 1:
-        m = models[0]
-        state = DensityMatrix(m.ready_state)
-        mean_t = m.cycle_s / m.success_prob
-        fid = float(
-            np.real(_PHI_PLUS_VEC.conj() @ m.ready_state @ _PHI_PLUS_VEC)
-        )
-        return EndToEndResult(
-            fidelity=fid,
-            pair_rate_hz=1.0 / mean_t,
-            mean_latency_s=mean_t,
-            trials=0,
-            fidelity_stderr=0.0,
-            rate_stderr=0.0,
-            mean_state=state,
-            engine="analytic",
-        )
-
     final_delay = _final_classical_delay(models)
-    bells = [bell_diagonal_weights(DensityMatrix(m.ready_state)) for m in models]
-
     front_dist = _span_dist(models[0].success_prob, models[0].cycle_s)
-    b_front = bells[0]
-    mean_t = 0.0
+    b_front = models[0].ready_bell
+    mean_t = front_dist.mean
     for i in range(2, n + 1):
         m = models[i - 1]
         node = chain.nodes[i - 2]
@@ -646,7 +696,7 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         )
         e_round = front_dist.mean + _expected_excess(front_dist, span_dist)
         b_front = _expected_swap_bell(
-            b_front, bells[i - 1], e_front, e_span, node.bsm_visibility_penalty
+            b_front, m.ready_bell, e_front, e_span, node.bsm_visibility_penalty
         )
         q = node.bsm_success_prob * node.memory.read_efficiency**2
         notify = m.one_way_s if i < n else final_delay
@@ -658,9 +708,6 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
             # is deterministic, so this factor is exact.
             b_front = _bell_decay(b_front, math.exp(-m.right_decay_rate * notify))
 
-    state = DensityMatrix(
-        np.einsum("k,ki,kj->ij", b_front, BELL_KETS, BELL_KETS.conj())
-    )
     return EndToEndResult(
         fidelity=float(b_front[0]),
         pair_rate_hz=1.0 / mean_t,
@@ -668,6 +715,6 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         trials=0,
         fidelity_stderr=0.0,
         rate_stderr=0.0,
-        mean_state=state,
+        mean_state=DensityMatrix(_bell_matrix(b_front)),
         engine="analytic",
     )

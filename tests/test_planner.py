@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+import qorsim.repeater as repeater
 from qorsim.planner import (
     DEFAULT_PARAMS,
     ConfigError,
+    _config_hash,
     build_chain,
     load_fiber_table,
     load_route,
@@ -101,6 +103,16 @@ class TestLoadRoute:
                      lambda r: r.update(defaults={"memory_cryogenic": 1}),
                      "must be a boolean")
 
+    def test_rejects_string_for_number(self, tmp_path):
+        self._reject(tmp_path,
+                     lambda r: r.update(defaults={"attempt_rate": "fast"}),
+                     "'attempt_rate' must be a number")
+
+    def test_rejects_string_for_bool(self, tmp_path):
+        self._reject(tmp_path,
+                     lambda r: r.update(defaults={"memory_cryogenic": "yes"}),
+                     "'memory_cryogenic' must be a boolean")
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -178,6 +190,19 @@ class TestBuildChain:
         with pytest.raises(ConfigError, match="unknown parameter override"):
             build_chain(rc, param_overrides={"warp": 9.0})
 
+    def test_override_types_checked(self, tmp_path):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        with pytest.raises(ConfigError, match="'attempt_rate' must be a number"):
+            build_chain(rc, param_overrides={"attempt_rate": "fast"})
+        with pytest.raises(ConfigError, match="'attempt_rate' must be a number"):
+            build_chain(rc, param_overrides={"attempt_rate": False})
+        for bad in (1, 0.0, "true", None):
+            with pytest.raises(ConfigError, match="'memory_cryogenic' must be a boolean"):
+                build_chain(rc, param_overrides={"memory_cryogenic": bad})
+        with pytest.raises(ConfigError, match="must be a number"):
+            run_plan(rc, technology=TECH_ONE_WAY, trials=10,
+                     param_overrides={"one_way_loss_threshold_db": "3"})
+
     def test_bad_value_becomes_config_error(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
         with pytest.raises(ConfigError):
@@ -253,6 +278,37 @@ class TestRunPlan:
                                      filename="r2.json"))
         c = run_plan(rc2, technology=TECH_ONE_WAY, trials=10, seed=1)
         assert a["provenance"]["config_hash"] != c["provenance"]["config_hash"]
+
+    def test_config_hash_covers_overrides(self, tmp_path):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        base = _config_hash(rc)
+        assert _config_hash(rc, {}) == base
+        # An override equal to the route's value leaves the effective
+        # parameters, and so the hash, unchanged.
+        assert _config_hash(rc, {"memory_coherence_time": 1}) == base
+        short = {"memory_coherence_time": 1e-3}
+        assert _config_hash(rc, short) != base
+        a = run_plan(rc, technology=TECH_ENTANGLEMENT, trials=50, seed=1)
+        b = run_plan(rc, technology=TECH_ENTANGLEMENT, trials=50, seed=1,
+                     param_overrides=short)
+        assert a["end_to_end"]["fidelity"] != b["end_to_end"]["fidelity"]
+        assert a["provenance"]["config_hash"] == base
+        assert b["provenance"]["config_hash"] == _config_hash(rc, short)
+
+    def test_both_computes_each_span_attempt_once(self, tmp_path, monkeypatch):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0, 75.0]))
+        calls = []
+        original = repeater.span_entanglement_attempt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repeater, "span_entanglement_attempt", counted)
+        reports = run_plan(rc, technology="both", trials=20, seed=1)
+        assert len(calls) == 3
+        assert reports[0]["spans"] == reports[1]["spans"]
+        assert reports[0]["spans"] == spans_table(build_chain(rc))
 
     def test_overrides_flow_into_verdict(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))

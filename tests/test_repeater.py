@@ -1,5 +1,6 @@
 """Span attempts, memory decay, swapping, teleportation, and both engines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from qorsim.repeater import (
     MemorySpec,
     QorsNode,
     RepeaterChain,
+    SpanAttempt,
     _ExpDist,
     _GridDist,
     _PointDist,
@@ -32,6 +34,8 @@ from qorsim.repeater import (
     _bell_dephase,
     _expected_excess,
     _expected_wait_decay,
+    _run_trial_range,
+    _span_models,
     entanglement_swap,
     memory_decay,
     simulate_chain_analytic,
@@ -41,7 +45,7 @@ from qorsim.repeater import (
 )
 
 from conftest import bell_diag
-from oracles import oracle_swap
+from oracles import oracle_chain_trial, oracle_depolarize, oracle_swap
 
 
 def _node(coherence=1.0, write=0.9, read=0.9, bsm=0.5, det=0.8, penalty=0.0):
@@ -422,6 +426,89 @@ class TestMonteCarloEngine:
             simulate_chain_mc(chain, trials=0)
         with pytest.raises(StateError):
             simulate_chain_mc(chain, trials=10, workers=0)
+
+
+def _dense_inputs(chain):
+    """oracle_chain_trial's span and node tuples for a chain, with the
+    pre-ready memory decay applied by the oracle's own depolarizer."""
+    n = len(chain.spans)
+    spans = []
+    for i, span in enumerate(chain.spans):
+        left = chain.nodes[i - 1] if i > 0 else None
+        right = chain.nodes[i] if i < n - 1 else None
+        attempt = span_entanglement_attempt(
+            span,
+            detector_efficiency=left.detector_efficiency if left else 1.0,
+            memory=right.memory if right else None,
+        )
+        one_way = photon_dwell_time(span)
+        left_rate = 1.0 / left.memory.coherence_time if left else 0.0
+        right_rate = 1.0 / right.memory.coherence_time if right else 0.0
+        rho = oracle_depolarize(attempt.state.matrix, 0, math.exp(-left_rate * one_way))
+        rho = oracle_depolarize(rho, 1, math.exp(-right_rate * 2.0 * one_way))
+        spans.append((attempt.success_probability, 1.0 / chain.attempt_rate + 2.0 * one_way,
+                      one_way, rho, right_rate))
+    nodes = [(nd.bsm_success_prob * nd.memory.read_efficiency**2,
+              1.0 / nd.memory.coherence_time, nd.bsm_visibility_penalty)
+             for nd in chain.nodes]
+    return spans, nodes
+
+
+class TestBellEngineAgainstDenseOracle:
+    """The Bell-weight Monte Carlo engine against the dense-state protocol
+    run on the same per-trial streams default_rng([seed, index])."""
+
+    @pytest.mark.parametrize("n_spans, cutoff, coherence, penalty, trials", [
+        (2, 1.0, 1.0, 0.0, 300),
+        (3, 1.0, 1.0, 0.0, 80),
+        (5, 1.0, 1.0, 0.0, 15),
+        (2, 2e-4, 0.01, 0.0, 300),    # cutoff binds: mean span wait ~1.7 ms
+        (3, 5e-4, 0.05, 0.07, 60),
+        (2, 1.0, 1.0, 0.2, 300),
+    ])
+    def test_same_times_and_states(self, n_spans, cutoff, coherence, penalty, trials):
+        chain = RepeaterChain(
+            spans=tuple(_span(20.0, O_BAND) for _ in range(n_spans)),
+            nodes=tuple(_node(coherence, penalty=penalty) for _ in range(n_spans - 1)),
+            attempt_rate=1e6, memory_cutoff=cutoff,
+        )
+        seed = 11
+        times, bells = _run_trial_range(_span_models(chain), chain, seed, 0, trials)
+        spans, nodes = _dense_inputs(chain)
+        for i in range(trials):
+            t, rho = oracle_chain_trial(spans, nodes, cutoff, np.random.default_rng([seed, i]))
+            assert t == times[i]
+            want = bell_diagonal_weights(DensityMatrix(rho))
+            assert np.max(np.abs(want - bells[i])) < 1e-12
+        if cutoff < 1.0:
+            loose = dataclasses.replace(chain, memory_cutoff=1.0)
+            free, _ = _run_trial_range(_span_models(loose), loose, seed, 0, trials)
+            assert np.any(free != times)
+
+    def test_non_bell_diagonal_span_state_rejected(self):
+        chain = RepeaterChain(spans=(_span(),), attempt_rate=1e6)
+        skewed = SpanAttempt(
+            success_probability=0.1,
+            state=pure_state(ket(0, 4)),   # |00>: Phi+/Phi- coherence 0.5
+            transmittance=0.1,
+        )
+        with pytest.raises(StateError, match="not Bell-diagonal"):
+            _span_models(chain, (skewed,))
+        with pytest.raises(StateError, match="not Bell-diagonal"):
+            simulate_chain_mc(chain, trials=10, attempts=(skewed,))
+        with pytest.raises(DimensionError):
+            _span_models(chain, (skewed, skewed))
+
+    def test_invalid_delivered_weights_rejected(self, monkeypatch):
+        import qorsim.repeater as repeater
+
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
+        monkeypatch.setattr(
+            repeater, "_delivered_bells",
+            lambda models, nodes, decays: np.tile([1.1, -0.1, 0.0, 0.0], (len(decays), 1)),
+        )
+        with pytest.raises(StateError, match="invalid Bell weights"):
+            simulate_chain_mc(chain, trials=5)
 
 
 class TestAnalyticEngine:

@@ -1,0 +1,115 @@
+"""Monte Carlo engine timings: µs per trial at 2, 3 and 5 spans.
+
+    python3 tools/mc_bench.py [--src DIR] [--runs 5] [--suite]
+
+Imports qorsim from ``--src`` (default: this checkout's ``src``), so the
+same script times another checkout too. Each chain is the planner's
+default parameters on an O-band route with 25 km spans; each run is one
+``simulate_chain_mc`` call with seed 42 and workers=1, after one untimed
+warm-up call. The value is the median over ``--runs`` runs.
+
+With ``--suite`` it also times the tier-1 test suite and the AC7 test
+(analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
+``pytest`` processes. Prints one JSON object on stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPAN_KM = 25.0
+SEED = 42
+# Trials per run for each span count: a run takes about a second at the
+# dense-state engine's speed.
+TRIALS = {2: 4000, 3: 1000, 5: 100}
+
+
+def _route_file(directory: str, spans: int) -> str:
+    sites = [
+        {"name": f"S{i}", "position_km": i * SPAN_KM,
+         "kind": "endpoint" if i in (0, spans) else "ila"}
+        for i in range(spans + 1)
+    ]
+    path = os.path.join(directory, f"route{spans}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"name": f"bench-{spans}", "fiber_type": "NDSF", "quantum_band": "O",
+                   "coexistence": True, "sites": sites}, fh)
+    return path
+
+
+def mc_us_per_trial(runs: int) -> dict:
+    from qorsim.planner import build_chain, load_route
+    from qorsim.repeater import simulate_chain_mc
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for spans, trials in TRIALS.items():
+            chain = build_chain(load_route(_route_file(tmp, spans)))
+            simulate_chain_mc(chain, trials=trials, seed=SEED)
+            samples = []
+            for _ in range(runs):
+                t = time.perf_counter()
+                simulate_chain_mc(chain, trials=trials, seed=SEED)
+                samples.append((time.perf_counter() - t) * 1e6 / trials)
+            out[f"{spans}_spans"] = {
+                "trials": trials,
+                "median_us": round(statistics.median(samples), 2),
+                "samples_us": [round(s, 2) for s in samples],
+            }
+    return out
+
+
+def _pytest_wall(src: Path, args: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", *args]
+    t = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=src.parent, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    return {"wall_s": round(wall, 2), "returncode": proc.returncode, "summary": summary}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--suite", action="store_true")
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+
+    result = {
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+        },
+        "span_km": SPAN_KM,
+        "seed": SEED,
+        "runs": args.runs,
+        "mc_us_per_trial": mc_us_per_trial(args.runs),
+    }
+    if args.suite:
+        result["tier1_suite"] = _pytest_wall(src, [])
+        result["ac7"] = _pytest_wall(
+            src, ["tests/test_acceptance.py::test_ac7_analytic_within_monte_carlo_error"]
+        )
+    json.dump(result, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
