@@ -32,11 +32,9 @@ from .linalg import StateError, fidelity, phi_plus
 from .qkd import (
     OneWayRepeaterSpec,
     TECH_ENTANGLEMENT,
-    TECH_ONE_WAY,
     TECHNOLOGIES,
     assess_chain,
     key_metrics_from_result,
-    qber_from_state,
 )
 from .repeater import (
     MemorySpec,

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, DimensionError, StateError
-from .fiber import FiberSpan
 from .repeater import EndToEndResult, RepeaterChain
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -233,12 +232,6 @@ def assess_chain(
     )
 
 
-def span_loss_db(span: FiberSpan) -> float:
-    """Total span budget in dB, fiber plus insertion losses."""
-    att = span.fiber.attenuation(span.quantum_band)
-    return att * span.length_km + span.mux_insertion_loss_db
-
-
 __all__ = [
     "binary_entropy",
     "qber_from_state",
@@ -250,7 +243,6 @@ __all__ = [
     "Violation",
     "FeasibilityVerdict",
     "assess_chain",
-    "span_loss_db",
     "TECH_ENTANGLEMENT",
     "TECH_ONE_WAY",
     "TECHNOLOGIES",

@@ -577,22 +577,6 @@ class _GridDist:
         return self.p * self.q**n * np.exp(-rate * (first - x)) / (1.0 - ratio)
 
 
-class _PointDist:
-    def __init__(self, m: float):
-        self.mean = m
-        self.times = np.array([m])
-        self.pmf = np.array([1.0])
-
-    def cdf(self, x):
-        return (self.mean <= np.asarray(x) * (1 + 1e-12)).astype(float)
-
-    def tail_time_mean(self, x):
-        return self.mean * (1.0 - self.cdf(x))
-
-    def decay_above(self, x, rate):
-        return np.exp(-rate * np.clip(self.mean - x, 0.0, None)) * (1.0 - self.cdf(x))
-
-
 class _ExpDist:
     """Continuous limit of a geometric grid with the same mean."""
 
@@ -701,7 +685,8 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         q = node.bsm_success_prob * node.memory.read_efficiency**2
         notify = m.one_way_s if i < n else final_delay
         mean_t = e_round / q + notify
-        front_dist = _PointDist(mean_t)
+        # p = 1 puts one atom at mean_t: the frontier's point-mass collapse.
+        front_dist = _GridDist(1.0, mean_t)
         if i < n:
             # While the swap outcome travels to the new frontier edge, the
             # merged pair's right qubit keeps decaying there. The interval

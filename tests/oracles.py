@@ -3,9 +3,23 @@
 Everything here is built from explicit kets, kron products, and index
 loops only, so the implementation under test and the oracle share no
 code paths.
+
+The Gaussian section at the end derives photon loss from a beam-splitter
+Hamiltonian instead: quadratic Hamiltonians, symplectic transforms via
+scipy's expm, and the beam-splitter dilation. It shares only the package's
+containers and conventions: it wraps its Kraus operators in qorsim's
+``KrausChannel`` (so ``verify_cptp`` checks them), uses the single-rail
+ordering ``RAIL_DIM``/``VACUUM_INDEX``, and raises qorsim's ``StateError``
+and ``DimensionError``.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg
+
+from qorsim.channels import RAIL_DIM, VACUUM_INDEX, KrausChannel
+from qorsim.linalg import DimensionError, StateError, _as_complex_matrix
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -120,3 +134,153 @@ def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):
 
     ready, state, _ = build(n, 0.0)
     return ready, state
+
+
+# Gaussian layer: quadratic bosonic Hamiltonians act as symplectic
+# transforms on the quadrature vector (x1, p1, x2, p2, ...).
+
+SYMPLECTIC_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class GaussianHamiltonian:
+    """Quadratic Hamiltonian data: a Hermitian coupling block (beam-splitter
+    and rotation terms, rad/s) and a symmetric squeezing block, acting for
+    duration_s seconds."""
+
+    coupling: np.ndarray
+    squeezing: np.ndarray
+    duration_s: float
+
+    def __post_init__(self) -> None:
+        k = _as_complex_matrix(self.coupling, "coupling")
+        d = _as_complex_matrix(self.squeezing, "squeezing")
+        if k.shape[0] != k.shape[1] or k.shape != d.shape:
+            raise DimensionError("coupling and squeezing must be square and matched")
+        if np.abs(k - k.conj().T).max() > 1e-12:
+            raise StateError("coupling block must be Hermitian")
+        if np.abs(d - d.T).max() > 1e-12:
+            raise StateError("squeezing block must be symmetric")
+        if self.duration_s < 0:
+            raise StateError("duration must be nonnegative")
+        k, d = k.copy(), d.copy()
+        k.flags.writeable = False
+        d.flags.writeable = False
+        object.__setattr__(self, "coupling", k)
+        object.__setattr__(self, "squeezing", d)
+
+    @property
+    def modes(self) -> int:
+        return self.coupling.shape[0]
+
+
+def symplectic_form(modes: int) -> np.ndarray:
+    """Block-diagonal form Omega with [[0, 1], [-1, 0]] per mode (x, p order)."""
+    omega = np.zeros((2 * modes, 2 * modes))
+    for m in range(modes):
+        omega[2 * m, 2 * m + 1] = 1.0
+        omega[2 * m + 1, 2 * m] = -1.0
+    return omega
+
+
+@dataclass(frozen=True)
+class SymplecticTransform:
+    """Real 2N x 2N matrix S with S Omega S^T = Omega (tolerance 1e-9)."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        s = np.asarray(self.matrix, dtype=float)
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
+            raise DimensionError(f"symplectic matrix must be 2N x 2N, got {s.shape}")
+        omega = symplectic_form(s.shape[0] // 2)
+        defect = np.abs(s @ omega @ s.T - omega).max()
+        if defect > SYMPLECTIC_TOL:
+            raise StateError(f"not symplectic: max defect {defect:.3e}")
+        s = s.copy()
+        s.flags.writeable = False
+        object.__setattr__(self, "matrix", s)
+
+    @property
+    def modes(self) -> int:
+        return self.matrix.shape[0] // 2
+
+
+def gaussian_evolve(h: GaussianHamiltonian) -> SymplecticTransform:
+    """Exponentiate the quadratic Hamiltonian into a symplectic transform.
+
+    The mode-operator generator is A = -i [[K, D], [-D*, -K*]] on
+    (a_1..a_N, a^dag_1..a^dag_N); conjugating by the quadrature change of
+    basis gives a real generator, exponentiated with scipy's expm.
+    """
+    n = h.modes
+    k, d = h.coupling, h.squeezing
+    a = -1j * np.block([[k, d], [-d.conj(), -k.conj()]])
+    eye = np.eye(n)
+    # Quadrature change of basis: (x, p) blocks from (a, a^dag) blocks.
+    t = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2.0)
+    t_inv = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
+    b = t @ a @ t_inv
+    if np.abs(b.imag).max() > 1e-10:
+        raise StateError("quadrature generator failed to come out real")
+    s_grouped = scipy.linalg.expm(b.real * h.duration_s)
+    # Regroup from (x1..xN, p1..pN) to interleaved (x1, p1, x2, p2, ...).
+    perm = np.empty(2 * n, dtype=int)
+    perm[0::2] = np.arange(n)
+    perm[1::2] = np.arange(n) + n
+    return SymplecticTransform(s_grouped[np.ix_(perm, perm)])
+
+
+def mode_transmittance(transform: SymplecticTransform, mode: int) -> float:
+    """Power transmittance of one mode under a passive transform: the mean
+    squared magnitude of the mode's diagonal 2x2 quadrature block."""
+    if not 0 <= mode < transform.modes:
+        raise DimensionError(f"mode {mode} out of range")
+    block = transform.matrix[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2]
+    return float(np.sum(block * block) / 2.0)
+
+
+def beamsplitter_to_kraus(eta: float) -> KrausChannel:
+    """Photon loss derived from its beam-splitter dilation.
+
+    A beam splitter of transmittance eta couples the signal rail to a vacuum
+    environment rail; writing the interaction unitary on the two-rail space
+    and tracing the environment yields Kraus operators
+    K_k = (I x <k|) U (I x |vac>). Restricted to at most one photon the
+    two-photon sector is never populated, so the unitary completes it with
+    the identity. The result reproduces loss_channel(eta) exactly.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise StateError(f"transmittance {eta} outside [0, 1]")
+    t, r = np.sqrt(eta), np.sqrt(1.0 - eta)
+    d = RAIL_DIM
+    vac = VACUUM_INDEX
+
+    def idx(sys_level: int, env_level: int) -> int:
+        return sys_level * d + env_level
+
+    u = np.zeros((d * d, d * d), dtype=complex)
+    u[idx(vac, vac), idx(vac, vac)] = 1.0
+    for pol in (0, 1):
+        # Single photon superposes between staying in the signal rail and
+        # hopping to the environment rail, preserving polarization.
+        u[idx(pol, vac), idx(pol, vac)] = t
+        u[idx(vac, pol), idx(pol, vac)] = r
+        u[idx(pol, vac), idx(vac, pol)] = -r
+        u[idx(vac, pol), idx(vac, pol)] = t
+    for pol_a in (0, 1):
+        for pol_b in (0, 1):
+            u[idx(pol_a, pol_b), idx(pol_a, pol_b)] = 1.0
+    defect = np.abs(u.conj().T @ u - np.eye(d * d)).max()
+    if defect > 1e-12:
+        raise StateError(f"dilation unitary defect {defect:.3e}")
+    ops = []
+    for env_out in range(d):
+        kraus = np.zeros((d, d), dtype=complex)
+        for sys_out in range(d):
+            for sys_in in range(d):
+                kraus[sys_out, sys_in] = u[idx(sys_out, env_out), idx(sys_in, vac)]
+        ops.append(kraus)
+    # Drop identically zero operators (environment outcomes never reached).
+    ops = [op for op in ops if np.abs(op).max() > 0.0]
+    return KrausChannel(tuple(ops), label=f"beamsplitter_loss({eta:g})")

@@ -12,18 +12,14 @@ import numpy as np
 
 from qorsim.channels import (
     apply_channel,
-    beamsplitter_to_kraus,
     compose,
     dephasing_channel,
     depolarizing_channel,
     embed_qubit_channel,
-    gaussian_evolve,
     identity_channel,
     loss_channel,
     sop_rotation_channel,
-    symplectic_form,
     verify_cptp,
-    GaussianHamiltonian,
     RAIL_DIM,
 )
 from qorsim.cli import main
@@ -40,7 +36,15 @@ from qorsim.repeater import (
 )
 
 from conftest import ACCEPTANCE_VERDICTS, write_route
-from oracles import oracle_swap, phi_plus_fidelity, werner_matrix
+from oracles import (
+    GaussianHamiltonian,
+    beamsplitter_to_kraus,
+    gaussian_evolve,
+    oracle_swap,
+    phi_plus_fidelity,
+    symplectic_form,
+    werner_matrix,
+)
 
 
 def _verdict(num: int, ok: bool, elapsed: float, detail: str) -> None:

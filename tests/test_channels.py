@@ -6,26 +6,20 @@ import pytest
 from qorsim.channels import (
     RAIL_DIM,
     VACUUM_INDEX,
-    GaussianHamiltonian,
     KrausChannel,
-    SymplecticTransform,
     apply_channel,
     apply_to_subsystem,
     averaged_rotation_fidelity,
-    beamsplitter_to_kraus,
     choi_matrix,
     completeness_operator,
     compose,
     dephasing_channel,
     depolarizing_channel,
     embed_qubit_channel,
-    gaussian_evolve,
     identity_channel,
     loss_channel,
-    mode_transmittance,
     rotation_unitary,
     sop_rotation_channel,
-    symplectic_form,
     verify_cptp,
 )
 from qorsim.linalg import (
@@ -37,6 +31,15 @@ from qorsim.linalg import (
     phi_plus,
     random_density_matrix,
     random_unitary,
+)
+
+from oracles import (
+    GaussianHamiltonian,
+    SymplecticTransform,
+    beamsplitter_to_kraus,
+    gaussian_evolve,
+    mode_transmittance,
+    symplectic_form,
 )
 
 

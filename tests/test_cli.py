@@ -1,9 +1,13 @@
 """Command-line entry points, output formats, and error paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qorsim
 from qorsim import __version__
 from qorsim.cli import main
 
@@ -14,6 +18,22 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestRuntimeImports:
+    def test_cli_import_loads_no_scipy(self):
+        # A fresh interpreter, so modules the test suite loaded do not count.
+        src_dir = os.path.dirname(os.path.dirname(qorsim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, qorsim, qorsim.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestFibers:

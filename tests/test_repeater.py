@@ -28,7 +28,6 @@ from qorsim.repeater import (
     SpanAttempt,
     _ExpDist,
     _GridDist,
-    _PointDist,
     _bell_convolve,
     _bell_decay,
     _bell_dephase,
@@ -268,7 +267,7 @@ class TestWaitDistributions:
 
     def test_excess_cross_branches_agree(self):
         g = _GridDist(0.3, 1.0)
-        pt = _PointDist(2.4)
+        pt = _GridDist(1.0, 2.4)
         brute = float(np.sum(g.pmf * np.clip(g.times - pt.mean, 0.0, None)))
         assert abs(_expected_excess(pt, g) - brute) < 1e-12
         brute2 = float(np.sum(g.pmf * np.clip(pt.mean - g.times, 0.0, None)))
