@@ -390,74 +390,244 @@ def _final_classical_delay(models: list[_SpanModel]) -> float:
     return max(to_right, to_left)
 
 
-def _run_trial(
-    models: list[_SpanModel],
-    nodes: tuple[QorsNode, ...],
-    cutoff: float,
-    final_delay: float,
-    rng: np.random.Generator,
-) -> tuple[float, list[float]]:
-    """One protocol run: the delivered pair's ready time and, per node, the
-    decay factors (frontier, span) of the two pairs its last successful
-    swap joined, flattened as [f_0, s_0, f_1, s_1, ...].
+# Monte Carlo streams and work budget. Trials run in blocks of MC_BLOCK
+# consecutive indices; block b draws uniforms from default_rng([seed, b]) in
+# (MC_BLOCK, MC_CHUNK) chunks, and trial i reads row i % MC_BLOCK of them in
+# order. A run of trials that needs more than MC_WORK_FACTOR times the span
+# generations its chain needs on average without a cutoff is abandoned: a
+# memory cutoff far below the span cycle grows the count without bound.
+MC_BLOCK = 2048
+MC_CHUNK = 32
+MC_WORK_FACTOR = 2000
 
-    Draw order: one geometric per span generation, one uniform per swap.
+
+class _BlockStream:
+    """The uniforms of trials first..first+count-1 of one block: trial j of
+    them reads row first + j in order through its own cursor.
+
+    The stream is the block's (MC_BLOCK, MC_CHUNK) chunks drawn in turn, so
+    a row's values do not depend on which rows run or how fast. Each row
+    holds one chunk's worth at a time, MC_CHUNK values, and a row that has
+    used them up reads its part of its next chunk from the stream's
+    position for it: PCG64's advance jumps there, which equals drawing the
+    values in between (each float64 uniform takes one 64-bit output). So
+    memory stays at (count, MC_CHUNK) however long the trials run."""
+
+    def __init__(self, seed: int, block: int, first: int, count: int):
+        self._rng = np.random.default_rng([seed, block])
+        self._bits = self._rng.bit_generator
+        self._first = int(first)
+        self._pos = 0                              # outputs drawn or skipped
+        self._buf = np.empty((count, MC_CHUNK))
+        self._chunk = np.full(count, -1)           # chunk each row holds
+        self._cursor = np.zeros(count, dtype=np.intp)
+        self._refill(np.arange(count))
+
+    def uniforms(self, idx: np.ndarray) -> np.ndarray:
+        """The next uniform of each trial in ``idx`` (distinct positions)."""
+        c = self._cursor[idx]
+        try:
+            u = self._buf[idx, c]
+        except IndexError:   # some rows have used up their chunk
+            spent = c == MC_CHUNK
+            self._refill(idx[spent])
+            c[spent] = 0
+            u = self._buf[idx, c]
+        self._cursor[idx] = c + 1
+        return u
+
+    def _refill(self, rows: np.ndarray) -> None:
+        """Load each row's next chunk. Rows whose parts lie close together
+        in the stream are drawn in one call, with the values between them."""
+        k = self._chunk[rows] + 1
+        self._chunk[rows] = k
+        # Row r's part of chunk k is MC_CHUNK values from output
+        # (k * MC_BLOCK + first + r) * MC_CHUNK on.
+        key = k * MC_BLOCK + rows
+        ends = [1]
+        if len(key) > 1:
+            order = key.argsort()
+            rows, key = rows[order], key[order]
+            # A separate draw costs about as much as 32 rows in between.
+            ends = [*((key[1:] - key[:-1] > 32).nonzero()[0] + 1), len(key)]
+        a = 0
+        for b in ends:
+            lo, n = int(key[a]), int(key[b - 1] - key[a]) + 1
+            pos = (lo + self._first) * MC_CHUNK
+            # advance() takes Python ints; a backward jump wraps mod 2**128.
+            self._bits.advance((pos - self._pos) % (1 << 128))
+            self._pos = pos + n * MC_CHUNK
+            r = int(rows[a])
+            if n == b - a and int(rows[b - 1]) - r == n - 1:
+                self._rng.random(out=self._buf[r:r + n])
+            else:
+                self._buf[rows[a:b]] = self._rng.random((n, MC_CHUNK))[key[a:b] - lo]
+            a = b
+
+
+class _BlockRun:
+    """The trials of one run moved through the protocol recursion together,
+    as numpy index arrays into the block's stream.
+
+    The recursion is unrolled into one frame per trial and level: the frame
+    at level l >= 2 joins the frontier over spans 0..l-2 with span l-1 at
+    node l-2, and level 1 is span 0 alone. Each pass starts every unfinished
+    trial at level 1 and carries the trials whose frontier completes up the
+    levels: a fresh frame draws its span from the frame's start time, then
+    runs the cutoff race and the swap. A trial whose frontier expired in the
+    race, or whose swap failed, goes back to level 1 with the frames below
+    restarted, and the next pass takes it on. So a pass costs a few vector
+    steps per level however the trials' depths differ, and each trial draws
+    its uniforms in the order of the depth-first recursion: one per span
+    generation, turned into a geometric attempt count by inversion (none
+    when success is certain), and one per swap.
+
+    Each successful swap writes how long the two pairs it joined waited at
+    its node (frontier, span) into ``waits``, shape (trials, 2 * nodes), as
+    [f_0, s_0, f_1, s_1, ...]; the last write per node describes the swaps
+    that built the delivered pair.
     """
-    n = len(models)
-    decays = [1.0] * (2 * (n - 1))
 
-    def gen_span(i: int, t0: float) -> float:
-        m = models[i]
-        k = int(rng.geometric(m.success_prob)) if m.success_prob < 1.0 else 1
-        return t0 + k * m.cycle_s
+    def __init__(
+        self,
+        models: list[_SpanModel],
+        chain: RepeaterChain,
+        stream: _BlockStream,
+        waits: np.ndarray,
+    ):
+        self._models = models
+        self._cutoff = chain.memory_cutoff
+        self._stream = stream
+        self._waits = waits
+        self._log_fail = [math.log1p(-m.success_prob) if m.success_prob < 1.0 else 0.0
+                          for m in models]
+        self._swap_prob = [node.bsm_success_prob * node.memory.read_efficiency**2
+                           for node in chain.nodes]
+        # The outcome of the swap at level l travels to the new frontier
+        # edge; the last one must reach both end stations.
+        self._notify = [m.one_way_s for m in models[1:-1]] + [_final_classical_delay(models)]
+        # Without a cutoff, building spans 0..l takes a build of 0..l-1 and
+        # one generation of span l per swap attempt, 1/q attempts on average.
+        self._need = 1.0
+        for q in self._swap_prob:
+            self._need = (self._need + 1.0) / q
+        self._budget = MC_WORK_FACTOR * self._need * len(waits)
+        self._spent = 0
+        trials, levels = len(waits), len(models) + 1
+        # Per trial and level (column l for level l): the frame's start time,
+        # and for a frame racing a rebuilt frontier, its span's ready time.
+        self._start = np.zeros((trials, levels))
+        self._span_t = np.zeros((trials, levels))
+        self._racing = np.zeros((trials, levels), dtype=bool)
+        self._racing_count = [0] * levels
 
-    def build(i: int, t0: float) -> tuple[float, float]:
-        """Frontier over spans 0..i-1: (ready time, last decay time). A
-        success overwrites the decay factors of node i-2, so after the top
-        call they describe the swaps that built the delivered pair."""
-        if i == 1:
-            r = gen_span(0, t0)
-            return r, r
-        m = models[i - 1]
-        node = nodes[i - 2]
-        while True:
-            t_f, u_f = build(i - 1, t0)
-            t_s = gen_span(i - 1, t0)
-            while True:
-                if t_s - t_f > cutoff:
-                    t_f, u_f = build(i - 1, t_f + cutoff)
-                elif t_f - t_s > cutoff:
-                    t_s = gen_span(i - 1, t_s + cutoff)
-                else:
+    def ready_times(self) -> np.ndarray:
+        """The delivered pairs' ready times; fills ``waits``. Raises
+        StateError past the work budget."""
+        trials = len(self._waits)
+        ready = np.empty(trials)
+        running = np.ones(trials, dtype=bool)
+        todo = np.arange(trials)
+        while todo.size:
+            t_f = self._gen_span(0, self._start[todo, 1], todo)
+            up, u_f = todo, t_f
+            for level in range(2, len(self._models) + 1):
+                up, t_f, u_f = self._join(level, up, t_f, u_f)
+                if not up.size:
                     break
-            t_swap = max(t_f, t_s)
-            q = node.bsm_success_prob * node.memory.read_efficiency**2
-            if rng.random() < q:
-                # The frontier's node-side qubit waited at the node; both
-                # qubits of the span pair waited, at the node and at the
-                # span's right holder.
-                node_rate = 1.0 / node.memory.coherence_time
-                decays[2 * (i - 2)] = math.exp(-node_rate * (t_swap - u_f))
-                decays[2 * (i - 2) + 1] = math.exp(
-                    -(node_rate + m.right_decay_rate) * (t_swap - t_s)
-                )
-                notify = m.one_way_s if i < n else final_delay
-                return t_swap + notify, t_swap
-            t0 = t_swap
+            ready[up] = t_f
+            running[up] = False
+            todo = todo[running[todo]]
+        return ready
 
-    ready, _ = build(n, 0.0)
-    return ready, decays
+    def _gen_span(self, i: int, t0: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Ready times of span i for trials ``idx``, generating from t0."""
+        self._spent += len(idx)
+        if self._spent > self._budget:
+            cycle = max(m.cycle_s for m in self._models)
+            raise StateError(
+                f"Monte Carlo gave up after {self._spent} span generations "
+                f"for {len(self._waits)} trials, more than {MC_WORK_FACTOR} times "
+                f"the {self._need:.3g} per trial these spans need on average "
+                f"without a cutoff: memory_cutoff {self._cutoff:.3g} s is too "
+                f"short against a span cycle of up to {cycle:.3g} s"
+            )
+        m = self._models[i]
+        if m.success_prob >= 1.0:
+            return t0 + m.cycle_s
+        k = np.log1p(-self._stream.uniforms(idx))
+        k /= self._log_fail[i]
+        return t0 + (np.floor(k) + 1.0) * m.cycle_s
+
+    def _join(
+        self, level: int, up: np.ndarray, t_f: np.ndarray, u_f: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The frames at ``level`` of trials ``up``, whose frontiers below
+        are ready at t_f (last decay at u_f): (trials that swapped, their
+        ready times, their swap times)."""
+        cutoff = self._cutoff
+        racing = self._racing_count[level]
+        if racing:
+            t_s = self._span_t[up, level]
+            fresh = ~self._racing[up, level]
+            racing = len(up) - int(fresh.sum())
+            f = fresh.nonzero()[0]
+            t_s[f] = self._gen_span(level - 1, self._start[up[f], level], up[f])
+            self._racing[up, level] = False
+        else:
+            t_s = self._gen_span(level - 1, self._start[up, level], up)
+        # Cutoff race: only the side that expired restarts, from expiry. A
+        # regenerated span races again here, and so does a regenerated span
+        # 0 at level 2; a longer frontier is rebuilt from level 1 on the next
+        # pass while this frame keeps its span.
+        race = (np.abs(t_s - t_f) > cutoff).nonzero()[0]
+        expired = []
+        while race.size:
+            late = t_s[race] > t_f[race]
+            a, b = race[late], race[~late]
+            if level > 2:
+                expired.append(a)
+                race = b
+            elif a.size:
+                t_f[a] = u_f[a] = self._gen_span(0, t_f[a] + cutoff, up[a])
+            if b.size:
+                t_s[b] = self._gen_span(level - 1, t_s[b] + cutoff, up[b])
+            race = race[np.abs(t_s[race] - t_f[race]) > cutoff]
+        gone = np.concatenate([race, *expired])   # race is empty here
+        self._racing_count[level] += len(gone) - racing
+        if gone.size:
+            back = up[gone]
+            self._racing[back, level] = True
+            self._span_t[back, level] = t_s[gone]
+            self._start[back, 1:level] = (t_f[gone] + cutoff)[:, None]
+            stay = np.ones(len(up), dtype=bool)
+            stay[gone] = False
+            up, t_f, u_f, t_s = up[stay], t_f[stay], u_f[stay], t_s[stay]
+        t_swap = np.maximum(t_f, t_s)
+        ok = self._stream.uniforms(up) < self._swap_prob[level - 2]
+        # A failed swap restarts the whole frontier from its time.
+        miss = ~ok
+        self._start[up[miss], 1:level + 1] = t_swap[miss][:, None]
+        won, t_won = up[ok], t_swap[ok]
+        col = 2 * (level - 2)
+        self._waits[won, col] = t_won - u_f[ok]
+        self._waits[won, col + 1] = t_won - t_s[ok]
+        return won, t_won + self._notify[level - 2], t_won
 
 
 def _delivered_bells(
-    models: list[_SpanModel], nodes: tuple[QorsNode, ...], decays: np.ndarray
+    models: list[_SpanModel], nodes: tuple[QorsNode, ...], waits: np.ndarray
 ) -> np.ndarray:
     """Bell weights of each trial's delivered pair, shape (trials, 4), from
-    the decay factors _run_trial recorded, shape (trials, 2 * nodes)."""
-    b = np.broadcast_to(models[0].ready_bell, (len(decays), 4))
+    the waits _BlockRun recorded, shape (trials, 2 * nodes)."""
+    b = np.broadcast_to(models[0].ready_bell, (len(waits), 4))
     for j, node in enumerate(nodes):
-        lam_f = decays[:, 2 * j:2 * j + 1]
-        lam_s = decays[:, 2 * j + 1:2 * j + 2]
+        # The frontier's node-side qubit waited at the node; both qubits of
+        # the span pair waited, at the node and at the span's right holder.
+        node_rate = 1.0 / node.memory.coherence_time
+        lam_f = np.exp(-node_rate * waits[:, 2 * j:2 * j + 1])
+        span_rate = node_rate + models[j + 1].right_decay_rate
+        lam_s = np.exp(-span_rate * waits[:, 2 * j + 1:2 * j + 2])
         left = _bell_dephase(_bell_decay(b, lam_f), node.bsm_visibility_penalty)
         b = _bell_convolve(left, _bell_decay(models[j + 1].ready_bell, lam_s))
     return b
@@ -466,16 +636,19 @@ def _delivered_bells(
 def _run_trial_range(
     models: list[_SpanModel], chain: RepeaterChain, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trials lo..hi-1: ready times and delivered Bell weights."""
-    final_delay = _final_classical_delay(models)
+    """Trials lo..hi-1, block by block: ready times and delivered Bell
+    weights."""
     times = np.empty(hi - lo)
-    decays = np.empty((hi - lo, 2 * len(chain.nodes)))
-    for i in range(lo, hi):
-        rng = np.random.default_rng([seed, i])
-        times[i - lo], decays[i - lo] = _run_trial(
-            models, chain.nodes, chain.memory_cutoff, final_delay, rng
-        )
-    return times, _delivered_bells(models, chain.nodes, decays)
+    waits = np.zeros((hi - lo, 2 * len(chain.nodes)))
+    start = lo
+    while start < hi:
+        block, first = divmod(start, MC_BLOCK)
+        stop = min(hi, (block + 1) * MC_BLOCK)
+        out = slice(start - lo, stop - lo)
+        stream = _BlockStream(seed, block, first, stop - start)
+        times[out] = _BlockRun(models, chain, stream, waits[out]).ready_times()
+        start = stop
+    return times, _delivered_bells(models, chain.nodes, waits)
 
 
 def simulate_chain_mc(
@@ -487,13 +660,19 @@ def simulate_chain_mc(
 ) -> EndToEndResult:
     """Monte Carlo over full protocol runs.
 
-    Each trial draws from its own PCG64 stream, default_rng([seed, index]),
-    so results are byte-identical for any worker count. A trial samples
-    only times; the delivered pair is carried as Bell weights, folded from
-    the decay each successful swap's inputs accumulated. Every delivered
-    weight vector is checked (weights >= -1e-12, sum 1 within 1e-10) and
-    mean_state is the Bell-diagonal state of the mean weights. ``attempts``
-    (from span_attempts(chain)) saves recomputing the span stacks.
+    Trials run in blocks of MC_BLOCK consecutive indices, all trials of a
+    block through the protocol at once. Block b draws from
+    default_rng([seed, b]) in (MC_BLOCK, MC_CHUNK) chunks of uniforms and
+    trial i reads row i % MC_BLOCK, so each trial depends only on (seed, i);
+    workers take contiguous index ranges, and results are byte-identical for
+    any worker count. A trial samples only times; the delivered pair is
+    carried as Bell weights, folded from the decay each successful swap's
+    inputs accumulated. Every delivered weight vector is checked (weights
+    >= -1e-12, sum 1 within 1e-10) and mean_state is the Bell-diagonal
+    state of the mean weights. Trials that need more than MC_WORK_FACTOR
+    times the span generations the chain needs without a cutoff raise
+    StateError. ``attempts`` (from span_attempts(chain)) saves recomputing
+    the span stacks.
     """
     if trials < 1:
         raise StateError("need at least one trial")
@@ -517,6 +696,9 @@ def simulate_chain_mc(
             )
         times = np.concatenate([p[0] for p in parts])
         bells = np.concatenate([p[1] for p in parts])
+    # The fold may return a column-major stack; summing it in row order, as
+    # the concatenated ranges are, keeps the means independent of workers.
+    bells = np.ascontiguousarray(bells)
 
     if bells.min() < -1e-12 or np.abs(bells.sum(axis=1) - 1.0).max() > 1e-10:
         raise StateError("a delivered pair has invalid Bell weights")

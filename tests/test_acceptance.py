@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from qorsim.channels import (
-    apply_channel,
     compose,
     dephasing_channel,
     depolarizing_channel,
@@ -23,7 +22,7 @@ from qorsim.channels import (
     RAIL_DIM,
 )
 from qorsim.cli import main
-from qorsim.linalg import DensityMatrix, fidelity, phi_plus, pure_state, werner_state
+from qorsim.linalg import fidelity, phi_plus, pure_state, werner_state
 from qorsim.planner import build_chain, load_route, run_plan
 from qorsim.qkd import TECH_ENTANGLEMENT, R_SPAN_REACH, qec_max_span
 from qorsim.repeater import (

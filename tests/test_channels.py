@@ -30,7 +30,6 @@ from qorsim.linalg import (
     maximally_mixed,
     phi_plus,
     random_density_matrix,
-    random_unitary,
 )
 
 from oracles import (

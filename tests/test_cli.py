@@ -173,6 +173,14 @@ class TestErrorHandling:
         assert code == 1
         assert "invalid JSON" in err
 
+    def test_monte_carlo_budget_is_an_error(self, capsys, tmp_path):
+        # A 10 ns cutoff against ~0.2 ms span cycles: pairs almost never meet.
+        route = write_route(tmp_path, [0.0, 20.0, 45.0], defaults={"memory_cutoff": 1e-8})
+        code, out, err = _run(capsys, ["plan", "--route", route, "--trials", "20"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert "memory_cutoff" in err
+
     def test_unknown_tech_is_usage_error(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 10.0])
         with pytest.raises(SystemExit) as exc:

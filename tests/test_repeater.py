@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from qorsim.linalg import (
     werner_state,
 )
 from qorsim.repeater import (
+    MC_BLOCK,
+    MC_CHUNK,
+    MC_WORK_FACTOR,
     EndToEndResult,
     MemorySpec,
     QorsNode,
@@ -43,7 +48,7 @@ from qorsim.repeater import (
     teleport,
 )
 
-from conftest import bell_diag
+from conftest import bell_diag, write_route
 from oracles import oracle_chain_trial, oracle_depolarize, oracle_swap
 
 
@@ -392,15 +397,59 @@ class TestMonteCarloEngine:
     def test_deterministic_across_workers_and_runs(self):
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
-        a = simulate_chain_mc(chain, trials=600, seed=5, workers=1)
-        b = simulate_chain_mc(chain, trials=600, seed=5, workers=2)
-        c = simulate_chain_mc(chain, trials=600, seed=5, workers=3)
-        d = simulate_chain_mc(chain, trials=600, seed=5, workers=1)
+        # Five blocks, the last one partial. At this count the means once
+        # differed in the last digits when summed in column order.
+        trials = 4 * MC_BLOCK + 1808
+        a = simulate_chain_mc(chain, trials=trials, seed=5, workers=1)
+        b = simulate_chain_mc(chain, trials=trials, seed=5, workers=2)
+        c = simulate_chain_mc(chain, trials=trials, seed=5, workers=3)
+        d = simulate_chain_mc(chain, trials=trials, seed=5, workers=1)
         for other in (b, c, d):
             assert a.fidelity == other.fidelity
+            assert a.fidelity_stderr == other.fidelity_stderr
             assert a.pair_rate_hz == other.pair_rate_hz
             assert a.mean_latency_s == other.mean_latency_s
+            assert a.rate_stderr == other.rate_stderr
             assert np.array_equal(a.mean_state.matrix, other.mean_state.matrix)
+
+    def test_trials_do_not_depend_on_the_run_length(self):
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
+                              attempt_rate=1e6, memory_cutoff=0.05)
+        models = _span_models(chain)
+        short_t, short_b = _run_trial_range(models, chain, 5, 0, MC_BLOCK + 100)
+        long_t, long_b = _run_trial_range(models, chain, 5, 0, 2 * MC_BLOCK + 37)
+        assert np.array_equal(short_t, long_t[:MC_BLOCK + 100])
+        assert np.array_equal(short_b, long_b[:MC_BLOCK + 100])
+        tail_t, _ = _run_trial_range(models, chain, 5, MC_BLOCK - 30, MC_BLOCK + 100)
+        assert np.array_equal(tail_t, short_t[MC_BLOCK - 30:])
+
+    def test_work_budget_stops_a_starved_cutoff(self, tmp_path):
+        from qorsim.planner import build_chain, load_route
+
+        route = write_route(tmp_path, [0.0, 20.0, 45.0], defaults={"memory_cutoff": 1e-8})
+        chain = build_chain(load_route(route))
+        with pytest.raises(StateError, match="memory_cutoff 1e-08 s .* span cycle") as err:
+            simulate_chain_mc(chain, trials=20, seed=42)
+        # Two spans need (1 + 1) / q generations per trial without a cutoff;
+        # the run stops within one vector step (20 trials) of the budget.
+        node = chain.nodes[0]
+        need = 2.0 / (node.bsm_success_prob * node.memory.read_efficiency**2)
+        spent = int(re.search(r"after (\d+) span generations", str(err.value))[1])
+        assert MC_WORK_FACTOR * need * 20 < spent <= MC_WORK_FACTOR * need * 20 + 20
+
+    def test_long_chain_memory_is_bounded(self):
+        # Seven spans: the slowest trials draw thousands of uniforms each.
+        # Each trial's stream holds MC_CHUNK of them at a time.
+        chain = RepeaterChain(spans=(_span(),) * 7, nodes=(_node(),) * 6,
+                              attempt_rate=1e6, memory_cutoff=1.0)
+        models = _span_models(chain)
+        tracemalloc.start()
+        try:
+            _run_trial_range(models, chain, 3, 0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_seed_changes_draws(self):
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
@@ -453,9 +502,29 @@ def _dense_inputs(chain):
     return spans, nodes
 
 
+class _ReplayedRow:
+    """Trial ``index``'s uniforms as the engine's streams lay them out: row
+    index % MC_BLOCK of the (MC_BLOCK, MC_CHUNK) chunks drawn in turn from
+    default_rng([seed, index // MC_BLOCK]); geometric counts by inversion."""
+
+    def __init__(self, seed, index):
+        self._rng = np.random.default_rng([seed, index // MC_BLOCK])
+        self._row = index % MC_BLOCK
+        self._values = []
+
+    def random(self):
+        if not self._values:
+            self._values = list(self._rng.random((MC_BLOCK, MC_CHUNK))[self._row][::-1])
+        return self._values.pop()
+
+    def geometric(self, p):
+        return 1 + math.floor(np.log1p(-self.random()) / math.log1p(-p))
+
+
 class TestBellEngineAgainstDenseOracle:
-    """The Bell-weight Monte Carlo engine against the dense-state protocol
-    run on the same per-trial streams default_rng([seed, index])."""
+    """The block-batched Bell-weight Monte Carlo engine against the
+    dense-state protocol run one trial at a time on the same streams. Each
+    run straddles the first block boundary and ends in a partial block."""
 
     @pytest.mark.parametrize("n_spans, cutoff, coherence, penalty, trials", [
         (2, 1.0, 1.0, 0.0, 300),
@@ -472,16 +541,18 @@ class TestBellEngineAgainstDenseOracle:
             attempt_rate=1e6, memory_cutoff=cutoff,
         )
         seed = 11
-        times, bells = _run_trial_range(_span_models(chain), chain, seed, 0, trials)
+        lo = MC_BLOCK - trials // 2
+        hi = lo + trials
+        times, bells = _run_trial_range(_span_models(chain), chain, seed, lo, hi)
         spans, nodes = _dense_inputs(chain)
-        for i in range(trials):
-            t, rho = oracle_chain_trial(spans, nodes, cutoff, np.random.default_rng([seed, i]))
-            assert t == times[i]
+        for i in range(lo, hi):
+            t, rho = oracle_chain_trial(spans, nodes, cutoff, _ReplayedRow(seed, i))
+            assert t == times[i - lo]
             want = bell_diagonal_weights(DensityMatrix(rho))
-            assert np.max(np.abs(want - bells[i])) < 1e-12
+            assert np.max(np.abs(want - bells[i - lo])) < 1e-12
         if cutoff < 1.0:
             loose = dataclasses.replace(chain, memory_cutoff=1.0)
-            free, _ = _run_trial_range(_span_models(loose), loose, seed, 0, trials)
+            free, _ = _run_trial_range(_span_models(loose), loose, seed, lo, hi)
             assert np.any(free != times)
 
     def test_non_bell_diagonal_span_state_rejected(self):

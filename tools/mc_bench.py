@@ -10,7 +10,8 @@ warm-up call. The value is the median over ``--runs`` runs.
 
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
 (analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
-``pytest`` processes. Prints one JSON object on stdout.
+``pytest`` processes, and keeps the acceptance verdict lines, which give
+each criterion's time inside the test. Prints one JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -30,9 +32,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPAN_KM = 25.0
 SEED = 42
-# Trials per run for each span count: a run takes about a second at the
-# dense-state engine's speed.
-TRIALS = {2: 4000, 3: 1000, 5: 100}
+# Trials per run for each span count: a run takes about 0.1 s or more at
+# the block-batched engine's speed (about 1.5-2, 7-9 and 70-100 us per
+# trial on a 2-core host). Each count spans at least one full block.
+TRIALS = {2: 60000, 3: 12000, 5: 2048}
 
 
 def _route_file(directory: str, spans: int) -> str:
@@ -77,8 +80,11 @@ def _pytest_wall(src: Path, args: list[str]) -> dict:
     t = time.perf_counter()
     proc = subprocess.run(cmd, cwd=src.parent, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    return {"wall_s": round(wall, 2), "returncode": proc.returncode, "summary": summary}
+    lines = proc.stdout.strip().splitlines()
+    # Acceptance verdicts carry each criterion's own elapsed time.
+    verdicts = [line for line in lines if re.match(r"AC\d+ (PASS|FAIL) ", line)]
+    return {"wall_s": round(wall, 2), "returncode": proc.returncode,
+            "summary": lines[-1] if lines else "", "verdicts": verdicts}
 
 
 def main(argv=None) -> int:
