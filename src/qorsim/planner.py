@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from . import __version__
@@ -104,6 +105,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(val, message: str) -> float:
+    """``val`` as a float; ConfigError(message) unless it is a finite
+    number. JSON's NaN and Infinity, booleans, and integers past the float
+    range are not."""
+    _require(isinstance(val, (int, float)) and not isinstance(val, bool), message)
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf
+    _require(math.isfinite(num), message)
+    return num
+
+
 def load_fiber_table(path: str) -> dict[str, FiberSpec]:
     """Fiber-type catalog from JSON: {"TYPE": {"attenuation_db_per_km":
     {"O": 0.35, ...}, "group_index": 1.468}, ...}."""
@@ -121,18 +135,17 @@ def load_fiber_table(path: str) -> dict[str, FiberSpec]:
             isinstance(att, dict) and att,
             f"{path}: fiber type {name!r} needs attenuation_db_per_km per band",
         )
+        bands = {}
         for band, val in att.items():
-            _require(
-                isinstance(val, (int, float)) and val > 0,
-                f"{path}: fiber {name!r} band {band!r} attenuation must be positive",
-            )
+            msg = f"{path}: fiber {name!r} band {band!r} attenuation must be positive, got {val!r}"
+            bands[band] = _number(val, msg)
+            _require(bands[band] > 0, msg)
         group = body.get("group_index", 1.468)
-        _require(
-            isinstance(group, (int, float)) and group >= 1.0,
-            f"{path}: fiber {name!r} group_index must be at least 1",
-        )
+        msg = f"{path}: fiber {name!r} group_index must be a number of at least 1, got {group!r}"
+        group = _number(group, msg)
+        _require(group >= 1.0, msg)
         try:
-            table[name] = FiberSpec(name, {k: float(v) for k, v in att.items()}, float(group))
+            table[name] = FiberSpec(name, bands, group)
         except FiberConfigError as e:
             raise ConfigError(f"{path}: fiber {name!r}: {e}") from None
     return table
@@ -168,15 +181,14 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
         pos = entry.get("position_km")
         kind = entry.get("kind")
         _require(isinstance(sname, str) and sname, f"{path}: sites[{i}].name must be a nonempty string")
-        _require(
-            isinstance(pos, (int, float)) and pos >= 0,
-            f"{path}: sites[{i}].position_km must be a nonnegative number",
-        )
+        msg = f"{path}: sites[{i}].position_km must be a nonnegative number, got {pos!r}"
+        pos = _number(pos, msg)
+        _require(pos >= 0, msg)
         _require(
             kind in (SITE_KIND_ENDPOINT, SITE_KIND_ILA),
             f"{path}: sites[{i}].kind must be '{SITE_KIND_ENDPOINT}' or '{SITE_KIND_ILA}'",
         )
-        sites.append(Site(sname, float(pos), kind))
+        sites.append(Site(sname, pos, kind))
     for i in range(1, len(sites)):
         _require(
             sites[i].position_km > sites[i - 1].position_km,
@@ -229,7 +241,7 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
 def _checked_params(values: dict, what: str, where: str = "") -> dict[str, float | bool]:
     """Route defaults or parameter overrides, type-checked against
     DEFAULT_PARAMS: known keys only, a boolean where the default is one, a
-    number (returned as float) elsewhere. Raises ConfigError."""
+    finite number (returned as float) elsewhere. Raises ConfigError."""
     out: dict[str, float | bool] = {}
     for key, val in values.items():
         _require(key in DEFAULT_PARAMS, f"{where}unknown {what} key {key!r}")
@@ -237,11 +249,7 @@ def _checked_params(values: dict, what: str, where: str = "") -> dict[str, float
             _require(isinstance(val, bool), f"{where}{what} {key!r} must be a boolean, got {val!r}")
             out[key] = val
         else:
-            _require(
-                isinstance(val, (int, float)) and not isinstance(val, bool),
-                f"{where}{what} {key!r} must be a number, got {val!r}",
-            )
-            out[key] = float(val)
+            out[key] = _number(val, f"{where}{what} {key!r} must be a number, got {val!r}")
     return out
 
 
@@ -479,7 +487,7 @@ def validate_report(report: dict) -> None:
             fail(f"spans[{i}] index out of order")
         for key in ("length_km", "transmittance", "fidelity"):
             v = row[key]
-            if not isinstance(v, (int, float)) or v != v:
+            if not isinstance(v, (int, float)) or not math.isfinite(v):
                 fail(f"spans[{i}].{key} must be a finite number")
 
     ete, qkd_section = report["end_to_end"], report["qkd"]

@@ -41,9 +41,11 @@ from .linalg import (
     StateError,
 )
 
-# Geometric attempt counts with success probability below this are modeled
-# by their exponential limit in the analytic engine (grid sums would need
-# millions of terms; the relative error of the limit is O(p)).
+# The analytic engine sums over the attempt grid of one side of a merge,
+# about 37/p atoms, with closed forms for the other side. When both first
+# spans herald below this, the summed side is coarsened to success
+# GEOM_EXACT_MIN_P at the same mean. That bounds the sum; it is off by
+# O(GEOM_EXACT_MIN_P) and is the only approximation of the merge sums.
 GEOM_EXACT_MIN_P = 1e-4
 
 
@@ -721,100 +723,90 @@ def simulate_chain_mc(
 
 
 # Analytic engine: exact Bell-diagonal algebra for the states, exact
-# renewal accounting for the times. Ready times are geometric grids
-# (exponential limit below GEOM_EXACT_MIN_P); after the first merge the
-# frontier time is approximated by a point mass at its mean. Cutoff expiry
-# is neglected, so results are exact only when cutoffs are generous.
+# renewal accounting for the times. Every ready time is one geometric type
+# on its attempt grid; after the first merge the frontier time is collapsed
+# to a point mass at its mean, the same type with success 1. A merge sums
+# over the atoms of the side that heralds more often, with the other side's
+# closed forms. Cutoff expiry is neglected, so results are exact only when
+# cutoffs are generous.
 
-class _GridDist:
-    """Time distribution supported on k * cycle, k >= 1, geometric weights."""
+def _nlog(n, log_v):
+    """n * log_v, with 0 where n is 0 (also when log_v is -inf)."""
+    return np.multiply(n, log_v, out=np.zeros(np.shape(n)), where=n > 0)
+
+
+class _GeomTime:
+    """Ready time T = K * cycle, K >= 1 the attempt that succeeds with
+    probability p; p = 1 is the point mass at cycle. The closed forms take
+    points x (scalars or arrays); an atom within 1e-12 (relative) of x is a
+    tie."""
 
     def __init__(self, p: float, cycle: float):
         self.p = p
-        self.q = 1.0 - p
         self.cycle = cycle
         self.mean = cycle / p
-        if self.q == 0.0:
-            kmax = 1
-        else:
-            kmax = int(np.ceil(np.log(1e-16) / np.log(self.q))) + 1
-        k = np.arange(1, kmax + 1)
-        self.times = k * cycle
-        self.pmf = p * self.q ** (k - 1)
+        self.log_q = math.log1p(-p) if p < 1.0 else -math.inf
 
-    def _natoms(self, x):
-        return np.clip(np.floor(x / self.cycle * (1 + 1e-12)), 0, None)
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times and weights of the atoms up to where the tail is 1e-16."""
+        k = np.arange(math.ceil(math.log(1e-16) / self.log_q) + 1)
+        return (k + 1) * self.cycle, self.p * np.exp(_nlog(k, self.log_q))
 
-    def cdf(self, x):
-        return 1.0 - self.q ** self._natoms(x)
-
-    def tail_time_mean(self, x):
-        n = self._natoms(x)
-        return self.cycle * self.q**n * ((n + 1) * self.p + self.q) / self.p
-
-    def decay_above(self, x, rate):
-        n = self._natoms(x)
-        first = (n + 1) * self.cycle
-        ratio = self.q * np.exp(-rate * self.cycle)
-        return self.p * self.q**n * np.exp(-rate * (first - x)) / (1.0 - ratio)
-
-
-class _ExpDist:
-    """Continuous limit of a geometric grid with the same mean."""
-
-    times = None
-    pmf = None
-
-    def __init__(self, lam: float):
-        self.lam = lam
-        self.mean = 1.0 / lam
+    def _atoms_below(self, x, tie: bool):
+        """How many atoms lie below x, counting a tie when ``tie``."""
+        y = np.asarray(x, dtype=float) / self.cycle
+        if tie:
+            return np.clip(np.floor(y * (1 + 1e-12)), 0, None)
+        return np.clip(np.ceil(y * (1 - 1e-12)) - 1, 0, None)
 
     def cdf(self, x):
-        return 1.0 - np.exp(-self.lam * x)
+        """P(T <= x)."""
+        return -np.expm1(_nlog(self._atoms_below(x, True), self.log_q))
 
-    def tail_time_mean(self, x):
-        return (x + self.mean) * np.exp(-self.lam * x)
+    def sf(self, x):
+        """P(T >= x)."""
+        return np.exp(_nlog(self._atoms_below(x, False), self.log_q))
+
+    def excess(self, x):
+        """E[(T - x)+]. Past the n atoms up to x, T is n cycles plus a fresh
+        copy of itself."""
+        n = self._atoms_below(x, True)
+        return np.exp(_nlog(n, self.log_q)) * (n * self.cycle - x + self.mean)
 
     def decay_above(self, x, rate):
-        return np.exp(-self.lam * x) * self.lam / (self.lam + rate)
+        """E[exp(-rate (T - x)); T > x]."""
+        n = self._atoms_below(x, True)
+        # 1 - q exp(-rate cycle), the generating function's denominator.
+        den = -np.expm1(self.log_q - rate * self.cycle)
+        return self.p * np.exp(
+            _nlog(n, self.log_q) - rate * ((n + 1) * self.cycle - x)
+        ) / den
 
     def decay_below(self, x, rate):
-        lam, x = self.lam, np.asarray(x, dtype=float)
-        if abs(rate - lam) < 1e-9 * max(rate, lam, 1.0):
-            return lam * x * np.exp(-lam * x)
-        return lam / (rate - lam) * (np.exp(-lam * x) - np.exp(-rate * x))
+        """E[exp(-rate (x - T)); T < x]."""
+        m = self._atoms_below(x, False)
+        # Atoms k = 1..m weigh p q^(k-1) exp(-rate (x - k cycle)): a
+        # geometric series of ratio v = q exp(rate cycle), summed from its
+        # largest term (the first if v <= 1, else the last).
+        log_v = self.log_q + rate * self.cycle
+        y = -abs(log_v)
+        series = m if y == 0.0 else np.expm1(_nlog(m, y)) / np.expm1(y)
+        top = max(log_v, 0.0) * (m - 1) - rate * np.maximum(x - self.cycle, 0.0)
+        return self.p * np.exp(top) * series
 
 
-def _span_dist(p: float, cycle: float):
-    if p >= GEOM_EXACT_MIN_P:
-        return _GridDist(p, cycle)
-    return _ExpDist(p / cycle)
-
-
-def _expected_excess(a, b) -> float:
-    """E[(B - A)+] for independent nonnegative A, B."""
-    if a.times is not None:
-        vals = b.tail_time_mean(a.times) - a.times * (1.0 - b.cdf(a.times))
-        return float(np.dot(a.pmf, vals))
-    if b.times is not None:
-        vals = b.times * a.cdf(b.times) - (a.mean - a.tail_time_mean(b.times))
-        return float(np.dot(b.pmf, vals))
-    la, lb = a.lam, b.lam
-    return la / ((la + lb) * lb)
-
-
-def _expected_wait_decay(a, b, rate: float) -> float:
-    """E[exp(-rate * (B - A)+)]: decay of the side that was ready first."""
-    if rate == 0.0:
-        return 1.0
-    if a.times is not None:
-        vals = b.cdf(a.times) + b.decay_above(a.times, rate)
-        return float(np.dot(a.pmf, vals))
-    if b.times is not None:
-        vals = (1.0 - a.cdf(b.times)) + a.decay_below(b.times, rate)
-        return float(np.dot(b.pmf, vals))
-    la, lb = a.lam, b.lam
-    return lb / (la + lb) + la / (la + lb) * lb / (lb + rate)
+def _expected_wait(a: _GeomTime, b: _GeomTime, r_a: float, r_b: float):
+    """For independent ready times A and B whose pairs decay at rates r_a and
+    r_b while they wait for each other: E[exp(-r_a (B - A)+)],
+    E[exp(-r_b (A - B)+)] and E[max(A, B)]. Sums over the atoms of a, the
+    side with the larger p; below GEOM_EXACT_MIN_P a is coarsened to it at
+    the same mean."""
+    if a.p < GEOM_EXACT_MIN_P:
+        a = _GeomTime(GEOM_EXACT_MIN_P, a.mean * GEOM_EXACT_MIN_P)
+    x, w = a.atoms()
+    decay_a = np.dot(w, b.cdf(x) + b.decay_above(x, r_a))
+    decay_b = np.dot(w, b.sf(x) + b.decay_below(x, r_b))
+    return float(decay_a), float(decay_b), float(np.dot(w, x + b.excess(x)))
 
 
 def _expected_swap_bell(
@@ -840,27 +832,28 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
 
     Exact for single spans and for two-span chains with generous cutoffs
     (span stacks produce Bell-diagonal states, for which the swap algebra
-    and wait-decay expectations here are closed form); longer chains
-    approximate intermediate frontier times by their means.
+    and wait-decay expectations here are closed form) unless both spans
+    herald below GEOM_EXACT_MIN_P; longer chains approximate intermediate
+    frontier times by their means.
     """
     models = _span_models(chain)
     n = len(models)
     final_delay = _final_classical_delay(models)
-    front_dist = _span_dist(models[0].success_prob, models[0].cycle_s)
+    front = _GeomTime(models[0].success_prob, models[0].cycle_s)
     b_front = models[0].ready_bell
-    mean_t = front_dist.mean
+    mean_t = front.mean
     for i in range(2, n + 1):
         m = models[i - 1]
         node = chain.nodes[i - 2]
-        span_dist = _span_dist(m.success_prob, m.cycle_s)
-        node_rate = 1.0 / node.memory.coherence_time
+        span = _GeomTime(m.success_prob, m.cycle_s)
         # Frontier right qubit decays while waiting for the span, the span's
         # two stored qubits decay together while waiting for the frontier.
-        e_front = _expected_wait_decay(front_dist, span_dist, node_rate)
-        e_span = _expected_wait_decay(
-            span_dist, front_dist, node_rate + m.right_decay_rate
-        )
-        e_round = front_dist.mean + _expected_excess(front_dist, span_dist)
+        r_front = 1.0 / node.memory.coherence_time
+        r_span = r_front + m.right_decay_rate
+        if front.p >= span.p:
+            e_front, e_span, e_round = _expected_wait(front, span, r_front, r_span)
+        else:
+            e_span, e_front, e_round = _expected_wait(span, front, r_span, r_front)
         b_front = _expected_swap_bell(
             b_front, m.ready_bell, e_front, e_span, node.bsm_visibility_penalty
         )
@@ -868,7 +861,7 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         notify = m.one_way_s if i < n else final_delay
         mean_t = e_round / q + notify
         # p = 1 puts one atom at mean_t: the frontier's point-mass collapse.
-        front_dist = _GridDist(1.0, mean_t)
+        front = _GeomTime(1.0, mean_t)
         if i < n:
             # While the swap outcome travels to the new frontier edge, the
             # merged pair's right qubit keeps decaying there. The interval

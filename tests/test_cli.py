@@ -181,6 +181,15 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "memory_cutoff" in err
 
+    def test_infinite_group_index_is_an_error(self, capsys, tmp_path):
+        fibers = tmp_path / "fibers.json"
+        fibers.write_text('{"NDSF": {"attenuation_db_per_km": {"O": 0.35}, "group_index": Infinity}}')
+        route = write_route(tmp_path, [0.0, 10.0])
+        code, out, err = _run(capsys, ["plan", "--route", route, "--fibers", str(fibers)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert "group_index" in err
+
     def test_unknown_tech_is_usage_error(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 10.0])
         with pytest.raises(SystemExit) as exc:

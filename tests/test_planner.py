@@ -113,6 +113,17 @@ class TestLoadRoute:
                      lambda r: r.update(defaults={"memory_cryogenic": "yes"}),
                      "'memory_cryogenic' must be a boolean")
 
+    def test_rejects_bool_or_nonfinite_position(self, tmp_path):
+        # JSON true would otherwise read as 1 km.
+        for bad in (True, float("inf"), float("nan")):
+            self._reject(tmp_path, lambda r: r["sites"][1].update(position_km=bad),
+                         rf"sites\[1\].position_km must be a nonnegative number, got {bad!r}")
+
+    def test_rejects_nan_default(self, tmp_path):
+        # A NaN cutoff would compare false against every wait and never bind.
+        self._reject(tmp_path, lambda r: r.update(defaults={"memory_cutoff": float("nan")}),
+                     "'memory_cutoff' must be a number, got nan")
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -153,6 +164,18 @@ class TestLoadFiberTable:
         }))
         with pytest.raises(ConfigError, match="must be positive"):
             load_fiber_table(str(path))
+
+    def test_rejects_nonfinite_numbers(self, tmp_path):
+        path = tmp_path / "fibers.json"
+        for body, match in (
+            ({"attenuation_db_per_km": {"O": 0.35}, "group_index": float("inf")},
+             "group_index must be a number of at least 1, got inf"),
+            ({"attenuation_db_per_km": {"O": float("nan")}}, "attenuation must be positive"),
+            ({"attenuation_db_per_km": {"O": True}}, "attenuation must be positive, got True"),
+        ):
+            path.write_text(json.dumps({"BAD": body}))
+            with pytest.raises(ConfigError, match=match):
+                load_fiber_table(str(path))
 
     def test_rejects_missing_attenuation(self, tmp_path):
         path = tmp_path / "fibers.json"
@@ -202,6 +225,12 @@ class TestBuildChain:
         with pytest.raises(ConfigError, match="must be a number"):
             run_plan(rc, technology=TECH_ONE_WAY, trials=10,
                      param_overrides={"one_way_loss_threshold_db": "3"})
+
+    def test_nonfinite_overrides_rejected(self, tmp_path):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        for bad in (float("nan"), float("inf"), float("-inf"), 10**400):
+            with pytest.raises(ConfigError, match="'attempt_rate' must be a number"):
+                build_chain(rc, param_overrides={"attempt_rate": bad})
 
     def test_bad_value_becomes_config_error(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
@@ -349,8 +378,9 @@ class TestValidateReport:
 
     def test_nan_span_field(self, report):
         rep = copy.deepcopy(report)
-        rep["spans"][0]["fidelity"] = float("nan")
-        self._expect_fail(rep, "finite number")
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            rep["spans"][0]["fidelity"] = bad
+            self._expect_fail(rep, "finite number")
 
     def test_entanglement_requires_simulation(self, report):
         rep = copy.deepcopy(report)

@@ -31,13 +31,13 @@ from qorsim.repeater import (
     QorsNode,
     RepeaterChain,
     SpanAttempt,
-    _ExpDist,
-    _GridDist,
     _bell_convolve,
     _bell_decay,
     _bell_dephase,
-    _expected_excess,
-    _expected_wait_decay,
+    _expected_swap_bell,
+    _expected_wait,
+    _final_classical_delay,
+    _GeomTime,
     _run_trial_range,
     _span_models,
     entanglement_swap,
@@ -239,79 +239,140 @@ class TestTeleport:
             teleport(pure_state(ket(0, 2)), random_density_matrix(2, rng))
 
 
+def _grid(p, cycle, tail=1e-18):
+    """Atoms and weights of a geometric ready time, listed term by term."""
+    k = np.arange(1, math.ceil(math.log(tail) / math.log1p(-p)) + 2)
+    return k * cycle, p * np.exp((k - 1) * math.log1p(-p))
+
+
+def _brute_wait(a, b, r_a, r_b):
+    """_expected_wait's three expectations as a double sum over atoms."""
+    (ta, wa), (tb, wb) = a, b
+    decay_a = decay_b = e_max = 0.0
+    for t, w in zip(ta, wa):
+        decay_a += w * np.dot(wb, np.exp(-r_a * np.clip(tb - t, 0.0, None)))
+        decay_b += w * np.dot(wb, np.exp(-r_b * np.clip(t - tb, 0.0, None)))
+        e_max += w * np.dot(wb, np.maximum(t, tb))
+    return decay_a, decay_b, e_max
+
+
 class TestWaitDistributions:
     def test_grid_moments(self):
-        g = _GridDist(0.23, 1.7e-4)
+        g = _GeomTime(0.23, 1.7e-4)
+        times, pmf = g.atoms()
         assert abs(g.mean - 1.7e-4 / 0.23) < 1e-18
-        assert abs(np.sum(g.pmf) - 1.0) < 1e-12
-        assert abs(np.dot(g.pmf, g.times) - g.mean) < 1e-12 * g.mean
+        assert abs(np.sum(pmf) - 1.0) < 1e-12
+        assert abs(np.dot(pmf, times) - g.mean) < 1e-12 * g.mean
+        pt_times, pt_pmf = _GeomTime(1.0, 2.4).atoms()
+        assert list(pt_times) == [2.4] and list(pt_pmf) == [1.0]
 
     def test_grid_cdf_and_tail(self):
-        g = _GridDist(0.3, 1.0)
+        g = _GeomTime(0.3, 1.0)
+        times, pmf = _grid(0.3, 1.0)
         # P(T <= 2) with T geometric on {1, 2, ...}
         assert abs(g.cdf(2.0) - (0.3 + 0.7 * 0.3)) < 1e-12
         assert abs(g.cdf(2.5) - g.cdf(2.0)) < 1e-12
-        brute_tail = float(np.sum(g.pmf[g.times > 2.0] * g.times[g.times > 2.0]))
-        assert abs(g.tail_time_mean(2.0) - brute_tail) < 1e-12
+        for x in (0.5, 2.0, 2.5):
+            brute = float(np.sum(pmf * np.clip(times - x, 0.0, None)))
+            assert abs(g.excess(x) - brute) < 1e-12
+
+    def test_grid_sf_counts_ties(self):
+        g = _GeomTime(0.3, 1.0)
+        times, pmf = _grid(0.3, 1.0)
+        for x in (0.5, 1.0, 2.0, 2.5, 3.0 * (1.0 + 1e-15)):
+            assert abs(g.sf(x) - float(np.sum(pmf[times >= x * (1 - 1e-12)]))) < 1e-12
+        # An atom a rounding error past x is a tie on both sides.
+        assert abs(g.cdf(2.0 * (1.0 - 1e-15)) - g.cdf(2.0)) < 1e-15
+        # A tie belongs to both sides: P(T <= x) + P(T >= x) = 1 + P(T = x).
+        assert abs(g.cdf(2.0) + g.sf(2.0) - 1.0 - 0.7 * 0.3) < 1e-12
+        pt = _GeomTime(1.0, 2.4)
+        assert pt.sf(2.4) == 1.0 and pt.cdf(2.4) == 1.0 and pt.sf(2.5) == 0.0
 
     def test_grid_decay_above_matches_sum(self):
-        g = _GridDist(0.3, 1.0)
+        g = _GeomTime(0.3, 1.0)
+        times, pmf = _grid(0.3, 1.0)
         rate = 0.8
-        x = 2.0
-        brute = float(np.sum(
-            g.pmf[g.times > x] * np.exp(-rate * (g.times[g.times > x] - x))
-        ))
-        assert abs(g.decay_above(x, rate) - brute) < 1e-12
+        for x in (2.0, 2.5):
+            above = times > x
+            brute = float(np.sum(pmf[above] * np.exp(-rate * (times[above] - x))))
+            assert abs(g.decay_above(x, rate) - brute) < 1e-12
+
+    def test_grid_decay_below_matches_sum(self):
+        times, pmf = _grid(0.3, 1.0)
+        g = _GeomTime(0.3, 1.0)
+        # Rates with ratio q exp(rate cycle) below and above 1.
+        for rate in (0.8, 2.0):
+            for x in (0.5, 1.0, 2.0, 2.5, 7.0):
+                below = times < x * (1 - 1e-12)
+                brute = float(np.sum(pmf[below] * np.exp(-rate * (x - times[below]))))
+                assert abs(g.decay_below(x, rate) - brute) < 1e-12 * max(brute, 1.0)
+        pt = _GeomTime(1.0, 2.4)
+        assert pt.decay_below(2.4, 0.5) == 0.0
+        assert abs(pt.decay_below(3.0, 0.5) - math.exp(-0.3)) < 1e-15
+
+    def test_decay_below_at_degenerate_rate(self):
+        # q exp(rate cycle) = 1: every atom below x weighs p exp(-rate (x - cycle)).
+        g = _GeomTime(0.5, 1.0)
+        rate = math.log(2.0)
+        assert g.log_q + rate * g.cycle == 0.0
+        for x, m in ((5.0, 4), (5.5, 5)):
+            want = m * 0.5 * math.exp(-rate * (x - 1.0))
+            assert abs(g.decay_below(x, rate) - want) < 1e-12
+            # and the series nearby agrees continuously
+            for r in (rate * (1 - 1e-9), rate * (1 + 1e-9)):
+                assert abs(g.decay_below(x, r) - want) < 1e-8
 
     def test_expected_max_of_iid_geometrics(self):
         p, cyc = 0.23, 1.7e-4
-        g1, g2 = _GridDist(p, cyc), _GridDist(p, cyc)
-        emax = g1.mean + _expected_excess(g1, g2)
+        emax = _expected_wait(_GeomTime(p, cyc), _GeomTime(p, cyc), 1.0, 1.0)[2]
         want = cyc * (2.0 / p - 1.0 / (p * (2.0 - p)))
         assert abs(emax - want) < 1e-12 * want
 
     def test_excess_cross_branches_agree(self):
-        g = _GridDist(0.3, 1.0)
-        pt = _GridDist(1.0, 2.4)
-        brute = float(np.sum(g.pmf * np.clip(g.times - pt.mean, 0.0, None)))
-        assert abs(_expected_excess(pt, g) - brute) < 1e-12
-        brute2 = float(np.sum(g.pmf * np.clip(pt.mean - g.times, 0.0, None)))
-        assert abs(_expected_excess(g, pt) - brute2) < 1e-12
+        g = _GeomTime(0.3, 1.0)
+        pt = _GeomTime(1.0, 2.4)
+        times, pmf = _grid(0.3, 1.0)
+        brute = float(np.sum(pmf * np.clip(times - pt.mean, 0.0, None)))
+        assert abs(_expected_wait(pt, g, 0.5, 0.7)[2] - pt.mean - brute) < 1e-12
+        brute2 = float(np.sum(pmf * np.clip(pt.mean - times, 0.0, None)))
+        assert abs(_expected_wait(g, pt, 0.7, 0.5)[2] - g.mean - brute2) < 1e-12
 
     def test_wait_decay_brute_force(self):
-        g1, g2 = _GridDist(0.31, 1.0), _GridDist(0.17, 1.0)
-        rate = 0.6
-        brute = 0.0
-        for ta, wa in zip(g1.times, g1.pmf):
-            brute += wa * float(np.sum(
-                g2.pmf * np.exp(-rate * np.clip(g2.times - ta, 0.0, None))
-            ))
-        assert abs(_expected_wait_decay(g1, g2, rate) - brute) < 1e-12
-        assert _expected_wait_decay(g1, g2, 0.0) == 1.0
+        # Shared cycles put atoms of both sides on the same times.
+        for (p1, c1), (p2, c2) in (((0.31, 1.0), (0.17, 1.0)), ((0.31, 1.0), (0.17, 0.5)),
+                                   ((0.31, 1.0), (1.0, 3.0))):
+            a, b = _GeomTime(p1, c1), _GeomTime(p2, c2)
+            brute = _brute_wait(_grid(p1, c1), _grid(p2, c2) if p2 < 1 else ([c2], [1.0]),
+                                0.6, 0.9)
+            got = _expected_wait(a, b, 0.6, 0.9)
+            assert np.allclose(got, brute, rtol=1e-12, atol=0.0)
+            # Summing over the other side's atoms gives the same numbers.
+            d_b, d_a, e_max = _expected_wait(b, a, 0.9, 0.6)
+            assert np.allclose((d_a, d_b, e_max), brute, rtol=1e-12, atol=0.0)
+        g1, g2 = _GeomTime(0.31, 1.0), _GeomTime(0.17, 1.0)
+        assert abs(_expected_wait(g1, g2, 0.0, 0.0)[0] - 1.0) < 1e-15
 
-    def test_exp_limit_agrees_with_fine_grid(self):
-        # small success probability: the grid converges to the exponential
-        p, cyc = 2e-4, 1e-3
-        g = _GridDist(p, cyc)
-        e = _ExpDist(p / cyc)
-        assert abs(g.mean - e.mean) < 1e-12 * e.mean
-        for x in (0.5 * e.mean, e.mean, 2.0 * e.mean):
-            assert abs(g.cdf(x) - e.cdf(x)) < 1e-3
-            assert abs(g.tail_time_mean(x) - e.tail_time_mean(x)) < 1e-3 * e.mean
-        rate = 0.3 / e.mean
-        g2 = _GridDist(p, cyc)
-        got_e = _expected_wait_decay(e, _ExpDist(p / cyc), rate)
-        got_g = _expected_wait_decay(g, g2, rate)
-        assert abs(got_e - got_g) < 1e-3
+    def test_tiny_span_next_to_coarse_span_is_exact(self):
+        # A span below GEOM_EXACT_MIN_P next to a coarse one: the coarse side
+        # carries the atoms and nothing is approximated.
+        tiny, coarse = (5e-5, 2e-4), (0.3, 1.3e-4)
+        r_tiny, r_coarse = 0.7, 0.4
+        got = _expected_wait(_GeomTime(*coarse), _GeomTime(*tiny), r_coarse, r_tiny)
+        brute = _brute_wait(_grid(*coarse), _grid(*tiny), r_coarse, r_tiny)
+        assert np.allclose(got, brute, rtol=1e-12, atol=0.0)
 
-    def test_exp_decay_below_near_degenerate_rate(self):
-        e = _ExpDist(2.0)
-        x = 0.7
-        # rate == lam hits the removable singularity branch
-        want = 2.0 * x * math.exp(-2.0 * x)
-        assert abs(e.decay_below(x, 2.0) - want) < 1e-12
-        # and the generic branch nearby agrees continuously
-        assert abs(e.decay_below(x, 2.0 + 1e-12) - want) < 1e-9
+    def test_coarsened_atoms_agree_with_fine_grid(self):
+        # Both sides below GEOM_EXACT_MIN_P: the atom side is coarsened to it
+        # at the same mean. The fine grid sums over all its own atoms.
+        a, b = _GeomTime(5e-5, 1e-3), _GeomTime(3e-5, 1.3e-3)
+        r_a, r_b = 0.3 / a.mean, 0.5 / b.mean
+        x, w = a.atoms()
+        fine = (np.dot(w, b.cdf(x) + b.decay_above(x, r_a)),
+                np.dot(w, b.sf(x) + b.decay_below(x, r_b)),
+                np.dot(w, x + b.excess(x)))
+        got = _expected_wait(a, b, r_a, r_b)
+        assert np.allclose(got, fine, rtol=1e-3, atol=0.0)
+        assert not np.allclose(got, fine, rtol=1e-12, atol=0.0)
 
 
 class TestBellVectorAlgebra:
@@ -620,6 +681,47 @@ class TestAnalyticEngine:
         mc = simulate_chain_mc(chain, trials=300, seed=17, workers=4)
         assert mc.pair_rate_hz > 100.0 * rate_direct
         assert mc.fidelity > 0.5
+
+    def test_merges_match_double_sums(self):
+        # Span 1 heralds more often than span 0, so the first merge sums over
+        # span 1's atoms, and span 1 decays at both of its nodes' rates.
+        chain = RepeaterChain(
+            spans=(_span(40.0), _span(10.0), _span(25.0)),
+            nodes=(_node(0.05, penalty=0.02), _node(0.03, penalty=0.01)),
+            attempt_rate=1e6,
+        )
+        models = _span_models(chain)
+        assert models[1].success_prob > models[0].success_prob
+        # The engine's model with each merge as a double sum over atoms.
+        front, bell = _grid(models[0].success_prob, models[0].cycle_s), models[0].ready_bell
+        for i, (m, node) in enumerate(zip(models[1:], chain.nodes)):
+            r_front = 1.0 / node.memory.coherence_time
+            e_front, e_span, e_max = _brute_wait(
+                front, _grid(m.success_prob, m.cycle_s), r_front, r_front + m.right_decay_rate
+            )
+            bell = _expected_swap_bell(bell, m.ready_bell, e_front, e_span,
+                                       node.bsm_visibility_penalty)
+            last = i == len(chain.nodes) - 1
+            notify = _final_classical_delay(models) if last else m.one_way_s
+            mean = e_max / (node.bsm_success_prob * node.memory.read_efficiency**2) + notify
+            bell = bell if last else _bell_decay(bell, math.exp(-m.right_decay_rate * notify))
+            front = ([mean], [1.0])
+        res = simulate_chain_analytic(chain)
+        assert abs(res.fidelity - bell[0]) < 1e-12
+        assert abs(res.mean_latency_s - mean) < 1e-12 * mean
+
+    def test_near_threshold_chain_memory_is_bounded(self):
+        # 102 km next to 17 km: the long span heralds at p ~ 1.9e-4, about
+        # 194k grid atoms. The short span carries the sum over atoms.
+        chain = RepeaterChain(spans=(_span(102.0, O_BAND), _span(17.0, O_BAND)),
+                              nodes=(_node(),), attempt_rate=1e6)
+        tracemalloc.start()
+        try:
+            simulate_chain_analytic(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_mean_state_consistent_with_fidelity(self):
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),

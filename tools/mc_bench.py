@@ -1,12 +1,17 @@
-"""Monte Carlo engine timings: µs per trial at 2, 3 and 5 spans.
+"""Engine timings: Monte Carlo µs per trial at 2, 3 and 5 spans, and
+analytic-engine ms at 2, 5, 10 and 20 spans.
 
     python3 tools/mc_bench.py [--src DIR] [--runs 5] [--suite]
 
 Imports qorsim from ``--src`` (default: this checkout's ``src``), so the
 same script times another checkout too. Each chain is the planner's
-default parameters on an O-band route with 25 km spans; each run is one
-``simulate_chain_mc`` call with seed 42 and workers=1, after one untimed
-warm-up call. The value is the median over ``--runs`` runs.
+default parameters on an O-band route with 25 km spans; each Monte Carlo
+run is one ``simulate_chain_mc`` call with seed 42 and workers=1, after one
+untimed warm-up call. The analytic part times ``simulate_chain_analytic``
+and, inside it, ``span_attempts`` (the span channel stacks) on the same
+chains and on a 102 km + 17 km chain, whose long span heralds just above
+the engine's GEOM_EXACT_MIN_P. Each value is the median over ``--runs``
+runs.
 
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
 (analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.metadata
+import itertools
 import json
 import os
 import platform
@@ -36,19 +42,37 @@ SEED = 42
 # the block-batched engine's speed (about 1.5-2, 7-9 and 70-100 us per
 # trial on a 2-core host). Each count spans at least one full block.
 TRIALS = {2: 60000, 3: 12000, 5: 2048}
+# Span lengths (km) of the analytic engine's chains.
+ANALYTIC_CHAINS = {
+    **{f"{n}_spans": [SPAN_KM] * n for n in (2, 5, 10, 20)},
+    "102+17_km": [102.0, 17.0],
+}
 
 
-def _route_file(directory: str, spans: int) -> str:
+def _route_file(directory: str, spans_km: list[float]) -> str:
+    positions = [0.0, *itertools.accumulate(spans_km)]
+    last = len(positions) - 1
     sites = [
-        {"name": f"S{i}", "position_km": i * SPAN_KM,
-         "kind": "endpoint" if i in (0, spans) else "ila"}
-        for i in range(spans + 1)
+        {"name": f"S{i}", "position_km": pos,
+         "kind": "endpoint" if i in (0, last) else "ila"}
+        for i, pos in enumerate(positions)
     ]
-    path = os.path.join(directory, f"route{spans}.json")
+    path = os.path.join(directory, f"route{last}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"name": f"bench-{spans}", "fiber_type": "NDSF", "quantum_band": "O",
+        json.dump({"name": f"bench-{last}", "fiber_type": "NDSF", "quantum_band": "O",
                    "coexistence": True, "sites": sites}, fh)
     return path
+
+
+def _median_ms(fn, arg, runs: int) -> float:
+    """Median ms of ``runs`` calls fn(arg), after one untimed warm-up call."""
+    fn(arg)
+    samples = []
+    for _ in range(runs):
+        t = time.perf_counter()
+        fn(arg)
+        samples.append((time.perf_counter() - t) * 1e3)
+    return round(statistics.median(samples), 3)
 
 
 def mc_us_per_trial(runs: int) -> dict:
@@ -58,7 +82,7 @@ def mc_us_per_trial(runs: int) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for spans, trials in TRIALS.items():
-            chain = build_chain(load_route(_route_file(tmp, spans)))
+            chain = build_chain(load_route(_route_file(tmp, [SPAN_KM] * spans)))
             simulate_chain_mc(chain, trials=trials, seed=SEED)
             samples = []
             for _ in range(runs):
@@ -69,6 +93,21 @@ def mc_us_per_trial(runs: int) -> dict:
                 "trials": trials,
                 "median_us": round(statistics.median(samples), 2),
                 "samples_us": [round(s, 2) for s in samples],
+            }
+    return out
+
+
+def analytic_ms(runs: int) -> dict:
+    from qorsim.planner import build_chain, load_route
+    from qorsim.repeater import simulate_chain_analytic, span_attempts
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spans_km in ANALYTIC_CHAINS.items():
+            chain = build_chain(load_route(_route_file(tmp, spans_km)))
+            out[name] = {
+                "analytic_ms": _median_ms(simulate_chain_analytic, chain, runs),
+                "span_attempts_ms": _median_ms(span_attempts, chain, runs),
             }
     return out
 
@@ -106,6 +145,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "runs": args.runs,
         "mc_us_per_trial": mc_us_per_trial(args.runs),
+        "analytic_ms": analytic_ms(args.runs),
     }
     if args.suite:
         result["tier1_suite"] = _pytest_wall(src, [])
