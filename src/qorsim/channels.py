@@ -10,7 +10,7 @@ shallow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _as_complex_matrix,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -46,6 +45,9 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
     label: str = ""
     heralded: bool = False
+    # The operators as one read-only (n, out_dim, in_dim) array; the
+    # entries of `operators` are views of it.
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.operators:
@@ -53,19 +55,28 @@ class KrausChannel:
         ops = []
         shape = None
         for i, op in enumerate(self.operators):
-            arr = _as_complex_matrix(op, f"Kraus operator {i}")
+            arr = np.asarray(op, dtype=complex)
+            if arr.ndim != 2:
+                raise DimensionError(
+                    f"Kraus operator {i} must be a 2-d array, got shape {arr.shape}"
+                )
             if shape is None:
                 shape = arr.shape
             elif arr.shape != shape:
                 raise DimensionError(
                     f"Kraus operator {i} has shape {arr.shape}, expected {shape}"
                 )
-            arr = arr.copy()
-            arr.flags.writeable = False
             ops.append(arr)
+        stack = np.array(ops)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise StateError(f"Kraus operator {bad} contains non-finite entries")
         if max(shape) > MAX_DIM:
             raise DimensionError(f"dimension {max(shape)} exceeds limit {MAX_DIM}")
-        object.__setattr__(self, "operators", tuple(ops))
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
 
     @property
     def in_dim(self) -> int:
@@ -133,22 +144,27 @@ def verify_cptp(channel: KrausChannel) -> CptpReport:
     )
 
 
+def _finish(out: np.ndarray, heralded: bool) -> DensityMatrix:
+    """Hermitise an operator-sum output and, for a heralded channel,
+    renormalise it; the common tail of apply_channel and apply_to_subsystem."""
+    out = (out + out.conj().T) / 2
+    if heralded:
+        tr = float(np.real(np.trace(out)))
+        if tr < 1e-14:
+            raise StateError("heralded channel annihilated the state")
+        out = out / tr
+    return DensityMatrix(out)
+
+
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Operator-sum action. Heralded channels renormalize the output."""
     if channel.in_dim != rho.dim:
         raise DimensionError(
             f"channel input dim {channel.in_dim} does not match state dim {rho.dim}"
         )
-    out = np.zeros((channel.out_dim, channel.out_dim), dtype=complex)
-    for op in channel.operators:
-        out += op @ rho.matrix @ op.conj().T
-    out = (out + out.conj().T) / 2
-    if channel.heralded:
-        tr = float(np.real(np.trace(out)))
-        if tr < 1e-14:
-            raise StateError("heralded channel annihilated the state")
-        out = out / tr
-    return DensityMatrix(out)
+    k = channel._stack
+    out = (k @ rho.matrix @ k.conj().swapaxes(1, 2)).sum(axis=0)
+    return _finish(out, channel.heralded)
 
 
 def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -157,15 +173,24 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
         raise DimensionError(
             f"cannot compose: output dim {first.out_dim} feeds input dim {then.in_dim}"
         )
-    ops = tuple(b @ a for b in then.operators for a in first.operators)
+    # Broadcast product indexed [j, i] = B_j A_i, flattened with j outer.
+    ops = (then._stack[:, None] @ first._stack[None, :]).reshape(
+        -1, then.out_dim, first.in_dim
+    )
     label = f"{then.label}*{first.label}" if first.label and then.label else ""
-    return KrausChannel(ops, label=label, heralded=first.heralded or then.heralded)
+    return KrausChannel(
+        tuple(ops), label=label, heralded=first.heralded or then.heralded
+    )
 
 
 def apply_to_subsystem(
     channel: KrausChannel, rho: DensityMatrix, index: int, dims: list[int]
 ) -> DensityMatrix:
-    """Apply a channel to one tensor factor of a composite state."""
+    """Apply a channel to one tensor factor of a composite state.
+
+    The state is viewed as (before, d, after) on each side, so every Kraus
+    operator K acts on the middle axis without forming I (x) K (x) I.
+    """
     dims = [int(d) for d in dims]
     if int(np.prod(dims)) != rho.dim:
         raise DimensionError(f"dims {dims} do not match state dim {rho.dim}")
@@ -173,15 +198,18 @@ def apply_to_subsystem(
         raise DimensionError(f"subsystem index {index} out of range")
     if channel.in_dim != dims[index] or channel.out_dim != dims[index]:
         raise DimensionError("subsystem application needs a square channel")
+    d = dims[index]
     before = int(np.prod(dims[:index])) if index > 0 else 1
     after = int(np.prod(dims[index + 1:])) if index + 1 < len(dims) else 1
-    ops = tuple(
-        np.kron(np.kron(np.eye(before), op), np.eye(after))
-        for op in channel.operators
-    )
-    return apply_channel(
-        KrausChannel(ops, label=channel.label, heralded=channel.heralded), rho
-    )
+    k = channel._stack
+    # Row side: (K x)[n, a, i, rest] = sum_j K[n, i, j] x[a, j, rest].
+    y = k[:, None] @ rho.matrix.reshape(before, d, after * rho.dim)
+    # Column side: move the column's (d, after) pair last as (after, d) and
+    # multiply by K^dag, then restore the axis order and sum over operators.
+    y = y.reshape(len(k), rho.dim * before, d, after).swapaxes(2, 3)
+    y = y @ k.conj().swapaxes(1, 2)[:, None]
+    out = y.swapaxes(2, 3).sum(axis=0).reshape(rho.dim, rho.dim)
+    return _finish(out, channel.heralded)
 
 
 # Qubit channel catalog.

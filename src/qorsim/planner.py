@@ -118,14 +118,26 @@ def _number(val, message: str) -> float:
     return num
 
 
+def _load_json(path: str):
+    """The decoded content of a JSON config file. Content json cannot
+    decode is a ConfigError naming the path: besides syntax errors, json
+    raises a plain ValueError for an integer literal longer than Python's
+    integer-string digit limit (4300 digits by default)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(
+                f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+            ) from None
+        except ValueError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}") from None
+
+
 def load_fiber_table(path: str) -> dict[str, FiberSpec]:
     """Fiber-type catalog from JSON: {"TYPE": {"attenuation_db_per_km":
     {"O": 0.35, ...}, "group_index": 1.468}, ...}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    raw = _load_json(path)
     _require(isinstance(raw, dict) and raw, f"{path}: expected an object of fiber types")
     table = {}
     for name, body in raw.items():
@@ -154,13 +166,7 @@ def load_fiber_table(path: str) -> dict[str, FiberSpec]:
 def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> RouteConfig:
     """Parse and validate a route file."""
     table = fiber_table if fiber_table is not None else DEFAULT_FIBER_TYPES
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-            ) from None
+    raw = _load_json(path)
     _require(isinstance(raw, dict), f"{path}: route must be a JSON object")
     known = {"name", "sites", "fiber_type", "quantum_band", "coexistence", "defaults"}
     for key in raw:

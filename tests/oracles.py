@@ -2,7 +2,10 @@
 
 Everything here is built from explicit kets, kron products, and index
 loops only, so the implementation under test and the oracle share no
-code paths.
+code paths. The one exception is ``oracle_apply_to_subsystem``: it lifts
+each Kraus operator to the full space with kron products and hands the
+lifted set to ``apply_channel``, which is checked against closed forms on
+its own.
 
 The Gaussian section at the end derives photon loss from a beam-splitter
 Hamiltonian instead: quadratic Hamiltonians, symplectic transforms via
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from qorsim.channels import RAIL_DIM, VACUUM_INDEX, KrausChannel
-from qorsim.linalg import DimensionError, StateError, _as_complex_matrix
+from qorsim.channels import RAIL_DIM, VACUUM_INDEX, KrausChannel, apply_channel
+from qorsim.linalg import DensityMatrix, DimensionError, StateError, _as_complex_matrix
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -83,6 +86,28 @@ def oracle_depolarize(rho: np.ndarray, qubit: int, lam: float) -> np.ndarray:
                 reduced[x, y] += t[k, x, k, y] if qubit == 0 else t[x, k, y, k]
     mixed = np.kron(_I2 / 2, reduced) if qubit == 0 else np.kron(reduced, _I2 / 2)
     return lam * rho + (1.0 - lam) * mixed
+
+
+def oracle_apply_to_subsystem(
+    channel: KrausChannel, rho: DensityMatrix, index: int, dims: list[int]
+) -> DensityMatrix:
+    """Apply a channel to one tensor factor of a composite state."""
+    dims = [int(d) for d in dims]
+    if int(np.prod(dims)) != rho.dim:
+        raise DimensionError(f"dims {dims} do not match state dim {rho.dim}")
+    if not 0 <= index < len(dims):
+        raise DimensionError(f"subsystem index {index} out of range")
+    if channel.in_dim != dims[index] or channel.out_dim != dims[index]:
+        raise DimensionError("subsystem application needs a square channel")
+    before = int(np.prod(dims[:index])) if index > 0 else 1
+    after = int(np.prod(dims[index + 1:])) if index + 1 < len(dims) else 1
+    ops = tuple(
+        np.kron(np.kron(np.eye(before), op), np.eye(after))
+        for op in channel.operators
+    )
+    return apply_channel(
+        KrausChannel(ops, label=channel.label, heralded=channel.heralded), rho
+    )
 
 
 def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):

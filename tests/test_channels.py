@@ -23,6 +23,7 @@ from qorsim.channels import (
     verify_cptp,
 )
 from qorsim.linalg import (
+    MAX_DIM,
     DensityMatrix,
     DimensionError,
     StateError,
@@ -38,6 +39,7 @@ from oracles import (
     beamsplitter_to_kraus,
     gaussian_evolve,
     mode_transmittance,
+    oracle_apply_to_subsystem,
     symplectic_form,
 )
 
@@ -45,6 +47,15 @@ from oracles import (
 def _random_axis(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _random_kraus_set(rng, out_dim, in_dim, n):
+    """n random (out_dim, in_dim) operators with sum K^dag K = I: a random
+    isometry cut into n row blocks."""
+    shape = (n * out_dim, in_dim)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    q, _ = np.linalg.qr(z)
+    return tuple(q.reshape(n, out_dim, in_dim))
 
 
 class TestKrausChannelContainer:
@@ -60,6 +71,29 @@ class TestKrausChannelContainer:
         op = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(StateError):
             KrausChannel((op,))
+
+    def test_nonfinite_error_names_the_operator(self):
+        ops = [np.eye(2, dtype=complex) for _ in range(3)]
+        ops[2] = np.array([[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(StateError, match="Kraus operator 2 "):
+            KrausChannel(tuple(ops))
+
+    def test_rejects_three_dimensional_operator(self):
+        with pytest.raises(DimensionError, match="Kraus operator 0 must be a 2-d array"):
+            KrausChannel((np.zeros((2, 2, 2)),))
+
+    def test_rejects_dimension_above_limit(self):
+        big = np.eye(MAX_DIM + 1, dtype=complex)
+        with pytest.raises(DimensionError, match="exceeds limit"):
+            KrausChannel((big,))
+
+    def test_operators_are_read_only_copies(self):
+        source = np.eye(2, dtype=complex)
+        channel = KrausChannel((source,))
+        with pytest.raises(ValueError):
+            channel.operators[0][0, 0] = 1
+        source[0, 0] = 5.0
+        assert channel.operators[0][0, 0] == 1.0
 
     def test_incomplete_set_reports_not_valid(self):
         # Container accepts it (soft invariant); the verifier flags it.
@@ -117,6 +151,24 @@ class TestApplyAndCompose:
         once = apply_channel(compose(a, b), dm)
         assert np.max(np.abs(seq.matrix - once.matrix)) < 1e-12
 
+    def test_compose_operator_order(self, rng):
+        # Non-square operators (2 -> 3, then 3 -> 4) pin the reshape too.
+        a = KrausChannel(_random_kraus_set(rng, 3, 2, 3))
+        b = KrausChannel(_random_kraus_set(rng, 4, 3, 2))
+        got = compose(a, b).operators
+        want = tuple(y @ x for y in b.operators for x in a.operators)
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_apply_non_square_channel(self, rng):
+        channel = KrausChannel(_random_kraus_set(rng, 3, 2, 2))
+        dm = random_density_matrix(2, rng)
+        got = apply_channel(channel, dm)
+        want = sum(k @ dm.matrix @ k.conj().T for k in channel.operators)
+        assert got.dim == 3
+        assert np.max(np.abs(got.matrix - want)) < 1e-13
+
     def test_compose_choi_associativity(self):
         a = depolarizing_channel(0.2)
         b = dephasing_channel(0.3)
@@ -132,6 +184,20 @@ class TestApplyAndCompose:
         ops = tuple(np.kron(np.eye(2), k) for k in c.operators)
         want = sum(k @ dm.matrix @ k.conj().T for k in ops)
         assert np.max(np.abs(got.matrix - want)) < 1e-12
+
+    @pytest.mark.parametrize("heralded", [False, True])
+    @pytest.mark.parametrize("dims", [[3, 2], [2, 3], [2, 2, 2], [2, 3, 2]])
+    def test_apply_to_subsystem_matches_oracle(self, rng, dims, heralded):
+        for index, d in enumerate(dims):
+            for n in (1, 2, 4):
+                ops = _random_kraus_set(rng, d, d, n + 1)
+                # A heralded channel keeps part of a complete set, so its
+                # output has trace below 1 until it is renormalised.
+                channel = KrausChannel(ops[:n] if heralded else ops, heralded=heralded)
+                dm = random_density_matrix(int(np.prod(dims)), rng)
+                got = apply_to_subsystem(channel, dm, index, dims)
+                want = oracle_apply_to_subsystem(channel, dm, index, dims)
+                assert np.max(np.abs(got.matrix - want.matrix)) < 1e-13
 
     def test_apply_to_subsystem_checks(self, rng):
         dm = random_density_matrix(4, rng)

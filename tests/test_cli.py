@@ -173,6 +173,17 @@ class TestErrorHandling:
         assert code == 1
         assert "invalid JSON" in err
 
+    def test_overlong_integer_is_an_error(self, capsys, tmp_path):
+        route = tmp_path / "route.json"
+        route.write_text(json.dumps({"sites": [
+            {"name": "A", "position_km": 0.0, "kind": "endpoint"},
+            {"name": "B", "position_km": 10.0, "kind": "endpoint"},
+        ]}).replace("10.0", "1" * 5001))
+        code, out, err = _run(capsys, ["plan", "--route", str(route)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert "route.json" in err
+
     def test_monte_carlo_budget_is_an_error(self, capsys, tmp_path):
         # A 10 ns cutoff against ~0.2 ms span cycles: pairs almost never meet.
         route = write_route(tmp_path, [0.0, 20.0, 45.0], defaults={"memory_cutoff": 1e-8})

@@ -130,6 +130,12 @@ class TestLoadRoute:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_route(str(path))
 
+    def test_rejects_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ConfigError, match=r"latin1\.json: invalid JSON"):
+            load_route(str(path))
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_route(str(tmp_path / "nope.json"))
@@ -176,6 +182,15 @@ class TestLoadFiberTable:
             path.write_text(json.dumps({"BAD": body}))
             with pytest.raises(ConfigError, match=match):
                 load_fiber_table(str(path))
+
+    def test_rejects_overlong_integer(self, tmp_path):
+        # Past the interpreter's integer-string digit limit json.load raises
+        # a plain ValueError, not a JSONDecodeError.
+        path = tmp_path / "fibers.json"
+        path.write_text('{"BAD": {"attenuation_db_per_km": {"O": 0.35}, "group_index": '
+                        + "1" * 5001 + "}}")
+        with pytest.raises(ConfigError, match=r"fibers\.json: invalid JSON"):
+            load_fiber_table(str(path))
 
     def test_rejects_missing_attenuation(self, tmp_path):
         path = tmp_path / "fibers.json"
