@@ -392,34 +392,38 @@ def _final_classical_delay(models: list[_SpanModel]) -> float:
     return max(to_right, to_left)
 
 
-# Monte Carlo streams and work budget. Trials run in blocks of MC_BLOCK
-# consecutive indices; block b draws uniforms from default_rng([seed, b]) in
-# (MC_BLOCK, MC_CHUNK) chunks, and trial i reads row i % MC_BLOCK of them in
-# order. A run of trials that needs more than MC_WORK_FACTOR times the span
-# generations its chain needs on average without a cutoff is abandoned: a
-# memory cutoff far below the span cycle grows the count without bound.
+# Monte Carlo streams and work budget. Trials run in groups of up to
+# MC_GROUP blocks of MC_BLOCK consecutive indices; block b draws uniforms
+# from default_rng([seed, b]) in (MC_BLOCK, MC_CHUNK) chunks, and trial i
+# reads row i % MC_BLOCK of block i // MC_BLOCK's chunks in order. A group
+# of trials that needs more than MC_WORK_FACTOR times the span generations
+# its chain needs on average without a cutoff is abandoned: a memory cutoff
+# far below the span cycle grows the count without bound.
 MC_BLOCK = 2048
+MC_GROUP = 8
 MC_CHUNK = 32
 MC_WORK_FACTOR = 2000
 
 
-class _BlockStream:
-    """The uniforms of trials first..first+count-1 of one block: trial j of
-    them reads row first + j in order through its own cursor.
+class _GroupStream:
+    """The uniforms of trials lo..lo+count-1, which lie in at most MC_GROUP
+    consecutive blocks: trial lo + j reads row j of one buffer in order
+    through its own cursor.
 
-    The stream is the block's (MC_BLOCK, MC_CHUNK) chunks drawn in turn, so
-    a row's values do not depend on which rows run or how fast. Each row
-    holds one chunk's worth at a time, MC_CHUNK values, and a row that has
-    used them up reads its part of its next chunk from the stream's
-    position for it: PCG64's advance jumps there, which equals drawing the
-    values in between (each float64 uniform takes one 64-bit output). So
-    memory stays at (count, MC_CHUNK) however long the trials run."""
+    Each block's stream is its (MC_BLOCK, MC_CHUNK) chunks drawn in turn,
+    so a trial's values do not depend on which trials run or how fast. Each
+    row holds one chunk's worth at a time, MC_CHUNK values, and a row that
+    has used them up reads its part of its next chunk from its block's
+    stream at the position for it: PCG64's advance jumps there, which
+    equals drawing the values in between (each float64 uniform takes one
+    64-bit output). So memory stays at (count, MC_CHUNK) however long the
+    trials run."""
 
-    def __init__(self, seed: int, block: int, first: int, count: int):
-        self._rng = np.random.default_rng([seed, block])
-        self._bits = self._rng.bit_generator
-        self._first = int(first)
-        self._pos = 0                              # outputs drawn or skipped
+    def __init__(self, seed: int, lo: int, count: int):
+        block, self._first = divmod(lo, MC_BLOCK)
+        blocks = (self._first + count - 1) // MC_BLOCK + 1
+        self._rngs = [np.random.default_rng([seed, block + g]) for g in range(blocks)]
+        self._pos = [0] * blocks                   # outputs drawn or skipped
         self._buf = np.empty((count, MC_CHUNK))
         self._chunk = np.full(count, -1)           # chunk each row holds
         self._cursor = np.zeros(count, dtype=np.intp)
@@ -439,13 +443,24 @@ class _BlockStream:
         return u
 
     def _refill(self, rows: np.ndarray) -> None:
-        """Load each row's next chunk. Rows whose parts lie close together
-        in the stream are drawn in one call, with the values between them."""
+        """Load each row's next chunk, block by block. Rows whose parts lie
+        close together in their block's stream are drawn in one call, with
+        the values between them."""
         k = self._chunk[rows] + 1
         self._chunk[rows] = k
-        # Row r's part of chunk k is MC_CHUNK values from output
-        # (k * MC_BLOCK + first + r) * MC_CHUNK on.
-        key = k * MC_BLOCK + rows
+        block, row = np.divmod(rows + self._first, MC_BLOCK)
+        order = block.argsort(kind="stable")
+        rows, k, block, row = rows[order], k[order], block[order], row[order]
+        cuts = [*((block[1:] != block[:-1]).nonzero()[0] + 1), len(rows)]
+        a = 0
+        for b in cuts:
+            self._refill_block(int(block[a]), rows[a:b], k[a:b] * MC_BLOCK + row[a:b])
+            a = b
+
+    def _refill_block(self, g: int, rows: np.ndarray, key: np.ndarray) -> None:
+        """Load rows of the group's block g; a row's part of its next chunk
+        is MC_CHUNK values from output key * MC_CHUNK of the block's stream."""
+        rng = self._rngs[g]
         ends = [1]
         if len(key) > 1:
             order = key.argsort()
@@ -455,21 +470,25 @@ class _BlockStream:
         a = 0
         for b in ends:
             lo, n = int(key[a]), int(key[b - 1] - key[a]) + 1
-            pos = (lo + self._first) * MC_CHUNK
+            pos = lo * MC_CHUNK
             # advance() takes Python ints; a backward jump wraps mod 2**128.
-            self._bits.advance((pos - self._pos) % (1 << 128))
-            self._pos = pos + n * MC_CHUNK
+            rng.bit_generator.advance((pos - self._pos[g]) % (1 << 128))
+            self._pos[g] = pos + n * MC_CHUNK
             r = int(rows[a])
             if n == b - a and int(rows[b - 1]) - r == n - 1:
-                self._rng.random(out=self._buf[r:r + n])
+                rng.random(out=self._buf[r:r + n])
             else:
-                self._buf[rows[a:b]] = self._rng.random((n, MC_CHUNK))[key[a:b] - lo]
+                self._buf[rows[a:b]] = rng.random((n, MC_CHUNK))[key[a:b] - lo]
             a = b
 
 
 class _BlockRun:
-    """The trials of one run moved through the protocol recursion together,
-    as numpy index arrays into the block's stream.
+    """The trials of one group, up to MC_GROUP consecutive blocks (16384
+    trials), moved through the protocol recursion together as numpy index
+    arrays into the group's stream. A pass costs a fixed number of numpy
+    calls whatever the number of trials it carries, which is why a run
+    carries a group and not one block. The group's uniforms take at most
+    MC_GROUP * MC_BLOCK * MC_CHUNK * 8 B (4 MiB).
 
     The recursion is unrolled into one frame per trial and level: the frame
     at level l >= 2 joins the frontier over spans 0..l-2 with span l-1 at
@@ -482,7 +501,8 @@ class _BlockRun:
     steps per level however the trials' depths differ, and each trial draws
     its uniforms in the order of the depth-first recursion: one per span
     generation, turned into a geometric attempt count by inversion (none
-    when success is certain), and one per swap.
+    when success is certain), and one per swap. The work budget counts the
+    span generations of the whole group.
 
     Each successful swap writes how long the two pairs it joined waited at
     its node (frontier, span) into ``waits``, shape (trials, 2 * nodes), as
@@ -494,7 +514,7 @@ class _BlockRun:
         self,
         models: list[_SpanModel],
         chain: RepeaterChain,
-        stream: _BlockStream,
+        stream: _GroupStream,
         waits: np.ndarray,
     ):
         self._models = models
@@ -621,34 +641,46 @@ def _delivered_bells(
     models: list[_SpanModel], nodes: tuple[QorsNode, ...], waits: np.ndarray
 ) -> np.ndarray:
     """Bell weights of each trial's delivered pair, shape (trials, 4), from
-    the waits _BlockRun recorded, shape (trials, 2 * nodes)."""
-    b = np.broadcast_to(models[0].ready_bell, (len(waits), 4))
+    the waits _BlockRun recorded, shape (trials, 2 * nodes).
+
+    Decay is affine toward I/4, dephasing fixes I/4, and the swap is
+    bilinear with I/4 absorbing, so every delivered pair is
+    lam * c + (1 - lam) / 4: c folds the ready states through each node's
+    dephasing and swap, and lam = exp(-(waits @ rates)) collects the decay,
+    summed column by column so that no trial's value depends on another's."""
+    c = models[0].ready_bell
+    exponent = np.zeros(len(waits))
     for j, node in enumerate(nodes):
         # The frontier's node-side qubit waited at the node; both qubits of
         # the span pair waited, at the node and at the span's right holder.
         node_rate = 1.0 / node.memory.coherence_time
-        lam_f = np.exp(-node_rate * waits[:, 2 * j:2 * j + 1])
         span_rate = node_rate + models[j + 1].right_decay_rate
-        lam_s = np.exp(-span_rate * waits[:, 2 * j + 1:2 * j + 2])
-        left = _bell_dephase(_bell_decay(b, lam_f), node.bsm_visibility_penalty)
-        b = _bell_convolve(left, _bell_decay(models[j + 1].ready_bell, lam_s))
-    return b
+        exponent += node_rate * waits[:, 2 * j]
+        exponent += span_rate * waits[:, 2 * j + 1]
+        c = _bell_convolve(_bell_dephase(c, node.bsm_visibility_penalty),
+                           models[j + 1].ready_bell)
+    lam = np.exp(-exponent)
+    out = np.multiply.outer(lam, c)
+    out += ((1.0 - lam) / 4.0)[:, None]
+    return out
 
 
 def _run_trial_range(
     models: list[_SpanModel], chain: RepeaterChain, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trials lo..hi-1, block by block: ready times and delivered Bell
-    weights."""
+    """Trials lo..hi-1, up to MC_GROUP blocks at a time: ready times and
+    delivered Bell weights."""
+    lo, hi = int(lo), int(hi)
     times = np.empty(hi - lo)
     waits = np.zeros((hi - lo, 2 * len(chain.nodes)))
     start = lo
     while start < hi:
-        block, first = divmod(start, MC_BLOCK)
-        stop = min(hi, (block + 1) * MC_BLOCK)
+        stop = min(hi, (start // MC_BLOCK + MC_GROUP) * MC_BLOCK)
         out = slice(start - lo, stop - lo)
-        stream = _BlockStream(seed, block, first, stop - start)
+        # Free each group's uniforms before the next group draws its own.
+        stream = _GroupStream(seed, start, stop - start)
         times[out] = _BlockRun(models, chain, stream, waits[out]).ready_times()
+        del stream
         start = stop
     return times, _delivered_bells(models, chain.nodes, waits)
 
@@ -662,19 +694,22 @@ def simulate_chain_mc(
 ) -> EndToEndResult:
     """Monte Carlo over full protocol runs.
 
-    Trials run in blocks of MC_BLOCK consecutive indices, all trials of a
-    block through the protocol at once. Block b draws from
-    default_rng([seed, b]) in (MC_BLOCK, MC_CHUNK) chunks of uniforms and
-    trial i reads row i % MC_BLOCK, so each trial depends only on (seed, i);
-    workers take contiguous index ranges, and results are byte-identical for
-    any worker count. A trial samples only times; the delivered pair is
-    carried as Bell weights, folded from the decay each successful swap's
-    inputs accumulated. Every delivered weight vector is checked (weights
-    >= -1e-12, sum 1 within 1e-10) and mean_state is the Bell-diagonal
-    state of the mean weights. Trials that need more than MC_WORK_FACTOR
-    times the span generations the chain needs without a cutoff raise
-    StateError. ``attempts`` (from span_attempts(chain)) saves recomputing
-    the span stacks.
+    Trials run in groups of up to MC_GROUP blocks of MC_BLOCK consecutive
+    indices, all trials of a group through the protocol at once, with at
+    most MC_GROUP * MC_BLOCK * MC_CHUNK * 8 B (4 MiB) of uniforms held.
+    Block b draws from default_rng([seed, b]) in (MC_BLOCK, MC_CHUNK)
+    chunks of uniforms and trial i reads row i % MC_BLOCK of block
+    i // MC_BLOCK, so each trial depends only on (seed, i); workers take
+    contiguous index ranges, and results are byte-identical for any worker
+    count. A trial samples only times and the waits at each swap; the
+    delivered pair is lam * c + (1 - lam) / 4 in Bell weights, with c the
+    ready states folded through each node's dephasing and swap, and lam
+    the decay its waits accumulated. Every delivered weight vector is
+    checked (weights >= -1e-12, sum 1 within 1e-10) and mean_state is the
+    Bell-diagonal state of the mean weights. A group of trials that needs
+    more than MC_WORK_FACTOR times the span generations the chain needs
+    without a cutoff raises StateError. ``attempts`` (from
+    span_attempts(chain)) saves recomputing the span stacks.
     """
     if trials < 1:
         raise StateError("need at least one trial")
@@ -698,9 +733,6 @@ def simulate_chain_mc(
             )
         times = np.concatenate([p[0] for p in parts])
         bells = np.concatenate([p[1] for p in parts])
-    # The fold may return a column-major stack; summing it in row order, as
-    # the concatenated ranges are, keeps the means independent of workers.
-    bells = np.ascontiguousarray(bells)
 
     if bells.min() < -1e-12 or np.abs(bells.sum(axis=1) - 1.0).max() > 1e-10:
         raise StateError("a delivered pair has invalid Bell weights")

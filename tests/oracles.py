@@ -2,10 +2,11 @@
 
 Everything here is built from explicit kets, kron products, and index
 loops only, so the implementation under test and the oracle share no
-code paths. The one exception is ``oracle_apply_to_subsystem``: it lifts
-each Kraus operator to the full space with kron products and hands the
-lifted set to ``apply_channel``, which is checked against closed forms on
-its own.
+code paths. Two exceptions: ``oracle_apply_to_subsystem`` lifts each
+Kraus operator to the full space with kron products and hands the lifted
+set to ``apply_channel``, and ``oracle_delivered_bells`` folds Bell weights
+node by node with the engine's Bell-vector steps. Both helpers are checked
+against closed forms on their own.
 
 The Gaussian section at the end derives photon loss from a beam-splitter
 Hamiltonian instead: quadratic Hamiltonians, symplectic transforms via
@@ -23,6 +24,7 @@ import scipy.linalg
 
 from qorsim.channels import RAIL_DIM, VACUUM_INDEX, KrausChannel, apply_channel
 from qorsim.linalg import DensityMatrix, DimensionError, StateError, _as_complex_matrix
+from qorsim.repeater import _bell_convolve, _bell_decay, _bell_dephase
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -159,6 +161,24 @@ def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):
 
     ready, state, _ = build(n, 0.0)
     return ready, state
+
+
+def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
+    """The Monte Carlo engine's delivered Bell weights folded node by node:
+    each swap decays both inputs by their own recorded waits, dephases the
+    frontier and convolves. ``models`` are the engine's span models, and
+    ``waits`` has shape (trials, 2 * nodes)."""
+    b = np.broadcast_to(models[0].ready_bell, (len(waits), 4))
+    for j, node in enumerate(nodes):
+        # The frontier's node-side qubit waited at the node; both qubits of
+        # the span pair waited, at the node and at the span's right holder.
+        node_rate = 1.0 / node.memory.coherence_time
+        lam_f = np.exp(-node_rate * waits[:, 2 * j:2 * j + 1])
+        span_rate = node_rate + models[j + 1].right_decay_rate
+        lam_s = np.exp(-span_rate * waits[:, 2 * j + 1:2 * j + 2])
+        left = _bell_dephase(_bell_decay(b, lam_f), node.bsm_visibility_penalty)
+        b = _bell_convolve(left, _bell_decay(models[j + 1].ready_bell, lam_s))
+    return b
 
 
 # Gaussian layer: quadratic bosonic Hamiltonians act as symplectic

@@ -25,6 +25,7 @@ from qorsim.linalg import (
 from qorsim.repeater import (
     MC_BLOCK,
     MC_CHUNK,
+    MC_GROUP,
     MC_WORK_FACTOR,
     EndToEndResult,
     MemorySpec,
@@ -34,12 +35,14 @@ from qorsim.repeater import (
     _bell_convolve,
     _bell_decay,
     _bell_dephase,
+    _delivered_bells,
     _expected_swap_bell,
     _expected_wait,
     _final_classical_delay,
     _GeomTime,
     _run_trial_range,
     _span_models,
+    _SpanModel,
     entanglement_swap,
     memory_decay,
     simulate_chain_analytic,
@@ -49,7 +52,7 @@ from qorsim.repeater import (
 )
 
 from conftest import bell_diag, write_route
-from oracles import oracle_chain_trial, oracle_depolarize, oracle_swap
+from oracles import oracle_chain_trial, oracle_delivered_bells, oracle_depolarize, oracle_swap
 
 
 def _node(coherence=1.0, write=0.9, read=0.9, bsm=0.5, det=0.8, penalty=0.0):
@@ -484,6 +487,53 @@ class TestMonteCarloEngine:
         tail_t, _ = _run_trial_range(models, chain, 5, MC_BLOCK - 30, MC_BLOCK + 100)
         assert np.array_equal(tail_t, short_t[MC_BLOCK - 30:])
 
+    def test_grouped_runs_do_not_change_results(self):
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
+                              attempt_rate=1e6, memory_cutoff=0.05)
+        models = _span_models(chain)
+        group = MC_GROUP * MC_BLOCK
+        hi = 2 * group + 37
+        whole_t, whole_b = _run_trial_range(models, chain, 5, 0, hi)
+        # Cut inside a block, on a block boundary and on a group boundary.
+        cuts = [0, 1000, 3 * MC_BLOCK, group, group + MC_BLOCK + 11, 2 * group, hi]
+        parts = [_run_trial_range(models, chain, 5, a, b) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(whole_t, np.concatenate([t for t, _ in parts]))
+        assert np.array_equal(whole_b, np.concatenate([b for _, b in parts]))
+
+    def test_numpy_integer_bounds(self):
+        # Worker ranges come from np.linspace; PCG64's advance takes only
+        # Python ints.
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
+                              attempt_rate=1e6, memory_cutoff=0.05)
+        models = _span_models(chain)
+        lo, hi = MC_BLOCK - 100, MC_GROUP * MC_BLOCK + 100
+        want_t, want_b = _run_trial_range(models, chain, 5, lo, hi)
+        got_t, got_b = _run_trial_range(models, chain, 5, np.int64(lo), np.int64(hi))
+        assert np.array_equal(want_t, got_t)
+        assert np.array_equal(want_b, got_b)
+
+    def test_uniform_buffer_is_bounded_by_the_group(self):
+        # Uniforms take MC_CHUNK * 8 = 256 B per trial of a group; a run
+        # of more groups adds only its per-trial results.
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),),
+                              attempt_rate=1e6, memory_cutoff=1.0)
+        models = _span_models(chain)
+        group = MC_GROUP * MC_BLOCK
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                _run_trial_range(models, chain, 3, 0, trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(group), peak(3 * group)
+        assert one > group * MC_CHUNK * 8
+        # Each extra trial keeps its ready time and its waits.
+        per_trial = 8 * (1 + 2 * len(chain.nodes))
+        assert three - one <= 2 * group * per_trial + 64 * 1024
+
     def test_work_budget_stops_a_starved_cutoff(self, tmp_path):
         from qorsim.planner import build_chain, load_route
 
@@ -629,6 +679,28 @@ class TestBellEngineAgainstDenseOracle:
             simulate_chain_mc(chain, trials=10, attempts=(skewed,))
         with pytest.raises(DimensionError):
             _span_models(chain, (skewed, skewed))
+
+    @pytest.mark.parametrize("n_spans", [2, 3, 4, 5, 6])
+    def test_closed_form_fold_matches_per_node_fold(self, n_spans):
+        # Random ready states, coherence times (so the frontier and span
+        # rates differ at every node but the last), penalties and waits.
+        rng = np.random.default_rng(100 + n_spans)
+        nodes = tuple(
+            _node(float(rng.uniform(1e-3, 1.0)), penalty=float(rng.uniform(0.0, 0.5)))
+            for _ in range(n_spans - 1)
+        )
+        models = [
+            _SpanModel(success_prob=0.1, cycle_s=1e-5, one_way_s=1e-4,
+                       ready_bell=rng.dirichlet([20.0, 1.0, 1.0, 1.0]),
+                       right_decay_rate=(1.0 / nodes[i].memory.coherence_time
+                                         if i < n_spans - 1 else 0.0))
+            for i in range(n_spans)
+        ]
+        waits = rng.exponential(rng.uniform(1e-4, 0.3, 2 * (n_spans - 1)),
+                                (500, 2 * (n_spans - 1)))
+        got = _delivered_bells(models, nodes, waits)
+        want = oracle_delivered_bells(models, nodes, waits)
+        assert np.max(np.abs(got - want)) < 1e-15
 
     def test_invalid_delivered_weights_rejected(self, monkeypatch):
         import qorsim.repeater as repeater

@@ -8,10 +8,10 @@ same script times another checkout too. Each chain is the planner's
 default parameters on an O-band route with 25 km spans; each Monte Carlo
 run is one ``simulate_chain_mc`` call with seed 42 and workers=1, after one
 untimed warm-up call. The analytic part times ``simulate_chain_analytic``
-and, inside it, ``span_attempts`` (the span channel stacks) on the same
-chains and on a 102 km + 17 km chain, whose long span heralds just above
-the engine's GEOM_EXACT_MIN_P. Each value is the median over ``--runs``
-runs.
+on the same chains and on a 102 km + 17 km chain, whose long span heralds
+just above the engine's GEOM_EXACT_MIN_P, and the time its calls spend in
+``span_attempts`` (the span channel stacks), so the part never reads larger
+than the whole. Each value is the median over ``--runs`` runs.
 
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
 (analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
@@ -39,8 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SPAN_KM = 25.0
 SEED = 42
 # Trials per run for each span count: a run takes about 0.1 s or more at
-# the block-batched engine's speed (about 1.5-2, 7-9 and 70-100 us per
-# trial on a 2-core host). Each count spans at least one full block.
+# the grouped engine's speed (about 1-1.5, 6-8 and 70-90 us per trial on a
+# 2-core host). 60000 trials are several groups of blocks, 12000 one
+# partial group, 2048 one block.
 TRIALS = {2: 60000, 3: 12000, 5: 2048}
 # Span lengths (km) of the analytic engine's chains.
 ANALYTIC_CHAINS = {
@@ -62,17 +63,6 @@ def _route_file(directory: str, spans_km: list[float]) -> str:
         json.dump({"name": f"bench-{last}", "fiber_type": "NDSF", "quantum_band": "O",
                    "coexistence": True, "sites": sites}, fh)
     return path
-
-
-def _median_ms(fn, arg, runs: int) -> float:
-    """Median ms of ``runs`` calls fn(arg), after one untimed warm-up call."""
-    fn(arg)
-    samples = []
-    for _ in range(runs):
-        t = time.perf_counter()
-        fn(arg)
-        samples.append((time.perf_counter() - t) * 1e3)
-    return round(statistics.median(samples), 3)
 
 
 def mc_us_per_trial(runs: int) -> dict:
@@ -98,17 +88,41 @@ def mc_us_per_trial(runs: int) -> dict:
 
 
 def analytic_ms(runs: int) -> dict:
+    """Median ms of ``simulate_chain_analytic`` per chain, and of the time
+    the same calls spend in ``span_attempts``, after one warm-up call."""
+    from qorsim import repeater
     from qorsim.planner import build_chain, load_route
-    from qorsim.repeater import simulate_chain_analytic, span_attempts
+
+    span_attempts = repeater.span_attempts
+    in_stacks = [0.0]
+
+    def timed_span_attempts(chain):
+        t = time.perf_counter()
+        try:
+            return span_attempts(chain)
+        finally:
+            in_stacks[0] += time.perf_counter() - t
 
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, spans_km in ANALYTIC_CHAINS.items():
-            chain = build_chain(load_route(_route_file(tmp, spans_km)))
-            out[name] = {
-                "analytic_ms": _median_ms(simulate_chain_analytic, chain, runs),
-                "span_attempts_ms": _median_ms(span_attempts, chain, runs),
-            }
+    repeater.span_attempts = timed_span_attempts
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, spans_km in ANALYTIC_CHAINS.items():
+                chain = build_chain(load_route(_route_file(tmp, spans_km)))
+                repeater.simulate_chain_analytic(chain)
+                whole, part = [], []
+                for _ in range(runs):
+                    in_stacks[0] = 0.0
+                    t = time.perf_counter()
+                    repeater.simulate_chain_analytic(chain)
+                    whole.append((time.perf_counter() - t) * 1e3)
+                    part.append(in_stacks[0] * 1e3)
+                out[name] = {
+                    "analytic_ms": round(statistics.median(whole), 3),
+                    "span_attempts_ms": round(statistics.median(part), 3),
+                }
+    finally:
+        repeater.span_attempts = span_attempts
     return out
 
 
