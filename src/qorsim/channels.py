@@ -4,13 +4,16 @@ catalog of qubit and single-rail channels.
 Qubit channels act on polarization; fiber-level channels act on a 3-level
 single-rail space ordered (|0>, |1>, vacuum) so photon loss is a proper
 trace-preserving map and heralding is a later projection onto the photon
-subspace. Channel composition multiplies operator sets, so keep stacks
-shallow.
+subspace. A channel holds its Kraus operators as one read-only
+(n, out_dim, in_dim) array, and every function here acts on that array with
+batched numpy products rather than a loop over operators. Channel
+composition multiplies operator sets, so keep stacks shallow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,58 +36,68 @@ RAIL_DIM = 3
 VACUUM_INDEX = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A channel given by Kraus operators, all shaped (out_dim, in_dim).
+    """A channel given by Kraus operators, held as one read-only complex
+    array of shape (n, out_dim, in_dim).
+
+    `operators` may be given as any sequence of equal-shape 2-d operators or
+    as such an array; it is copied once. Channels compare by identity, so
+    `==` is `is`.
 
     Completeness (sum K^dag K = I, or <= I when heralded) is a soft
     invariant: it is not enforced here so that verify_cptp can report on
     defective sets, but every constructor in this module satisfies it.
     """
 
-    operators: tuple[np.ndarray, ...]
-    label: str = ""
+    operators: np.ndarray
     heralded: bool = False
-    # The operators as one read-only (n, out_dim, in_dim) array; the
-    # entries of `operators` are views of it.
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.operators:
-            raise DimensionError("channel needs at least one Kraus operator")
-        ops = []
-        shape = None
-        for i, op in enumerate(self.operators):
-            arr = np.asarray(op, dtype=complex)
-            if arr.ndim != 2:
-                raise DimensionError(
-                    f"Kraus operator {i} must be a 2-d array, got shape {arr.shape}"
-                )
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise DimensionError(
-                    f"Kraus operator {i} has shape {arr.shape}, expected {shape}"
-                )
-            ops.append(arr)
-        stack = np.array(ops)
-        finite = np.isfinite(stack).all(axis=(1, 2))
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError:
+            ops = None
+        if ops is None or ops.ndim != 3 or not len(ops):
+            _raise_shape_fault(self.operators)
+        finite = np.isfinite(ops).all(axis=(1, 2))
         if not finite.all():
             bad = int(np.argmin(finite))
             raise StateError(f"Kraus operator {bad} contains non-finite entries")
-        if max(shape) > MAX_DIM:
-            raise DimensionError(f"dimension {max(shape)} exceeds limit {MAX_DIM}")
-        stack.flags.writeable = False
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "operators", tuple(stack))
+        dim = max(ops.shape[1:])
+        if dim > MAX_DIM:
+            raise DimensionError(f"dimension {dim} exceeds limit {MAX_DIM}")
+        ops.flags.writeable = False
+        object.__setattr__(self, "operators", ops)
 
     @property
     def in_dim(self) -> int:
-        return self.operators[0].shape[1]
+        return self.operators.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
+
+
+def _raise_shape_fault(operators) -> NoReturn:
+    """Name the operator that keeps a set from stacking into one
+    (n, out_dim, in_dim) array."""
+    if len(operators) == 0:
+        raise DimensionError("channel needs at least one Kraus operator")
+    shape = None
+    for i, op in enumerate(operators):
+        arr = np.asarray(op, dtype=complex)
+        if arr.ndim != 2:
+            raise DimensionError(
+                f"Kraus operator {i} must be a 2-d array, got shape {arr.shape}"
+            )
+        if shape is None:
+            shape = arr.shape
+        elif arr.shape != shape:
+            raise DimensionError(
+                f"Kraus operator {i} has shape {arr.shape}, expected {shape}"
+            )
+    raise DimensionError("Kraus operators do not stack into one array")
 
 
 @dataclass(frozen=True)
@@ -100,25 +113,21 @@ class CptpReport:
 
 
 def completeness_operator(channel: KrausChannel) -> np.ndarray:
-    """Sum of K^dag K over the operator set."""
-    acc = np.zeros((channel.in_dim, channel.in_dim), dtype=complex)
-    for op in channel.operators:
-        acc += op.conj().T @ op
-    return acc
+    """Sum of K^dag K over the operator set: V^dag V with the operators
+    stacked as the row blocks of V."""
+    v = channel.operators.reshape(-1, channel.in_dim)
+    return v.conj().T @ v
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Choi matrix as sum of vec(K) vec(K)^dag with row-major vec.
+    """Choi matrix as sum of vec(K) vec(K)^dag with row-major vec: W^T W*
+    with the vecs as the rows of W.
 
     Positive semidefinite exactly when the map is completely positive;
     eigenvalue floor is what verify_cptp reports.
     """
-    d = channel.in_dim * channel.out_dim
-    c = np.zeros((d, d), dtype=complex)
-    for op in channel.operators:
-        v = op.reshape(-1)
-        c += np.outer(v, v.conj())
-    return c
+    w = channel.operators.reshape(len(channel.operators), -1)
+    return w.T @ w.conj()
 
 
 def verify_cptp(channel: KrausChannel) -> CptpReport:
@@ -162,7 +171,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionError(
             f"channel input dim {channel.in_dim} does not match state dim {rho.dim}"
         )
-    k = channel._stack
+    k = channel.operators
     out = (k @ rho.matrix @ k.conj().swapaxes(1, 2)).sum(axis=0)
     return _finish(out, channel.heralded)
 
@@ -174,13 +183,10 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
             f"cannot compose: output dim {first.out_dim} feeds input dim {then.in_dim}"
         )
     # Broadcast product indexed [j, i] = B_j A_i, flattened with j outer.
-    ops = (then._stack[:, None] @ first._stack[None, :]).reshape(
+    ops = (then.operators[:, None] @ first.operators[None, :]).reshape(
         -1, then.out_dim, first.in_dim
     )
-    label = f"{then.label}*{first.label}" if first.label and then.label else ""
-    return KrausChannel(
-        tuple(ops), label=label, heralded=first.heralded or then.heralded
-    )
+    return KrausChannel(ops, heralded=first.heralded or then.heralded)
 
 
 def apply_to_subsystem(
@@ -201,7 +207,7 @@ def apply_to_subsystem(
     d = dims[index]
     before = int(np.prod(dims[:index])) if index > 0 else 1
     after = int(np.prod(dims[index + 1:])) if index + 1 < len(dims) else 1
-    k = channel._stack
+    k = channel.operators
     # Row side: (K x)[n, a, i, rest] = sum_j K[n, i, j] x[a, j, rest].
     y = k[:, None] @ rho.matrix.reshape(before, d, after * rho.dim)
     # Column side: move the column's (d, after) pair last as (after, d) and
@@ -215,7 +221,7 @@ def apply_to_subsystem(
 # Qubit channel catalog.
 
 def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),), label="identity")
+    return KrausChannel((np.eye(dim, dtype=complex),))
 
 
 def depolarizing_channel(p: float) -> KrausChannel:
@@ -229,7 +235,7 @@ def depolarizing_channel(p: float) -> KrausChannel:
         np.sqrt(p / 4.0) * PAULI_Y,
         np.sqrt(p / 4.0) * PAULI_Z,
     )
-    return KrausChannel(ops, label=f"depolarizing({p:g})")
+    return KrausChannel(ops)
 
 
 def dephasing_channel(p: float) -> KrausChannel:
@@ -237,7 +243,7 @@ def dephasing_channel(p: float) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise StateError(f"dephasing probability {p} outside [0, 1]")
     ops = (np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * PAULI_Z)
-    return KrausChannel(ops, label=f"dephasing({p:g})")
+    return KrausChannel(ops)
 
 
 def rotation_unitary(theta: float, axis: np.ndarray) -> np.ndarray:
@@ -274,9 +280,7 @@ def sop_rotation_channel(
     if mode == "sampled":
         if axis is None:
             raise StateError("sampled mode needs a rotation axis")
-        return KrausChannel(
-            (rotation_unitary(theta, axis),), label=f"sop_sampled({theta:g})"
-        )
+        return KrausChannel((rotation_unitary(theta, axis),))
     if mode == "averaged":
         c, s = np.cos(theta / 2), np.sin(theta / 2)
         ops = (
@@ -285,7 +289,7 @@ def sop_rotation_channel(
             s / np.sqrt(3.0) * PAULI_Y,
             s / np.sqrt(3.0) * PAULI_Z,
         )
-        return KrausChannel(ops, label=f"sop_averaged({theta:g})")
+        return KrausChannel(ops)
     raise StateError(f"unknown sop mode {mode!r}")
 
 
@@ -300,15 +304,12 @@ def loss_channel(eta: float) -> KrausChannel:
     """Photon survival with probability eta; lost photons land in vacuum."""
     if not 0.0 <= eta <= 1.0:
         raise StateError(f"transmittance {eta} outside [0, 1]")
-    keep = np.zeros((RAIL_DIM, RAIL_DIM), dtype=complex)
-    keep[VACUUM_INDEX, VACUUM_INDEX] = 1.0
-    keep[0, 0] = keep[1, 1] = np.sqrt(eta)
-    ops = [keep]
-    for level in (0, 1):
-        drop = np.zeros((RAIL_DIM, RAIL_DIM), dtype=complex)
-        drop[VACUUM_INDEX, level] = np.sqrt(1.0 - eta)
-        ops.append(drop)
-    return KrausChannel(tuple(ops), label=f"loss({eta:g})")
+    # One keep operator, then one drop operator per photon level.
+    ops = np.zeros((3, RAIL_DIM, RAIL_DIM), dtype=complex)
+    ops[0, VACUUM_INDEX, VACUUM_INDEX] = 1.0
+    ops[0, 0, 0] = ops[0, 1, 1] = np.sqrt(eta)
+    ops[[1, 2], VACUUM_INDEX, [0, 1]] = np.sqrt(1.0 - eta)
+    return KrausChannel(ops)
 
 
 def embed_qubit_channel(channel: KrausChannel) -> KrausChannel:
@@ -319,11 +320,7 @@ def embed_qubit_channel(channel: KrausChannel) -> KrausChannel:
     """
     if channel.in_dim != 2 or channel.out_dim != 2:
         raise DimensionError("only qubit channels embed into the rail space")
-    ops = []
-    for i, op in enumerate(channel.operators):
-        big = np.zeros((RAIL_DIM, RAIL_DIM), dtype=complex)
-        big[:2, :2] = op
-        if i == 0:
-            big[VACUUM_INDEX, VACUUM_INDEX] = 1.0
-        ops.append(big)
-    return KrausChannel(tuple(ops), label=channel.label, heralded=channel.heralded)
+    ops = np.zeros((len(channel.operators), RAIL_DIM, RAIL_DIM), dtype=complex)
+    ops[:, :2, :2] = channel.operators
+    ops[0, VACUUM_INDEX, VACUUM_INDEX] = 1.0
+    return KrausChannel(ops, heralded=channel.heralded)

@@ -3,6 +3,7 @@ per-span noise stack experienced by a heralded photon."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .channels import (
@@ -31,8 +32,9 @@ class Band:
     def __post_init__(self) -> None:
         if not self.name:
             raise FiberConfigError("band needs a name")
-        if self.center_nm <= 0:
-            raise FiberConfigError("band center wavelength must be positive")
+        # Range checks compare against math.inf so that NaN fails them too.
+        if not 0 < self.center_nm < math.inf:
+            raise FiberConfigError("band center wavelength outside (0, inf)")
 
 
 O_BAND = Band("O", 1310.0)
@@ -56,12 +58,12 @@ class FiberSpec:
         if not self.attenuation_db_per_km:
             raise FiberConfigError("fiber spec needs at least one band entry")
         for band, att in self.attenuation_db_per_km.items():
-            if att <= 0:
+            if not 0 < att < math.inf:
                 raise FiberConfigError(
-                    f"attenuation for band {band} must be positive, got {att}"
+                    f"attenuation for band {band} outside (0, inf), got {att}"
                 )
-        if self.group_index < 1.0:
-            raise FiberConfigError("group index below vacuum is not physical")
+        if not 1.0 <= self.group_index < math.inf:
+            raise FiberConfigError("group index outside [1, inf)")
         object.__setattr__(
             self, "attenuation_db_per_km", dict(self.attenuation_db_per_km)
         )
@@ -103,16 +105,17 @@ class FiberSpan:
     mux_insertion_loss_db: float = 0.0       # add/drop filters, connectors
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise FiberConfigError(f"span length {self.length_km} is negative")
-        if self.sop_drift_rate < 0 or self.sop_recalibration_interval < 0:
-            raise FiberConfigError("SOP drift parameters must be nonnegative")
+        if not 0 <= self.length_km < math.inf:
+            raise FiberConfigError(f"span length {self.length_km} outside [0, inf)")
+        for drift in (self.sop_drift_rate, self.sop_recalibration_interval):
+            if not 0 <= drift < math.inf:
+                raise FiberConfigError("SOP drift parameters outside [0, inf)")
         if not 0.0 <= self.dephasing_p <= 1.0:
             raise FiberConfigError("dephasing probability outside [0, 1]")
         if not 0.0 <= self.coexistence_noise_prob < 1.0:
             raise FiberConfigError("coexistence noise probability outside [0, 1)")
-        if self.mux_insertion_loss_db < 0:
-            raise FiberConfigError("insertion loss must be nonnegative")
+        if not 0 <= self.mux_insertion_loss_db < math.inf:
+            raise FiberConfigError("insertion loss outside [0, inf)")
         # Touch the band entry so a bad span fails at construction.
         self.fiber.attenuation(self.quantum_band)
 
@@ -155,12 +158,8 @@ def span_channel_stack(span: FiberSpan) -> SpanStack:
     stack = compose(stack, embed_qubit_channel(
         sop_rotation_channel(span.sop_drift_rate, span.sop_recalibration_interval)
     ))
-    stack = compose(stack, loss_channel(eta))
-    stack = KrausChannel(
-        stack.operators, label=f"span({span.length_km:g}km,{span.quantum_band.name})"
-    )
     return SpanStack(
-        channel=stack,
+        channel=compose(stack, loss_channel(eta)),
         transmittance=eta,
         noise_probability=span.coexistence_noise_prob,
         sop_theta=theta,

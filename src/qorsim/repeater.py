@@ -60,8 +60,9 @@ class MemorySpec:
     cryogenic_required: bool = False
 
     def __post_init__(self) -> None:
-        if self.coherence_time <= 0:
-            raise StateError("coherence time must be positive")
+        # Comparing against math.inf also rejects NaN.
+        if not 0 < self.coherence_time < math.inf:
+            raise StateError("coherence time outside (0, inf)")
         for name in ("write_efficiency", "read_efficiency"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -105,10 +106,10 @@ class RepeaterChain:
             raise DimensionError(
                 f"{len(spans)} spans need {len(spans) - 1} nodes, got {len(nodes)}"
             )
-        if self.attempt_rate <= 0:
-            raise StateError("attempt rate must be positive")
-        if self.memory_cutoff <= 0:
-            raise StateError("memory cutoff must be positive")
+        if not 0 < self.attempt_rate < math.inf:
+            raise StateError("attempt rate outside (0, inf)")
+        if not 0 < self.memory_cutoff < math.inf:
+            raise StateError("memory cutoff outside (0, inf)")
         object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "nodes", nodes)
 

@@ -107,9 +107,7 @@ def oracle_apply_to_subsystem(
         np.kron(np.kron(np.eye(before), op), np.eye(after))
         for op in channel.operators
     )
-    return apply_channel(
-        KrausChannel(ops, label=channel.label, heralded=channel.heralded), rho
-    )
+    return apply_channel(KrausChannel(ops, heralded=channel.heralded), rho)
 
 
 def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):
@@ -328,4 +326,4 @@ def beamsplitter_to_kraus(eta: float) -> KrausChannel:
         ops.append(kraus)
     # Drop identically zero operators (environment outcomes never reached).
     ops = [op for op in ops if np.abs(op).max() > 0.0]
-    return KrausChannel(tuple(ops), label=f"beamsplitter_loss({eta:g})")
+    return KrausChannel(tuple(ops))

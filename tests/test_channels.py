@@ -87,13 +87,20 @@ class TestKrausChannelContainer:
         with pytest.raises(DimensionError, match="exceeds limit"):
             KrausChannel((big,))
 
-    def test_operators_are_read_only_copies(self):
-        source = np.eye(2, dtype=complex)
-        channel = KrausChannel((source,))
+    @pytest.mark.parametrize(
+        "source_type", [tuple, np.array], ids=["tuple", "ndarray"]
+    )
+    def test_operators_are_read_only_copies(self, rng, source_type):
+        source = source_type(_random_kraus_set(rng, 3, 2, 4))
+        channel = KrausChannel(source)
+        want = np.array(source)
+        assert isinstance(channel.operators, np.ndarray)
+        assert channel.operators.shape == (4, 3, 2)
+        assert not channel.operators.flags.writeable
         with pytest.raises(ValueError):
             channel.operators[0][0, 0] = 1
-        source[0, 0] = 5.0
-        assert channel.operators[0][0, 0] == 1.0
+        source[0][0, 0] = 5.0
+        np.testing.assert_array_equal(channel.operators, want)
 
     def test_incomplete_set_reports_not_valid(self):
         # Container accepts it (soft invariant); the verifier flags it.
@@ -120,6 +127,22 @@ class TestKrausChannelContainer:
         c = depolarizing_channel(0.4)
         assert np.max(np.abs(completeness_operator(c) - np.eye(2))) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (2, 2, 3), (1, 3, 3)])
+    def test_array_algebra_matches_per_operator_sums(self, rng, shape):
+        # Unnormalised complex operators: a complete set would hide a
+        # conjugate on the wrong side of completeness_operator.
+        ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        channel = KrausChannel(ops)
+        comp = sum(k.conj().T @ k for k in ops)
+        choi = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops)
+        assert np.max(np.abs(completeness_operator(channel) - comp)) < 1e-12
+        assert np.max(np.abs(choi_matrix(channel) - choi)) < 1e-12
+
+    def test_equality_is_identity(self):
+        c = depolarizing_channel(0.4)
+        assert c == c
+        assert c != depolarizing_channel(0.4)
+
 
 class TestApplyAndCompose:
     def test_apply_preserves_trace(self, rng):
@@ -142,6 +165,15 @@ class TestApplyAndCompose:
         kill = KrausChannel((np.zeros((2, 2), dtype=complex),), heralded=True)
         with pytest.raises(StateError):
             apply_channel(kill, maximally_mixed(2))
+
+    def test_compose_and_embed_keep_heralded(self):
+        kept = KrausChannel((np.sqrt(0.3) * np.eye(2, dtype=complex),), heralded=True)
+        plain = dephasing_channel(0.2)
+        assert compose(kept, plain).heralded
+        assert compose(plain, kept).heralded
+        assert not compose(plain, plain).heralded
+        assert embed_qubit_channel(kept).heralded
+        assert not embed_qubit_channel(plain).heralded
 
     def test_compose_matches_sequential_apply(self, rng):
         a = depolarizing_channel(0.2)

@@ -8,7 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qorsim.fiber import C_BAND, O_BAND, FiberSpan, photon_dwell_time, transmittance
+from qorsim.fiber import (
+    C_BAND,
+    O_BAND,
+    Band,
+    FiberConfigError,
+    FiberSpan,
+    FiberSpec,
+    photon_dwell_time,
+    transmittance,
+)
 from qorsim.linalg import (
     DensityMatrix,
     DimensionError,
@@ -427,6 +436,28 @@ class TestChainValidation:
             MemorySpec(read_efficiency=0.0)
         with pytest.raises(StateError):
             QorsNode(memory=MemorySpec(), bsm_success_prob=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("make, error", [
+        (lambda x: Band("X", x), FiberConfigError),
+        (lambda x: FiberSpec("T", {"O": x}), FiberConfigError),
+        (lambda x: FiberSpec("T", {"O": 0.35}, group_index=x), FiberConfigError),
+        (lambda x: FiberSpan(x), FiberConfigError),
+        (lambda x: FiberSpan(1.0, sop_drift_rate=x), FiberConfigError),
+        (lambda x: FiberSpan(1.0, sop_recalibration_interval=x), FiberConfigError),
+        (lambda x: FiberSpan(1.0, mux_insertion_loss_db=x), FiberConfigError),
+        (lambda x: MemorySpec(coherence_time=x), StateError),
+        (lambda x: RepeaterChain(spans=(_span(),), attempt_rate=x), StateError),
+        (lambda x: RepeaterChain(spans=(_span(),), memory_cutoff=x), StateError),
+    ], ids=[
+        "band-center", "fiber-attenuation", "fiber-group-index", "span-length",
+        "span-drift-rate", "span-recalibration", "span-insertion-loss",
+        "memory-coherence", "chain-attempt-rate", "chain-cutoff",
+    ])
+    def test_constructors_reject_non_finite(self, make, error, bad):
+        # A NaN cutoff would otherwise run as if there were no cutoff.
+        with pytest.raises(error, match="inf"):
+            make(bad)
 
 
 class TestMonteCarloEngine:
