@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .fiber import BANDS, DEFAULT_FIBER_TYPES, Band, FiberConfigError, FiberSpec, FiberSpan
-from .linalg import StateError, fidelity, phi_plus
+from .linalg import StateError, bell_diagonal_weights
 from .qkd import (
     OneWayRepeaterSpec,
     TECH_ENTANGLEMENT,
@@ -349,13 +349,12 @@ def spans_table(
     ``attempts`` (from span_attempts(chain)) saves recomputing them."""
     if attempts is None:
         attempts = span_attempts(chain)
-    target = phi_plus()
     return [
         {
             "index": i,
             "length_km": float(span.length_km),
             "transmittance": float(attempt.transmittance),
-            "fidelity": float(fidelity(attempt.state, target)),
+            "fidelity": float(bell_diagonal_weights(attempt.state)[0]),
         }
         for i, (span, attempt) in enumerate(zip(chain.spans, attempts))
     ]

@@ -7,11 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, DimensionError, StateError
+from .linalg import DensityMatrix, StateError, bell_diagonal_weights
 from .repeater import EndToEndResult, RepeaterChain
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_HH = np.kron(_HADAMARD, _HADAMARD)
 
 TECH_ENTANGLEMENT = "entanglement"
 TECH_ONE_WAY = "one_way"
@@ -27,21 +24,22 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
+def _qber(bell: np.ndarray) -> float:
+    """QBER of a pair with Bell weights (Phi+, Psi+, Phi-, Psi-)."""
+    q = float((bell[1] + bell[2]) / 2.0 + bell[3])
+    return min(max(q, 0.0), 1.0)
+
+
 def qber_from_state(state: DensityMatrix) -> float:
     """Error rate of correlated measurements on a delivered pair.
 
     Both sides measure the same basis; an error is a disagreement. The
     rate averages the Z-basis and X-basis disagreement probabilities, as
     in entanglement-based key distribution with symmetric basis choice.
+    For any two-qubit state these are its Bell weights on Psi+- and on
+    Phi-/Psi-, so the rate is (b[1] + b[2]) / 2 + b[3].
     """
-    if state.dim != 4:
-        raise DimensionError("QBER needs a two-qubit state")
-    rho = state.matrix
-    q_z = float(np.real(rho[1, 1] + rho[2, 2]))
-    rho_x = _HH @ rho @ _HH.conj().T
-    q_x = float(np.real(rho_x[1, 1] + rho_x[2, 2]))
-    q = (q_z + q_x) / 2.0
-    return min(max(q, 0.0), 1.0)
+    return _qber(bell_diagonal_weights(state))
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def bbm92_metrics(qber: float, sifted_rate_hz: float) -> QkdMetrics:
 def key_metrics_from_result(result: EndToEndResult) -> QkdMetrics:
     """Key metrics for a chain simulation: both sides measure every
     delivered pair, matching bases half the time."""
-    qber = qber_from_state(result.mean_state)
+    qber = _qber(result.bell)
     return bbm92_metrics(qber, result.pair_rate_hz / 2.0)
 
 
@@ -89,8 +87,8 @@ class OneWayRepeaterSpec:
     cryogenic_required: bool = False
 
     def __post_init__(self) -> None:
-        if self.loss_threshold_db <= 0:
-            raise StateError("loss threshold must be positive")
+        if not 0 < self.loss_threshold_db < math.inf:
+            raise StateError("loss threshold outside (0, inf)")
 
 
 def qec_max_span(
@@ -99,10 +97,12 @@ def qec_max_span(
     fixed_losses_db: float = 0.0,
 ) -> float:
     """Longest span an error-corrected one-way link can cross, in km."""
-    if attenuation_db_per_km <= 0:
-        raise StateError("attenuation must be positive")
-    if fixed_losses_db < 0:
-        raise StateError("fixed losses must be nonnegative")
+    if not 0 < attenuation_db_per_km < math.inf:
+        raise StateError("attenuation outside (0, inf)")
+    if not 0 < loss_threshold_db < math.inf:
+        raise StateError("loss threshold outside (0, inf)")
+    if not 0 <= fixed_losses_db < math.inf:
+        raise StateError("fixed losses outside [0, inf)")
     if fixed_losses_db >= loss_threshold_db:
         raise StateError(
             f"fixed losses {fixed_losses_db} dB consume the whole "

@@ -86,6 +86,8 @@ class QorsNode:
             raise StateError("bsm_visibility_penalty must lie in [0, 1]")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise StateError("detector_efficiency must lie in (0, 1]")
+        if not -math.inf < self.position_km < math.inf:
+            raise StateError("position_km outside (-inf, inf)")
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,8 @@ class SwapResult:
 
 @dataclass(frozen=True)
 class EndToEndResult:
-    """Delivered-pair statistics for a whole chain."""
+    """Delivered-pair statistics for a whole chain; ``bell`` holds the Bell
+    weights of the mean delivered pair."""
 
     fidelity: float
     pair_rate_hz: float
@@ -139,8 +142,13 @@ class EndToEndResult:
     trials: int
     fidelity_stderr: float
     rate_stderr: float
-    mean_state: DensityMatrix
+    bell: np.ndarray
     engine: str
+
+    @property
+    def mean_state(self) -> DensityMatrix:
+        """The Bell-diagonal state with weights ``bell``."""
+        return DensityMatrix(np.einsum("k,ki,kj->ij", self.bell, BELL_KETS, BELL_KETS.conj()))
 
 
 def span_entanglement_attempt(
@@ -271,7 +279,12 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 # the Bell basis, and memory decay (depolarizing), the visibility penalty
 # (dephasing) and the odd-parity swap keep it so. Both engines therefore
 # carry a pair as its four Bell weights (index bit 0: X part, bit 1: Z part
-# of the one-sided Pauli that maps Phi+ to the Bell state).
+# of the one-sided Pauli that maps Phi+ to the Bell state). Decay is affine
+# toward I/4, dephasing fixes I/4, and the swap is bilinear with I/4
+# absorbing, so a delivered pair is lam * c + (1 - lam) / 4: c, from
+# _folded_bell, folds the ready states through each node's dephasing and
+# swap, and lam is the survival weight of all the decay on the way. Monte
+# Carlo draws lam per trial; the analytic engine takes its expectation.
 
 # Largest off-diagonal Bell-basis element a span state may have.
 BELL_DIAGONAL_TOL = 1e-12
@@ -296,11 +309,6 @@ def _bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for g in range(1, 4):
         out = out + a[..., g:g + 1] * b[..., _XOR[g]]
     return out
-
-
-def _bell_matrix(b: np.ndarray) -> np.ndarray:
-    """The Bell-diagonal 4x4 state with weights b."""
-    return np.einsum("k,ki,kj->ij", b, BELL_KETS, BELL_KETS.conj())
 
 
 def _bell_weights(state: DensityMatrix) -> np.ndarray:
@@ -638,18 +646,22 @@ class _BlockRun:
         return won, t_won + self._notify[level - 2], t_won
 
 
+def _folded_bell(models: list[_SpanModel], nodes: tuple[QorsNode, ...]) -> np.ndarray:
+    """Bell weights of the delivered pair had nothing waited: the ready
+    states folded through each node's dephasing and swap."""
+    c = models[0].ready_bell
+    for node, m in zip(nodes, models[1:]):
+        c = _bell_convolve(_bell_dephase(c, node.bsm_visibility_penalty), m.ready_bell)
+    return c
+
+
 def _delivered_bells(
     models: list[_SpanModel], nodes: tuple[QorsNode, ...], waits: np.ndarray
 ) -> np.ndarray:
     """Bell weights of each trial's delivered pair, shape (trials, 4), from
-    the waits _BlockRun recorded, shape (trials, 2 * nodes).
-
-    Decay is affine toward I/4, dephasing fixes I/4, and the swap is
-    bilinear with I/4 absorbing, so every delivered pair is
-    lam * c + (1 - lam) / 4: c folds the ready states through each node's
-    dephasing and swap, and lam = exp(-(waits @ rates)) collects the decay,
-    summed column by column so that no trial's value depends on another's."""
-    c = models[0].ready_bell
+    the waits _BlockRun recorded, shape (trials, 2 * nodes): the folded pair
+    decayed by lam = exp(-(waits @ rates)), summed column by column so that
+    no trial's value depends on another's."""
     exponent = np.zeros(len(waits))
     for j, node in enumerate(nodes):
         # The frontier's node-side qubit waited at the node; both qubits of
@@ -658,12 +670,7 @@ def _delivered_bells(
         span_rate = node_rate + models[j + 1].right_decay_rate
         exponent += node_rate * waits[:, 2 * j]
         exponent += span_rate * waits[:, 2 * j + 1]
-        c = _bell_convolve(_bell_dephase(c, node.bsm_visibility_penalty),
-                           models[j + 1].ready_bell)
-    lam = np.exp(-exponent)
-    out = np.multiply.outer(lam, c)
-    out += ((1.0 - lam) / 4.0)[:, None]
-    return out
+    return _bell_decay(_folded_bell(models, nodes), np.exp(-exponent)[:, None])
 
 
 def _run_trial_range(
@@ -702,12 +709,12 @@ def simulate_chain_mc(
     chunks of uniforms and trial i reads row i % MC_BLOCK of block
     i // MC_BLOCK, so each trial depends only on (seed, i); workers take
     contiguous index ranges, and results are byte-identical for any worker
-    count. A trial samples only times and the waits at each swap; the
-    delivered pair is lam * c + (1 - lam) / 4 in Bell weights, with c the
-    ready states folded through each node's dephasing and swap, and lam
-    the decay its waits accumulated. Every delivered weight vector is
-    checked (weights >= -1e-12, sum 1 within 1e-10) and mean_state is the
-    Bell-diagonal state of the mean weights. A group of trials that needs
+    count. A trial samples only times and the waits at each swap; its
+    delivered pair is lam * c + (1 - lam) / 4 in Bell weights, with c from
+    _folded_bell, shared with the analytic engine, and lam =
+    exp(-(waits @ rates)) the decay its waits accumulated. Every delivered
+    weight vector is checked (weights >= -1e-12, sum 1 within 1e-10), and
+    the result's ``bell`` is their mean. A group of trials that needs
     more than MC_WORK_FACTOR times the span generations the chain needs
     without a cutoff raises StateError. ``attempts`` (from
     span_attempts(chain)) saves recomputing the span stacks.
@@ -738,7 +745,6 @@ def simulate_chain_mc(
     if bells.min() < -1e-12 or np.abs(bells.sum(axis=1) - 1.0).max() > 1e-10:
         raise StateError("a delivered pair has invalid Bell weights")
     fids = bells[:, 0]
-    mean_state = DensityMatrix(_bell_matrix(bells.mean(axis=0)))
     mean_t = float(times.mean())
     fid = float(fids.mean())
     fid_se = float(fids.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -750,7 +756,7 @@ def simulate_chain_mc(
         trials=trials,
         fidelity_stderr=fid_se,
         rate_stderr=t_se / mean_t**2,
-        mean_state=mean_state,
+        bell=bells.mean(axis=0),
         engine="mc",
     )
 
@@ -760,7 +766,10 @@ def simulate_chain_mc(
 # on its attempt grid; after the first merge the frontier time is collapsed
 # to a point mass at its mean, the same type with success 1. A merge sums
 # over the atoms of the side that heralds more often, with the other side's
-# closed forms. Cutoff expiry is neglected, so results are exact only when
+# closed forms. The state is _folded_bell's c and one expected survival
+# weight lam: a merge multiplies lam by e_front + e_span - 1, the expected
+# survivals of the two sides, and a notification that is not the last by
+# its decay. Cutoff expiry is neglected, so results are exact only when
 # cutoffs are generous.
 
 def _nlog(n, log_v):
@@ -842,24 +851,6 @@ def _expected_wait(a: _GeomTime, b: _GeomTime, r_a: float, r_b: float):
     return float(decay_a), float(decay_b), float(np.dot(w, x + b.excess(x)))
 
 
-def _expected_swap_bell(
-    b_front: np.ndarray,
-    b_span: np.ndarray,
-    decay_front: float,
-    decay_span: float,
-    penalty: float,
-) -> np.ndarray:
-    """Expected Bell weights after a swap whose two sides waited on each
-    other. Exactly one wait is nonzero, so for the affine decay factors
-    E[f(A) g(B)] = f(EA, 1) + f(1, EB) - f(1, 1) holds exactly."""
-
-    def merged(da: float, db: float) -> np.ndarray:
-        left = _bell_dephase(_bell_decay(b_front, da), penalty)
-        return _bell_convolve(left, _bell_decay(b_span, db))
-
-    return merged(decay_front, 1.0) + merged(1.0, decay_span) - merged(1.0, 1.0)
-
-
 def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     """Expected-value model of the same protocol the Monte Carlo runs.
 
@@ -867,13 +858,14 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     (span stacks produce Bell-diagonal states, for which the swap algebra
     and wait-decay expectations here are closed form) unless both spans
     herald below GEOM_EXACT_MIN_P; longer chains approximate intermediate
-    frontier times by their means.
+    frontier times by their means. The delivered pair is the Monte Carlo's
+    lam * c + (1 - lam) / 4 with lam's expectation carried as one scalar.
     """
     models = _span_models(chain)
     n = len(models)
     final_delay = _final_classical_delay(models)
     front = _GeomTime(models[0].success_prob, models[0].cycle_s)
-    b_front = models[0].ready_bell
+    lam = 1.0
     mean_t = front.mean
     for i in range(2, n + 1):
         m = models[i - 1]
@@ -887,9 +879,9 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
             e_front, e_span, e_round = _expected_wait(front, span, r_front, r_span)
         else:
             e_span, e_front, e_round = _expected_wait(span, front, r_span, r_front)
-        b_front = _expected_swap_bell(
-            b_front, m.ready_bell, e_front, e_span, node.bsm_visibility_penalty
-        )
+        # Only one side waits, so E[f(A) g(B)] = f(EA, 1) + f(1, EB) - f(1, 1)
+        # for the two affine decay factors: the pair survives e_front + e_span - 1.
+        lam *= e_front + e_span - 1.0
         q = node.bsm_success_prob * node.memory.read_efficiency**2
         notify = m.one_way_s if i < n else final_delay
         mean_t = e_round / q + notify
@@ -899,15 +891,16 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
             # While the swap outcome travels to the new frontier edge, the
             # merged pair's right qubit keeps decaying there. The interval
             # is deterministic, so this factor is exact.
-            b_front = _bell_decay(b_front, math.exp(-m.right_decay_rate * notify))
+            lam *= math.exp(-m.right_decay_rate * notify)
 
+    bell = _bell_decay(_folded_bell(models, chain.nodes), lam)
     return EndToEndResult(
-        fidelity=float(b_front[0]),
+        fidelity=float(bell[0]),
         pair_rate_hz=1.0 / mean_t,
         mean_latency_s=mean_t,
         trials=0,
         fidelity_stderr=0.0,
         rate_stderr=0.0,
-        mean_state=DensityMatrix(_bell_matrix(b_front)),
+        bell=bell,
         engine="analytic",
     )

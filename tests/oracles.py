@@ -77,6 +77,20 @@ def phi_plus_fidelity(rho: np.ndarray) -> float:
     return float(np.real(_PHI.conj() @ rho @ _PHI))
 
 
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_HH = np.kron(_H, _H)
+
+
+def oracle_qber(rho: np.ndarray) -> float:
+    """Mean of the Z- and X-basis disagreement probabilities of a two-qubit
+    state: the weight on |01> and |10>, before and after a Hadamard on each
+    qubit."""
+    q_z = np.real(rho[1, 1] + rho[2, 2])
+    rho_x = _HH @ rho @ _HH.conj().T
+    q_x = np.real(rho_x[1, 1] + rho_x[2, 2])
+    return float((q_z + q_x) / 2.0)
+
+
 def oracle_depolarize(rho: np.ndarray, qubit: int, lam: float) -> np.ndarray:
     """Depolarize one qubit of a pair: keep rho with weight lam, else replace
     that qubit by I/2 next to the other qubit's reduced state."""

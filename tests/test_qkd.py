@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qorsim.fiber import C_BAND, O_BAND, FiberSpan, transmittance
-from qorsim.linalg import StateError, bell_state, werner_state
+from qorsim.linalg import (
+    StateError,
+    bell_diagonal_weights,
+    bell_state,
+    fidelity,
+    phi_plus,
+    random_density_matrix,
+    werner_state,
+)
 from qorsim.qkd import (
     R_COEXISTENCE,
     R_EXISTING_SITES,
@@ -22,6 +30,8 @@ from qorsim.qkd import (
     qec_max_span,
 )
 from qorsim.repeater import MemorySpec, QorsNode, RepeaterChain, simulate_chain_analytic
+
+from oracles import oracle_qber
 
 
 class TestBinaryEntropy:
@@ -60,6 +70,14 @@ class TestQber:
         for f in np.linspace(0.25, 1.0, 10):
             want = 2.0 * (1.0 - f) / 3.0
             assert abs(qber_from_state(werner_state(f)) - want) < 1e-12
+
+    def test_bell_weight_closed_forms_hold_on_any_state(self, rng):
+        # Full-rank states with every Bell-basis coherence present: QBER and
+        # Phi+ fidelity read only the Bell weights even off the diagonal.
+        for _ in range(500):
+            rho = random_density_matrix(4, rng)
+            assert abs(qber_from_state(rho) - oracle_qber(rho.matrix)) < 1e-14
+            assert abs(bell_diagonal_weights(rho)[0] - fidelity(rho, phi_plus())) < 1e-14
 
 
 class TestBbm92:

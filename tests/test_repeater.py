@@ -31,6 +31,7 @@ from qorsim.linalg import (
     random_density_matrix,
     werner_state,
 )
+from qorsim.qkd import OneWayRepeaterSpec, qec_max_span
 from qorsim.repeater import (
     MC_BLOCK,
     MC_CHUNK,
@@ -45,7 +46,6 @@ from qorsim.repeater import (
     _bell_decay,
     _bell_dephase,
     _delivered_bells,
-    _expected_swap_bell,
     _expected_wait,
     _final_classical_delay,
     _GeomTime,
@@ -449,10 +449,17 @@ class TestChainValidation:
         (lambda x: MemorySpec(coherence_time=x), StateError),
         (lambda x: RepeaterChain(spans=(_span(),), attempt_rate=x), StateError),
         (lambda x: RepeaterChain(spans=(_span(),), memory_cutoff=x), StateError),
+        (lambda x: QorsNode(position_km=x), StateError),
+        (lambda x: OneWayRepeaterSpec(loss_threshold_db=x), StateError),
+        (lambda x: qec_max_span(x, 3.0), StateError),
+        (lambda x: qec_max_span(0.35, x), StateError),
+        (lambda x: qec_max_span(0.35, 3.0, x), StateError),
     ], ids=[
         "band-center", "fiber-attenuation", "fiber-group-index", "span-length",
         "span-drift-rate", "span-recalibration", "span-insertion-loss",
         "memory-coherence", "chain-attempt-rate", "chain-cutoff",
+        "node-position", "one-way-threshold", "qec-attenuation", "qec-threshold",
+        "qec-fixed-losses",
     ])
     def test_constructors_reject_non_finite(self, make, error, bad):
         # A NaN cutoff would otherwise run as if there were no cutoff.
@@ -505,6 +512,7 @@ class TestMonteCarloEngine:
             assert a.pair_rate_hz == other.pair_rate_hz
             assert a.mean_latency_s == other.mean_latency_s
             assert a.rate_stderr == other.rate_stderr
+            assert np.array_equal(a.bell, other.bell)
             assert np.array_equal(a.mean_state.matrix, other.mean_state.matrix)
 
     def test_trials_do_not_depend_on_the_run_length(self):
@@ -604,7 +612,9 @@ class TestMonteCarloEngine:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         res = simulate_chain_mc(chain, trials=50, seed=9)
+        # The dense state is built on request from the mean Bell weights.
         assert isinstance(res.mean_state, DensityMatrix)
+        assert np.max(np.abs(bell_diagonal_weights(res.mean_state) - res.bell)) < 1e-15
         assert isinstance(res, EndToEndResult)
         assert res.trials == 50
         assert res.fidelity_stderr > 0.0
@@ -802,14 +812,20 @@ class TestAnalyticEngine:
             e_front, e_span, e_max = _brute_wait(
                 front, _grid(m.success_prob, m.cycle_s), r_front, r_front + m.right_decay_rate
             )
-            bell = _expected_swap_bell(bell, m.ready_bell, e_front, e_span,
-                                       node.bsm_visibility_penalty)
+            # Exactly one side waits, so the expected merged pair is
+            # f(EA, 1) + f(1, EB) - f(1, 1) for the decay factors' means.
+            def merged(da, db):
+                left = _bell_dephase(_bell_decay(bell, da), node.bsm_visibility_penalty)
+                return _bell_convolve(left, _bell_decay(m.ready_bell, db))
+
+            bell = merged(e_front, 1.0) + merged(1.0, e_span) - merged(1.0, 1.0)
             last = i == len(chain.nodes) - 1
             notify = _final_classical_delay(models) if last else m.one_way_s
             mean = e_max / (node.bsm_success_prob * node.memory.read_efficiency**2) + notify
             bell = bell if last else _bell_decay(bell, math.exp(-m.right_decay_rate * notify))
             front = ([mean], [1.0])
         res = simulate_chain_analytic(chain)
+        assert np.max(np.abs(res.bell - bell)) < 1e-12
         assert abs(res.fidelity - bell[0]) < 1e-12
         assert abs(res.mean_latency_s - mean) < 1e-12 * mean
 
