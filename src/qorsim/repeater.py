@@ -26,7 +26,6 @@ Protocol conventions, fixed across both engines:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,8 +415,8 @@ MC_WORK_FACTOR = 2000
 
 class _GroupStream:
     """The uniforms of trials lo..lo+count-1, which lie in at most MC_GROUP
-    consecutive blocks: trial lo + j reads row j of one buffer in order
-    through its own cursor.
+    consecutive blocks: trial lo + j reads row j of one flat buffer, values
+    j * MC_CHUNK onward, in order.
 
     Each block's stream is its (MC_BLOCK, MC_CHUNK) chunks drawn in turn,
     so a trial's values do not depend on which trials run or how fast. Each
@@ -425,70 +424,65 @@ class _GroupStream:
     has used them up reads its part of its next chunk from its block's
     stream at the position for it: PCG64's advance jumps there, which
     equals drawing the values in between (each float64 uniform takes one
-    64-bit output). So memory stays at (count, MC_CHUNK) however long the
-    trials run."""
+    64-bit output). So memory stays at count * MC_CHUNK values however long
+    the trials run. A row's first chunk is loaded at its first read.
+
+    Each row keeps the buffer position of its next value. MC_CHUNK is a
+    power of two, so a row has used up its chunk exactly when that position
+    is a multiple of MC_CHUNK: rows start there, as if past chunk -1."""
 
     def __init__(self, seed: int, lo: int, count: int):
         block, self._first = divmod(lo, MC_BLOCK)
         blocks = (self._first + count - 1) // MC_BLOCK + 1
         self._rngs = [np.random.default_rng([seed, block + g]) for g in range(blocks)]
         self._pos = [0] * blocks                   # outputs drawn or skipped
-        self._buf = np.empty((count, MC_CHUNK))
+        self._buf = np.empty(count * MC_CHUNK)
+        self._rows = self._buf.reshape(count, MC_CHUNK)
         self._chunk = np.full(count, -1)           # chunk each row holds
-        self._cursor = np.zeros(count, dtype=np.intp)
-        self._refill(np.arange(count))
+        self._next = np.arange(1, count + 1) * MC_CHUNK
 
     def uniforms(self, idx: np.ndarray) -> np.ndarray:
         """The next uniform of each trial in ``idx`` (distinct positions)."""
-        c = self._cursor[idx]
-        try:
-            u = self._buf[idx, c]
-        except IndexError:   # some rows have used up their chunk
-            spent = c == MC_CHUNK
+        p = self._next[idx]
+        if np.count_nonzero(p & (MC_CHUNK - 1)) < len(p):
+            spent = (p & (MC_CHUNK - 1) == 0).nonzero()[0]
             self._refill(idx[spent])
-            c[spent] = 0
-            u = self._buf[idx, c]
-        self._cursor[idx] = c + 1
+            p[spent] -= MC_CHUNK
+        u = self._buf[p]
+        p += 1
+        self._next[idx] = p
         return u
 
     def _refill(self, rows: np.ndarray) -> None:
-        """Load each row's next chunk, block by block. Rows whose parts lie
-        close together in their block's stream are drawn in one call, with
-        the values between them."""
+        """Load each row's next chunk: MC_CHUNK values from output
+        key * MC_CHUNK of its block's stream. Rows of one block whose parts
+        lie close together are drawn in one call, with the values between
+        them."""
         k = self._chunk[rows] + 1
         self._chunk[rows] = k
         block, row = np.divmod(rows + self._first, MC_BLOCK)
-        order = block.argsort(kind="stable")
-        rows, k, block, row = rows[order], k[order], block[order], row[order]
-        cuts = [*((block[1:] != block[:-1]).nonzero()[0] + 1), len(rows)]
-        a = 0
-        for b in cuts:
-            self._refill_block(int(block[a]), rows[a:b], k[a:b] * MC_BLOCK + row[a:b])
-            a = b
-
-    def _refill_block(self, g: int, rows: np.ndarray, key: np.ndarray) -> None:
-        """Load rows of the group's block g; a row's part of its next chunk
-        is MC_CHUNK values from output key * MC_CHUNK of the block's stream."""
-        rng = self._rngs[g]
-        ends = [1]
-        if len(key) > 1:
-            order = key.argsort()
-            rows, key = rows[order], key[order]
-            # A separate draw costs about as much as 32 rows in between.
-            ends = [*((key[1:] - key[:-1] > 32).nonzero()[0] + 1), len(key)]
-        a = 0
-        for b in ends:
-            lo, n = int(key[a]), int(key[b - 1] - key[a]) + 1
-            pos = lo * MC_CHUNK
+        key = k * MC_BLOCK + row
+        # Block by block, in stream order. The engine passes rows in
+        # order, which a stable sort takes in one sweep.
+        order = np.argsort(block * (int(key.max()) + 1) + key, kind="stable")
+        rows, key, block = rows[order], key[order], block[order]
+        # A separate draw costs about as much as 32 rows in between.
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (block[1:] != block[:-1]) | (key[1:] - key[:-1] > 32)
+        first = new.nonzero()[0]
+        last = np.append(first[1:], len(rows)) - 1
+        for a, b, g, k0, k1, r0, r1 in zip(
+            first.tolist(), last.tolist(), block[first].tolist(), key[first].tolist(),
+            key[last].tolist(), rows[first].tolist(), rows[last].tolist(),
+        ):
+            rng, n, pos = self._rngs[g], k1 - k0 + 1, k0 * MC_CHUNK
             # advance() takes Python ints; a backward jump wraps mod 2**128.
             rng.bit_generator.advance((pos - self._pos[g]) % (1 << 128))
             self._pos[g] = pos + n * MC_CHUNK
-            r = int(rows[a])
-            if n == b - a and int(rows[b - 1]) - r == n - 1:
-                rng.random(out=self._buf[r:r + n])
+            if b - a == r1 - r0 == n - 1:   # consecutive rows and parts
+                rng.random(out=self._rows[r0:r1 + 1])
             else:
-                self._buf[rows[a:b]] = rng.random((n, MC_CHUNK))[key[a:b] - lo]
-            a = b
+                self._rows[rows[a:b + 1]] = rng.random((n, MC_CHUNK))[key[a:b + 1] - k0]
 
 
 class _BlockRun:
@@ -511,12 +505,14 @@ class _BlockRun:
     its uniforms in the order of the depth-first recursion: one per span
     generation, turned into a geometric attempt count by inversion (none
     when success is certain), and one per swap. The work budget counts the
-    span generations of the whole group.
+    span generations of the whole group. Per-frame state is one 1-D array
+    per level, indexed by trial.
 
-    Each successful swap writes how long the two pairs it joined waited at
-    its node (frontier, span) into ``waits``, shape (trials, 2 * nodes), as
-    [f_0, s_0, f_1, s_1, ...]; the last write per node describes the swaps
-    that built the delivered pair.
+    Each swap writes how long the two pairs it joined waited at its node
+    (frontier, span) into ``waits``, shape (2 * nodes, trials), as rows
+    [f_0, s_0, f_1, s_1, ...]. A trial ends with a pass in which every swap
+    succeeds, so the last write per node describes the swaps that built
+    the delivered pair.
     """
 
     def __init__(
@@ -542,25 +538,26 @@ class _BlockRun:
         self._need = 1.0
         for q in self._swap_prob:
             self._need = (self._need + 1.0) / q
-        self._budget = MC_WORK_FACTOR * self._need * len(waits)
+        trials, levels = waits.shape[1], len(models) + 1
+        self._budget = MC_WORK_FACTOR * self._need * trials
         self._spent = 0
-        trials, levels = len(waits), len(models) + 1
-        # Per trial and level (column l for level l): the frame's start time,
-        # and for a frame racing a rebuilt frontier, its span's ready time.
-        self._start = np.zeros((trials, levels))
-        self._span_t = np.zeros((trials, levels))
-        self._racing = np.zeros((trials, levels), dtype=bool)
+        # Per level l (entry l), per trial: the frame's start time, and for
+        # a frame racing a rebuilt frontier its span's ready time (NaN when
+        # the frame is fresh; frames below level 3 never race).
+        self._start = [np.zeros(trials) for _ in range(levels)]
+        self._span_t = [np.full(trials, np.nan) if level > 2 else None
+                        for level in range(levels)]
         self._racing_count = [0] * levels
 
     def ready_times(self) -> np.ndarray:
         """The delivered pairs' ready times; fills ``waits``. Raises
         StateError past the work budget."""
-        trials = len(self._waits)
+        trials = self._waits.shape[1]
         ready = np.empty(trials)
         running = np.ones(trials, dtype=bool)
         todo = np.arange(trials)
         while todo.size:
-            t_f = self._gen_span(0, self._start[todo, 1], todo)
+            t_f = self._gen_span(0, self._start[1][todo], todo)
             up, u_f = todo, t_f
             for level in range(2, len(self._models) + 1):
                 up, t_f, u_f = self._join(level, up, t_f, u_f)
@@ -578,7 +575,7 @@ class _BlockRun:
             cycle = max(m.cycle_s for m in self._models)
             raise StateError(
                 f"Monte Carlo gave up after {self._spent} span generations "
-                f"for {len(self._waits)} trials, more than {MC_WORK_FACTOR} times "
+                f"for {self._waits.shape[1]} trials, more than {MC_WORK_FACTOR} times "
                 f"the {self._need:.3g} per trial these spans need on average "
                 f"without a cutoff: memory_cutoff {self._cutoff:.3g} s is too "
                 f"short against a span cycle of up to {cycle:.3g} s"
@@ -586,9 +583,16 @@ class _BlockRun:
         m = self._models[i]
         if m.success_prob >= 1.0:
             return t0 + m.cycle_s
-        k = np.log1p(-self._stream.uniforms(idx))
+        # t0 + (floor(log1p(-u) / log1p(-p)) + 1) * cycle, in place.
+        k = self._stream.uniforms(idx)
+        np.negative(k, out=k)
+        np.log1p(k, out=k)
         k /= self._log_fail[i]
-        return t0 + (np.floor(k) + 1.0) * m.cycle_s
+        np.floor(k, out=k)
+        k += 1.0
+        k *= m.cycle_s
+        k += t0
+        return k
 
     def _join(
         self, level: int, up: np.ndarray, t_f: np.ndarray, u_f: np.ndarray
@@ -597,16 +601,16 @@ class _BlockRun:
         are ready at t_f (last decay at u_f): (trials that swapped, their
         ready times, their swap times)."""
         cutoff = self._cutoff
+        span_t = self._span_t[level]
         racing = self._racing_count[level]
         if racing:
-            t_s = self._span_t[up, level]
-            fresh = ~self._racing[up, level]
-            racing = len(up) - int(fresh.sum())
-            f = fresh.nonzero()[0]
-            t_s[f] = self._gen_span(level - 1, self._start[up[f], level], up[f])
-            self._racing[up, level] = False
+            t_s = span_t[up]
+            f = np.isnan(t_s).nonzero()[0]
+            racing = len(up) - len(f)
+            t_s[f] = self._gen_span(level - 1, self._start[level][up[f]], up[f])
+            span_t[up] = np.nan
         else:
-            t_s = self._gen_span(level - 1, self._start[up, level], up)
+            t_s = self._gen_span(level - 1, self._start[level][up], up)
         # Cutoff race: only the side that expired restarts, from expiry. A
         # regenerated span races again here, and so does a regenerated span
         # 0 at level 2; a longer frontier is rebuilt from level 1 on the next
@@ -624,26 +628,30 @@ class _BlockRun:
             if b.size:
                 t_s[b] = self._gen_span(level - 1, t_s[b] + cutoff, up[b])
             race = race[np.abs(t_s[race] - t_f[race]) > cutoff]
-        gone = np.concatenate([race, *expired])   # race is empty here
+        gone = np.concatenate(expired) if expired else race   # race is empty here
         self._racing_count[level] += len(gone) - racing
         if gone.size:
             back = up[gone]
-            self._racing[back, level] = True
-            self._span_t[back, level] = t_s[gone]
-            self._start[back, 1:level] = (t_f[gone] + cutoff)[:, None]
+            span_t[back] = t_s[gone]
+            t_back = t_f[gone] + cutoff
+            for start in self._start[1:level]:
+                start[back] = t_back
             stay = np.ones(len(up), dtype=bool)
             stay[gone] = False
+            stay = stay.nonzero()[0]
             up, t_f, u_f, t_s = up[stay], t_f[stay], u_f[stay], t_s[stay]
+        # A failed swap restarts the whole frontier from its time. Frames
+        # of a trial that swaps are written too: they are restarted again
+        # before the trial's next pass reads them.
         t_swap = np.maximum(t_f, t_s)
-        ok = self._stream.uniforms(up) < self._swap_prob[level - 2]
-        # A failed swap restarts the whole frontier from its time.
-        miss = ~ok
-        self._start[up[miss], 1:level + 1] = t_swap[miss][:, None]
-        won, t_won = up[ok], t_swap[ok]
+        for start in self._start[1:level + 1]:
+            start[up] = t_swap
         col = 2 * (level - 2)
-        self._waits[won, col] = t_won - u_f[ok]
-        self._waits[won, col + 1] = t_won - t_s[ok]
-        return won, t_won + self._notify[level - 2], t_won
+        self._waits[col][up] = t_swap - u_f
+        self._waits[col + 1][up] = t_swap - t_s
+        won = (self._stream.uniforms(up) < self._swap_prob[level - 2]).nonzero()[0]
+        t_won = t_swap[won]
+        return up[won], t_won + self._notify[level - 2], t_won
 
 
 def _folded_bell(models: list[_SpanModel], nodes: tuple[QorsNode, ...]) -> np.ndarray:
@@ -659,9 +667,9 @@ def _delivered_bells(
     models: list[_SpanModel], nodes: tuple[QorsNode, ...], waits: np.ndarray
 ) -> np.ndarray:
     """Bell weights of each trial's delivered pair, shape (trials, 4), from
-    the waits _BlockRun recorded, shape (trials, 2 * nodes): the folded pair
-    decayed by lam = exp(-(waits @ rates)), summed column by column so that
-    no trial's value depends on another's."""
+    the waits _BlockRun recorded, transposed to shape (trials, 2 * nodes):
+    the folded pair decayed by lam = exp(-(waits @ rates)), summed column by
+    column so that no trial's value depends on another's."""
     exponent = np.zeros(len(waits))
     for j, node in enumerate(nodes):
         # The frontier's node-side qubit waited at the node; both qubits of
@@ -670,7 +678,12 @@ def _delivered_bells(
         span_rate = node_rate + models[j + 1].right_decay_rate
         exponent += node_rate * waits[:, 2 * j]
         exponent += span_rate * waits[:, 2 * j + 1]
-    return _bell_decay(_folded_bell(models, nodes), np.exp(-exponent)[:, None])
+    lam = np.exp(-exponent)
+    bells = np.empty((len(waits), 4))
+    # One weight at a time: numpy broadcasts over a length-4 last axis slowly.
+    for g, c in enumerate(_folded_bell(models, nodes)):
+        bells[:, g] = _bell_decay(c, lam)
+    return bells
 
 
 def _run_trial_range(
@@ -680,17 +693,17 @@ def _run_trial_range(
     delivered Bell weights."""
     lo, hi = int(lo), int(hi)
     times = np.empty(hi - lo)
-    waits = np.zeros((hi - lo, 2 * len(chain.nodes)))
+    waits = np.zeros((2 * len(chain.nodes), hi - lo))
     start = lo
     while start < hi:
         stop = min(hi, (start // MC_BLOCK + MC_GROUP) * MC_BLOCK)
         out = slice(start - lo, stop - lo)
         # Free each group's uniforms before the next group draws its own.
         stream = _GroupStream(seed, start, stop - start)
-        times[out] = _BlockRun(models, chain, stream, waits[out]).ready_times()
+        times[out] = _BlockRun(models, chain, stream, waits[:, out]).ready_times()
         del stream
         start = stop
-    return times, _delivered_bells(models, chain.nodes, waits)
+    return times, _delivered_bells(models, chain.nodes, waits.T)
 
 
 def simulate_chain_mc(
@@ -716,17 +729,24 @@ def simulate_chain_mc(
     weight vector is checked (weights >= -1e-12, sum 1 within 1e-10), and
     the result's ``bell`` is their mean. A group of trials that needs
     more than MC_WORK_FACTOR times the span generations the chain needs
-    without a cutoff raises StateError. ``attempts`` (from
-    span_attempts(chain)) saves recomputing the span stacks.
+    without a cutoff raises StateError, and so does a seed that is not a
+    non-negative integer. ``attempts`` (from span_attempts(chain)) saves
+    recomputing the span stacks.
     """
     if trials < 1:
         raise StateError("need at least one trial")
     if workers < 1:
         raise StateError("worker count must be positive")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise StateError("seed must be a non-negative integer")
     models = _span_models(chain, attempts)
     if workers == 1 or trials < 4 * workers:
         times, bells = _run_trial_range(models, chain, seed, 0, trials)
     else:
+        # Imported here: the pool's modules take a noticeable share of the
+        # cold start, and a single-worker run does not need them.
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(

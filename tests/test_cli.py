@@ -35,6 +35,22 @@ class TestRuntimeImports:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_cli_import_loads_no_process_pool(self):
+        # The worker pool is imported only by a Monte Carlo run with
+        # workers > 1.
+        src_dir = os.path.dirname(os.path.dirname(qorsim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, qorsim, qorsim.cli; "
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
+            "or m == 'multiprocessing' or m.startswith('multiprocessing.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
 
 class TestFibers:
     def test_json_lists_builtin_types(self, capsys):
@@ -191,6 +207,15 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert err.startswith("error:")
         assert "memory_cutoff" in err
+
+    @pytest.mark.parametrize("command, seed", [("plan", "-1"), ("simulate", "-5")])
+    def test_negative_seed_is_an_error(self, capsys, tmp_path, command, seed):
+        route = write_route(tmp_path, [0.0, 20.0, 45.0])
+        code, out, err = _run(capsys, [command, "--route", route, "--trials", "20",
+                                       "--seed", seed])
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert "seed must be a non-negative integer" in err
 
     def test_infinite_group_index_is_an_error(self, capsys, tmp_path):
         fibers = tmp_path / "fibers.json"

@@ -49,6 +49,7 @@ from qorsim.repeater import (
     _expected_wait,
     _final_classical_delay,
     _GeomTime,
+    _GroupStream,
     _run_trial_range,
     _span_models,
     _SpanModel,
@@ -627,6 +628,19 @@ class TestMonteCarloEngine:
         with pytest.raises(StateError):
             simulate_chain_mc(chain, trials=10, workers=0)
 
+    @pytest.mark.parametrize("seed", [-1, -5, 2.5, "3", True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
+        with pytest.raises(StateError, match="seed must be a non-negative integer"):
+            simulate_chain_mc(chain, trials=10, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
+        want = simulate_chain_mc(chain, trials=50, seed=7)
+        got = simulate_chain_mc(chain, trials=50, seed=np.int64(7))
+        assert got.mean_latency_s == want.mean_latency_s
+        assert np.array_equal(got.bell, want.bell)
+
 
 def _dense_inputs(chain):
     """oracle_chain_trial's span and node tuples for a chain, with the
@@ -671,6 +685,39 @@ class _ReplayedRow:
 
     def geometric(self, p):
         return 1 + math.floor(np.log1p(-self.random()) / math.log1p(-p))
+
+
+class TestGroupStream:
+    """A group's stream against each trial's row replayed from its block's
+    generator. Rows are read in lockstep sets at different paces, so one
+    refill loads rows of several chunks, of both blocks, adjacent rows,
+    rows within 32 of each other that are not adjacent, and rows far
+    apart."""
+
+    @pytest.mark.parametrize("lo, count, sets", [
+        # Two blocks of one group.
+        (0, 2 * MC_BLOCK, [[10, 11, 12], [40, 47, 70], [200, 1500, MC_BLOCK + 3],
+                           [MC_BLOCK + 30, MC_BLOCK + 33]]),
+        # A run that starts mid-block; rows 38, 39 and 41 straddle the block
+        # boundary at 40.
+        (MC_BLOCK - 40, 120, [[0, 1, 2], [5, 12, 30], [38, 39, 41], [60, 100]]),
+    ])
+    def test_uniforms_match_replayed_rows(self, lo, count, sets):
+        seed = 13
+        stream = _GroupStream(seed, lo, count)
+        replayed = {j: _ReplayedRow(seed, lo + j) for rows in sets for j in rows}
+        pace = np.random.default_rng(3)
+        reads = dict.fromkeys(replayed, 0)
+        for _ in range(6 * MC_CHUNK):
+            idx = np.sort([j for rows in sets if pace.random() < 0.7 for j in rows])
+            if not idx.size:
+                continue
+            want = [replayed[j].random() for j in idx.tolist()]
+            assert np.array_equal(stream.uniforms(idx), want)
+            for j in idx.tolist():
+                reads[j] += 1
+        # Every row went through several chunks.
+        assert min(reads.values()) > 3 * MC_CHUNK
 
 
 class TestBellEngineAgainstDenseOracle:
