@@ -448,10 +448,8 @@ class _GroupStream:
             spent = (p & (MC_CHUNK - 1) == 0).nonzero()[0]
             self._refill(idx[spent])
             p[spent] -= MC_CHUNK
-        u = self._buf[p]
-        p += 1
-        self._next[idx] = p
-        return u
+        self._next[idx] = p + 1
+        return self._buf[p]
 
     def _refill(self, rows: np.ndarray) -> None:
         """Load each row's next chunk: MC_CHUNK values from output
@@ -543,8 +541,12 @@ class _BlockRun:
         self._spent = 0
         # Per level l (entry l), per trial: the frame's start time, and for
         # a frame racing a rebuilt frontier its span's ready time (NaN when
-        # the frame is fresh; frames below level 3 never race).
-        self._start = [np.zeros(trials) for _ in range(levels)]
+        # the frame is fresh; frames below level 3 never race). Every
+        # restart restarts the frames at levels 1 and 2 together, so they
+        # share one array, written as level 2's.
+        first_two = np.zeros(trials)
+        self._start = [None, first_two, first_two] + [np.zeros(trials)
+                                                      for _ in range(3, levels)]
         self._span_t = [np.full(trials, np.nan) if level > 2 else None
                         for level in range(levels)]
         self._racing_count = [0] * levels
@@ -583,16 +585,17 @@ class _BlockRun:
         m = self._models[i]
         if m.success_prob >= 1.0:
             return t0 + m.cycle_s
-        # t0 + (floor(log1p(-u) / log1p(-p)) + 1) * cycle, in place.
-        k = self._stream.uniforms(idx)
-        np.negative(k, out=k)
-        np.log1p(k, out=k)
-        k /= self._log_fail[i]
-        np.floor(k, out=k)
-        k += 1.0
-        k *= m.cycle_s
-        k += t0
-        return k
+        # t0 + (floor(log1p(-u) / log1p(-p)) + 1) * cycle, through two
+        # buffers in turn: numpy is slow when one array of one element, as
+        # in a pass late in a run, is both input and output of an operation.
+        u = self._stream.uniforms(idx)
+        k = np.negative(u)
+        np.log1p(k, out=u)
+        np.divide(u, self._log_fail[i], out=k)
+        np.floor(k, out=u)
+        np.add(u, 1.0, out=k)
+        np.multiply(k, m.cycle_s, out=u)
+        return np.add(u, t0, out=k)
 
     def _join(
         self, level: int, up: np.ndarray, t_f: np.ndarray, u_f: np.ndarray
@@ -634,7 +637,7 @@ class _BlockRun:
             back = up[gone]
             span_t[back] = t_s[gone]
             t_back = t_f[gone] + cutoff
-            for start in self._start[1:level]:
+            for start in self._start[2:level]:
                 start[back] = t_back
             stay = np.ones(len(up), dtype=bool)
             stay[gone] = False
@@ -644,7 +647,7 @@ class _BlockRun:
         # of a trial that swaps are written too: they are restarted again
         # before the trial's next pass reads them.
         t_swap = np.maximum(t_f, t_s)
-        for start in self._start[1:level + 1]:
+        for start in self._start[2:level + 1]:
             start[up] = t_swap
         col = 2 * (level - 2)
         self._waits[col][up] = t_swap - u_f
