@@ -6,7 +6,9 @@ single-rail space ordered (|0>, |1>, vacuum) so photon loss is a proper
 trace-preserving map and heralding is a later projection onto the photon
 subspace. A channel holds its Kraus operators as one read-only
 (n, out_dim, in_dim) array, and every function here acts on that array with
-batched numpy products rather than a loop over operators. Channel
+batched numpy products rather than a loop over operators.
+apply_to_subsystem folds the operators into the channel's d^2 x d^2
+superoperator first, so its cost does not grow with their number. Channel
 composition multiplies operator sets, so keep stacks shallow.
 """
 
@@ -60,9 +62,8 @@ class KrausChannel:
             ops = None
         if ops is None or ops.ndim != 3 or not len(ops):
             _raise_shape_fault(self.operators)
-        finite = np.isfinite(ops).all(axis=(1, 2))
-        if not finite.all():
-            bad = int(np.argmin(finite))
+        if not np.isfinite(ops).all():
+            bad = int(np.argmin(np.isfinite(ops).all(axis=(1, 2))))
             raise StateError(f"Kraus operator {bad} contains non-finite entries")
         dim = max(ops.shape[1:])
         if dim > MAX_DIM:
@@ -166,7 +167,12 @@ def _finish(out: np.ndarray, heralded: bool) -> DensityMatrix:
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Operator-sum action. Heralded channels renormalize the output."""
+    """Operator-sum action. Heralded channels renormalize the output.
+
+    This keeps the per-operator sum of K rho K^dag rather than the
+    superoperator of apply_to_subsystem: the test oracle for
+    apply_to_subsystem lifts each operator to the full space and applies
+    the lifted set here, so the two share no kernel."""
     if channel.in_dim != rho.dim:
         raise DimensionError(
             f"channel input dim {channel.in_dim} does not match state dim {rho.dim}"
@@ -194,8 +200,10 @@ def apply_to_subsystem(
 ) -> DensityMatrix:
     """Apply a channel to one tensor factor of a composite state.
 
-    The state is viewed as (before, d, after) on each side, so every Kraus
-    operator K acts on the middle axis without forming I (x) K (x) I.
+    The state is viewed as (before, d, after) on each side, and the
+    factor's row and column indices are moved to the front, so the
+    channel's superoperator acts on them in one matrix product, whatever
+    the number of Kraus operators, without forming I (x) K (x) I.
     """
     dims = [int(d) for d in dims]
     if int(np.prod(dims)) != rho.dim:
@@ -207,14 +215,14 @@ def apply_to_subsystem(
     d = dims[index]
     before = int(np.prod(dims[:index])) if index > 0 else 1
     after = int(np.prod(dims[index + 1:])) if index + 1 < len(dims) else 1
-    k = channel.operators
-    # Row side: (K x)[n, a, i, rest] = sum_j K[n, i, j] x[a, j, rest].
-    y = k[:, None] @ rho.matrix.reshape(before, d, after * rho.dim)
-    # Column side: move the column's (d, after) pair last as (after, d) and
-    # multiply by K^dag, then restore the axis order and sum over operators.
-    y = y.reshape(len(k), rho.dim * before, d, after).swapaxes(2, 3)
-    y = y @ k.conj().swapaxes(1, 2)[:, None]
-    out = y.swapaxes(2, 3).sum(axis=0).reshape(rho.dim, rho.dim)
+    # Superoperator S[(i, j), (k, l)] = sum_n K[n, i, k] conj(K[n, j, l]):
+    # the Choi matrix with its middle two indices swapped.
+    s = choi_matrix(channel).reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+    # State axes (a, k, b, a', l, b') -> (k, l, a, b, a', b'), and back.
+    x = rho.matrix.reshape(before, d, after, before, d, after)
+    x = x.transpose(1, 4, 0, 2, 3, 5).reshape(d * d, -1)
+    y = (s @ x).reshape(d, d, before, after, before, after)
+    out = y.transpose(2, 0, 3, 4, 1, 5).reshape(rho.dim, rho.dim)
     return _finish(out, channel.heralded)
 
 

@@ -148,18 +148,20 @@ def span_channel_stack(span: FiberSpan) -> SpanStack:
 
     Composition order: residual dephasing, then the axis-averaged
     polarization rotation accumulated over one recalibration interval, then
-    loss into the vacuum level. The first two are polarization-only and are
-    lifted to the 3-level rail space; background counts are accounted
-    separately (they enter at detection, not in flight).
+    loss into the vacuum level. The first two are polarization-only: they
+    are composed on the qubit and lifted to the 3-level rail space once,
+    which gives the same operators as lifting each and composing the lifts.
+    Background counts are accounted separately (they enter at detection,
+    not in flight).
     """
     eta = transmittance(span)
     theta = span.sop_drift_rate * span.sop_recalibration_interval
-    stack = embed_qubit_channel(dephasing_channel(span.dephasing_p))
-    stack = compose(stack, embed_qubit_channel(
-        sop_rotation_channel(span.sop_drift_rate, span.sop_recalibration_interval)
-    ))
+    qubit = compose(
+        dephasing_channel(span.dephasing_p),
+        sop_rotation_channel(span.sop_drift_rate, span.sop_recalibration_interval),
+    )
     return SpanStack(
-        channel=compose(stack, loss_channel(eta)),
+        channel=compose(embed_qubit_channel(qubit), loss_channel(eta)),
         transmittance=eta,
         noise_probability=span.coexistence_noise_prob,
         sop_theta=theta,

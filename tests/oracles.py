@@ -2,11 +2,13 @@
 
 Everything here is built from explicit kets, kron products, and index
 loops only, so the implementation under test and the oracle share no
-code paths. Two exceptions: ``oracle_apply_to_subsystem`` lifts each
+code paths. Three exceptions: ``oracle_apply_to_subsystem`` lifts each
 Kraus operator to the full space with kron products and hands the lifted
-set to ``apply_channel``, and ``oracle_delivered_bells`` folds Bell weights
-node by node with the engine's Bell-vector steps. Both helpers are checked
-against closed forms on their own.
+set to ``apply_channel``, ``oracle_span_attempt`` takes each stage's Kraus
+operators from the channel catalog and the span's transmittance from
+``qorsim.fiber``, and ``oracle_delivered_bells`` folds Bell weights node
+by node with the engine's Bell-vector steps. The catalog channels and
+these helpers are checked against closed forms on their own.
 
 The Gaussian section at the end derives photon loss from a beam-splitter
 Hamiltonian instead: quadratic Hamiltonians, symplectic transforms via
@@ -22,7 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from qorsim.channels import RAIL_DIM, VACUUM_INDEX, KrausChannel, apply_channel
+from qorsim.channels import (
+    RAIL_DIM,
+    VACUUM_INDEX,
+    KrausChannel,
+    apply_channel,
+    dephasing_channel,
+    loss_channel,
+    sop_rotation_channel,
+)
+from qorsim.fiber import transmittance
 from qorsim.linalg import DensityMatrix, DimensionError, StateError, _as_complex_matrix
 from qorsim.repeater import _bell_convolve, _bell_decay, _bell_dephase
 
@@ -122,6 +133,49 @@ def oracle_apply_to_subsystem(
         for op in channel.operators
     )
     return apply_channel(KrausChannel(ops, heralded=channel.heralded), rho)
+
+
+def oracle_span_attempt(span, detector_efficiency: float, write_efficiency: float):
+    """One heralded attempt across a span, stage by stage on the 6-level
+    (rail, kept qubit) space: the source pair from explicit kets, then
+    dephasing, the axis-averaged rotation and loss, each Kraus operator
+    lifted with kron and applied in a loop, then the herald onto the photon
+    levels and the background-noise mix. Returns (success probability,
+    heralded 4x4 state)."""
+    ket_pair = (np.kron([1, 0, 0], [1, 0]) + np.kron([0, 1, 0], [0, 1])) / np.sqrt(2.0)
+    rho = np.outer(ket_pair, ket_pair.conj()).astype(complex)
+    qubit_stages = (
+        dephasing_channel(span.dephasing_p),
+        sop_rotation_channel(span.sop_drift_rate, span.sop_recalibration_interval),
+    )
+    stages = []
+    for stage in qubit_stages:
+        rail_ops = []
+        for n, op in enumerate(stage.operators):
+            # Polarization block; vacuum passes through the first operator.
+            rail = np.zeros((RAIL_DIM, RAIL_DIM), dtype=complex)
+            rail[:2, :2] = op
+            rail[VACUUM_INDEX, VACUUM_INDEX] = 1.0 if n == 0 else 0.0
+            rail_ops.append(rail)
+        stages.append(rail_ops)
+    stages.append(list(loss_channel(transmittance(span)).operators))
+    for rail_ops in stages:
+        out = np.zeros_like(rho)
+        for op in rail_ops:
+            lifted = np.kron(op, _I2)
+            out += lifted @ rho @ lifted.conj().T
+        rho = out
+    # Herald: the rail holds a photon, levels 0 and 1 of the rail factor.
+    photon = [r * 2 + k for r in range(2) for k in range(2)]
+    block = rho[np.ix_(photon, photon)]
+    survival = float(np.real(np.trace(block)))
+    p = write_efficiency * detector_efficiency * survival
+    state = block / survival
+    noise = span.coexistence_noise_prob
+    if noise > 0.0:
+        w = noise / (p + noise)
+        state = (1.0 - w) * state + w * np.eye(4) / 4.0
+    return p, state
 
 
 def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):

@@ -22,6 +22,7 @@ from qorsim.channels import (
     sop_rotation_channel,
     verify_cptp,
 )
+from qorsim.fiber import FiberSpan, span_channel_stack
 from qorsim.linalg import (
     MAX_DIM,
     DensityMatrix,
@@ -77,6 +78,10 @@ class TestKrausChannelContainer:
         ops[2] = np.array([[1.0, 0.0], [0.0, np.nan]])
         with pytest.raises(StateError, match="Kraus operator 2 "):
             KrausChannel(tuple(ops))
+        stacked = np.stack([np.eye(3, dtype=complex)] * 6)
+        stacked[4, 0, 2] = complex(0.0, np.inf)
+        with pytest.raises(StateError, match="Kraus operator 4 contains non-finite"):
+            KrausChannel(stacked)
 
     def test_rejects_three_dimensional_operator(self):
         with pytest.raises(DimensionError, match="Kraus operator 0 must be a 2-d array"):
@@ -218,7 +223,10 @@ class TestApplyAndCompose:
         assert np.max(np.abs(got.matrix - want)) < 1e-12
 
     @pytest.mark.parametrize("heralded", [False, True])
-    @pytest.mark.parametrize("dims", [[3, 2], [2, 3], [2, 2, 2], [2, 3, 2]])
+    @pytest.mark.parametrize(
+        "dims",
+        [[3, 2], [2, 3], [2, 2, 2], [2, 3, 2], [1, 3], [3, 1], [2, 1, 3]],
+    )
     def test_apply_to_subsystem_matches_oracle(self, rng, dims, heralded):
         for index, d in enumerate(dims):
             for n in (1, 2, 4):
@@ -230,6 +238,18 @@ class TestApplyAndCompose:
                 got = apply_to_subsystem(channel, dm, index, dims)
                 want = oracle_apply_to_subsystem(channel, dm, index, dims)
                 assert np.max(np.abs(got.matrix - want.matrix)) < 1e-13
+
+    @pytest.mark.parametrize("index, dims", [(0, [3, 2]), (1, [2, 3]), (1, [2, 3, 2])])
+    def test_apply_span_stack_matches_oracle(self, rng, index, dims):
+        span = FiberSpan(length_km=40.0, dephasing_p=0.05, sop_drift_rate=0.4,
+                         sop_recalibration_interval=1.0)
+        channel = span_channel_stack(span).channel
+        assert len(channel.operators) == 24
+        for _ in range(5):
+            dm = random_density_matrix(int(np.prod(dims)), rng)
+            got = apply_to_subsystem(channel, dm, index, dims)
+            want = oracle_apply_to_subsystem(channel, dm, index, dims)
+            assert np.max(np.abs(got.matrix - want.matrix)) < 1e-13
 
     def test_apply_to_subsystem_checks(self, rng):
         dm = random_density_matrix(4, rng)
@@ -345,6 +365,20 @@ class TestRailChannels:
         rho = DensityMatrix(np.outer(vec, vec))
         out = apply_channel(loss_channel(0.5), rho)
         assert abs(out.matrix[0, 1] - 0.25) < 1e-12
+
+    @pytest.mark.parametrize("heralded", [False, True])
+    def test_embed_commutes_with_compose(self, rng, heralded):
+        # Exactly: the vacuum entry multiplies 1 by 1, and the photon block
+        # gains only +0.0 terms from the vacuum index.
+        for n_a, n_b in ((1, 1), (2, 4), (3, 2), (4, 4)):
+            ops_a = _random_kraus_set(rng, 2, 2, n_a + 1)
+            ops_b = _random_kraus_set(rng, 2, 2, n_b + 1)
+            a = KrausChannel(ops_a[:n_a] if heralded else ops_a, heralded=heralded)
+            b = KrausChannel(ops_b)
+            once = embed_qubit_channel(compose(a, b))
+            each = compose(embed_qubit_channel(a), embed_qubit_channel(b))
+            assert once.heralded == each.heralded == heralded
+            np.testing.assert_array_equal(once.operators, each.operators)
 
     def test_embed_qubit_channel_blocks(self, rng):
         c = embed_qubit_channel(depolarizing_channel(0.3))

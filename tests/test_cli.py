@@ -20,36 +20,44 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _fresh_interpreter(probe: str) -> str:
+    """Stdout of ``python -c probe`` in a fresh interpreter that imports
+    qorsim from this checkout, so modules the test suite loaded do not
+    count."""
+    src_dir = os.path.dirname(os.path.dirname(qorsim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 class TestRuntimeImports:
     def test_cli_import_loads_no_scipy(self):
-        # A fresh interpreter, so modules the test suite loaded do not count.
-        src_dir = os.path.dirname(os.path.dirname(qorsim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        probe = (
+        out = _fresh_interpreter(
             "import sys, qorsim, qorsim.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        ).stdout
         assert out.strip() == "[]"
 
     def test_cli_import_loads_no_process_pool(self):
         # The worker pool is imported only by a Monte Carlo run with
         # workers > 1.
-        src_dir = os.path.dirname(os.path.dirname(qorsim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        probe = (
+        out = _fresh_interpreter(
             "import sys, qorsim, qorsim.cli; "
             "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process' "
             "or m == 'multiprocessing' or m.startswith('multiprocessing.')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        ).stdout
         assert out.strip() == "[]"
+
+    def test_cli_import_builds_no_source_pair(self):
+        # The span attempts' shared input pair is validated on first use,
+        # not at import.
+        out = _fresh_interpreter(
+            "import qorsim, qorsim.cli, qorsim.repeater as r; "
+            "print(r._source_pair.cache_info().currsize)"
+        )
+        assert out.strip() == "0"
 
 
 class TestFibers:

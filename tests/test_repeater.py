@@ -51,6 +51,7 @@ from qorsim.repeater import (
     _GeomTime,
     _GroupStream,
     _run_trial_range,
+    _source_pair,
     _span_models,
     _SpanModel,
     entanglement_swap,
@@ -62,7 +63,13 @@ from qorsim.repeater import (
 )
 
 from conftest import bell_diag, write_route
-from oracles import oracle_chain_trial, oracle_delivered_bells, oracle_depolarize, oracle_swap
+from oracles import (
+    oracle_chain_trial,
+    oracle_delivered_bells,
+    oracle_depolarize,
+    oracle_span_attempt,
+    oracle_swap,
+)
 
 
 def _node(coherence=1.0, write=0.9, read=0.9, bsm=0.5, det=0.8, penalty=0.0):
@@ -132,6 +139,37 @@ class TestSpanAttempt:
     def test_detector_efficiency_bounds(self):
         with pytest.raises(StateError):
             span_entanglement_attempt(_span(), detector_efficiency=0.0)
+
+    def test_matches_stage_by_stage_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            span = FiberSpan(
+                length_km=float(rng.uniform(0.0, 120.0)),
+                quantum_band=(O_BAND, C_BAND)[rng.integers(2)],
+                dephasing_p=float(rng.uniform(0.0, 0.3)),
+                sop_drift_rate=float(rng.uniform(0.0, 2.0)),
+                sop_recalibration_interval=float(rng.uniform(0.0, 1.5)),
+                coexistence_noise_prob=float(rng.uniform(0.0, 1e-3)),
+            )
+            det, write = (float(x) for x in rng.uniform(0.1, 1.0, 2))
+            got = span_entanglement_attempt(
+                span, detector_efficiency=det, memory=MemorySpec(write_efficiency=write)
+            )
+            p, state = oracle_span_attempt(span, det, write)
+            assert abs(got.success_probability - p) < 1e-14
+            assert np.max(np.abs(got.state.matrix - state)) < 1e-14
+
+    def test_source_pair_is_shared_and_frozen(self):
+        pair = _source_pair()
+        want = pair.matrix.copy()
+        for length in np.linspace(0.0, 100.0, 50):
+            span_entanglement_attempt(_span(length=float(length)), detector_efficiency=0.7)
+        assert _source_pair() is pair
+        assert not pair.matrix.flags.writeable
+        np.testing.assert_array_equal(pair.matrix, want)
+        vec = np.zeros(6)
+        vec[[0, 3]] = 1.0 / np.sqrt(2.0)
+        assert np.max(np.abs(pair.matrix - np.outer(vec, vec))) < 1e-16
 
 
 class TestMemoryDecay:
@@ -800,6 +838,32 @@ class TestBellEngineAgainstDenseOracle:
         )
         with pytest.raises(StateError, match="invalid Bell weights"):
             simulate_chain_mc(chain, trials=5)
+
+    @pytest.mark.parametrize(
+        "row, valid",
+        [
+            ([1.0 + 1e-12, -1e-12, 0.0, 0.0], True),
+            ([1.0 + 2e-12, -2e-12, 0.0, 0.0], False),
+            # 1 + 1e-10 itself rounds to a float above it; the last weight
+            # makes the row's float sum the largest float not above it.
+            ([0.25, 0.25, 0.25, np.nextafter(1.0 + 1e-10, 0.0) - 0.75], True),
+            ([0.25, 0.25, 0.25, 0.25 + 2e-10], False),
+        ],
+    )
+    def test_delivered_weight_check_boundaries(self, monkeypatch, row, valid):
+        import qorsim.repeater as repeater
+
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
+        good = [0.7, 0.1, 0.1, 0.1]
+        monkeypatch.setattr(
+            repeater, "_delivered_bells",
+            lambda models, nodes, waits: np.array([good, row, good]),
+        )
+        if valid:
+            simulate_chain_mc(chain, trials=3)
+        else:
+            with pytest.raises(StateError, match="invalid Bell weights"):
+                simulate_chain_mc(chain, trials=3)
 
 
 class TestAnalyticEngine:
