@@ -407,96 +407,77 @@ def _final_classical_delay(models: list[_SpanModel]) -> float:
     return max(to_right, to_left)
 
 
-# Monte Carlo streams and work budget. Trials run in groups of up to
-# MC_GROUP blocks of MC_BLOCK consecutive indices; block b draws uniforms
-# from default_rng([seed, b]) in (MC_BLOCK, MC_CHUNK) chunks, and trial i
-# reads row i % MC_BLOCK of block i // MC_BLOCK's chunks in order. A group
-# of trials that needs more than MC_WORK_FACTOR times the span generations
-# its chain needs on average without a cutoff is abandoned: a memory cutoff
-# far below the span cycle grows the count without bound.
-MC_BLOCK = 2048
-MC_GROUP = 8
-MC_CHUNK = 32
+# Monte Carlo stream and work budget. Draw j of trial i is a pure function
+# of (seed, i, j): SplitMix64 output number (i << 32) + j + 1 under a 64-bit
+# key from the seed (Steele, Lea & Flood, OOPSLA 2014), used as a
+# counter-based generator in the manner of Salmon et al., SC11. Trials run
+# MC_GROUP at a time. A group of trials that needs more than MC_WORK_FACTOR
+# times the span generations its chain needs on average without a cutoff is
+# abandoned: a memory cutoff far below the span cycle grows the count
+# without bound.
+MC_GROUP = 16384
 MC_WORK_FACTOR = 2000
+# The counter gives a trial's index its high 32 bits and its draws the low
+# 32, so a run holds at most this many trials and a trial makes fewer draws.
+_COUNTER_STRIDE = 1 << 32
+
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-class _GroupStream:
-    """The uniforms of trials lo..lo+count-1, which lie in at most MC_GROUP
-    consecutive blocks: trial lo + j reads row j of one flat buffer, values
-    j * MC_CHUNK onward, in order.
+def _stream_key(seed: int) -> np.uint64:
+    """The run's SplitMix64 key: one 64-bit word from the seed's SeedSequence."""
+    return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
 
-    Each block's stream is its (MC_BLOCK, MC_CHUNK) chunks drawn in turn,
-    so a trial's values do not depend on which trials run or how fast. Each
-    row holds one chunk's worth at a time, MC_CHUNK values, and a row that
-    has used them up reads its part of its next chunk from its block's
-    stream at the position for it: PCG64's advance jumps there, which
-    equals drawing the values in between (each float64 uniform takes one
-    64-bit output). So memory stays at count * MC_CHUNK values however long
-    the trials run. A row's first chunk is loaded at its first read.
 
-    Each row keeps the buffer position of its next value. MC_CHUNK is a
-    power of two, so a row has used up its chunk exactly when that position
-    is a multiple of MC_CHUNK: rows start there, as if past chunk -1."""
+class _TrialStream:
+    """The uniforms of trials lo..lo+count-1: draw j of trial i is
+    (z >> 11) * 2**-53 for z the SplitMix64 mix of key + n * gamma (mod
+    2**64), n = (i << 32) + j + 1. Each trial keeps its Weyl state key +
+    n * gamma, which a draw steps by gamma as SplitMix64 does, and nothing
+    else is held. Every operation is on uint64 arrays, which wrap without
+    warning.
 
-    def __init__(self, seed: int, lo: int, count: int):
-        block, self._first = divmod(lo, MC_BLOCK)
-        blocks = (self._first + count - 1) // MC_BLOCK + 1
-        self._rngs = [np.random.default_rng([seed, block + g]) for g in range(blocks)]
-        self._pos = [0] * blocks                   # outputs drawn or skipped
-        self._buf = np.empty(count * MC_CHUNK)
-        self._rows = self._buf.reshape(count, MC_CHUNK)
-        self._chunk = np.full(count, -1)           # chunk each row holds
-        self._next = np.arange(1, count + 1) * MC_CHUNK
+    A call draws at most one value per trial, so counting calls bounds
+    every trial's draws: the stream raises StateError before a trial could
+    reach the next trial's counters."""
+
+    def __init__(self, key, lo: int, count: int):
+        state = np.arange(lo, lo + count, dtype=np.uint64) << np.uint64(32)
+        state *= _GOLDEN_GAMMA
+        state += np.uint64(key)
+        self._state = state
+        self._calls = 0
 
     def uniforms(self, idx: np.ndarray) -> np.ndarray:
         """The next uniform of each trial in ``idx`` (distinct positions)."""
-        p = self._next[idx]
-        if np.count_nonzero(p & (MC_CHUNK - 1)) < len(p):
-            spent = (p & (MC_CHUNK - 1) == 0).nonzero()[0]
-            self._refill(idx[spent])
-            p[spent] -= MC_CHUNK
-        self._next[idx] = p + 1
-        return self._buf[p]
-
-    def _refill(self, rows: np.ndarray) -> None:
-        """Load each row's next chunk: MC_CHUNK values from output
-        key * MC_CHUNK of its block's stream. Rows of one block whose parts
-        lie close together are drawn in one call, with the values between
-        them."""
-        k = self._chunk[rows] + 1
-        self._chunk[rows] = k
-        block, row = np.divmod(rows + self._first, MC_BLOCK)
-        key = k * MC_BLOCK + row
-        # Block by block, in stream order. The engine passes rows in
-        # order, which a stable sort takes in one sweep.
-        order = np.argsort(block * (int(key.max()) + 1) + key, kind="stable")
-        rows, key, block = rows[order], key[order], block[order]
-        # A separate draw costs about as much as 32 rows in between.
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (block[1:] != block[:-1]) | (key[1:] - key[:-1] > 32)
-        first = new.nonzero()[0]
-        last = np.append(first[1:], len(rows)) - 1
-        for a, b, g, k0, k1, r0, r1 in zip(
-            first.tolist(), last.tolist(), block[first].tolist(), key[first].tolist(),
-            key[last].tolist(), rows[first].tolist(), rows[last].tolist(),
-        ):
-            rng, n, pos = self._rngs[g], k1 - k0 + 1, k0 * MC_CHUNK
-            # advance() takes Python ints; a backward jump wraps mod 2**128.
-            rng.bit_generator.advance((pos - self._pos[g]) % (1 << 128))
-            self._pos[g] = pos + n * MC_CHUNK
-            if b - a == r1 - r0 == n - 1:   # consecutive rows and parts
-                rng.random(out=self._rows[r0:r1 + 1])
-            else:
-                self._rows[rows[a:b + 1]] = rng.random((n, MC_CHUNK))[key[a:b + 1] - k0]
+        self._calls += 1
+        if self._calls >= _COUNTER_STRIDE:
+            raise StateError(
+                f"Monte Carlo stream exhausted: a trial may draw at most "
+                f"{_COUNTER_STRIDE - 1} uniforms"
+            )
+        z = self._state[idx]
+        z += _GOLDEN_GAMMA
+        self._state[idx] = z
+        t = z >> np.uint64(30)
+        z ^= t
+        z *= _MIX_1
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= _MIX_2
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        z >>= np.uint64(11)
+        return z * 2.0**-53
 
 
 class _BlockRun:
-    """The trials of one group, up to MC_GROUP consecutive blocks (16384
-    trials), moved through the protocol recursion together as numpy index
-    arrays into the group's stream. A pass costs a fixed number of numpy
-    calls whatever the number of trials it carries, which is why a run
-    carries a group and not one block. The group's uniforms take at most
-    MC_GROUP * MC_BLOCK * MC_CHUNK * 8 B (4 MiB).
+    """The trials of one group, up to MC_GROUP consecutive indices, moved
+    through the protocol recursion together as numpy index arrays into the
+    group's stream. A pass costs a fixed number of numpy calls whatever the
+    number of trials it carries, which is why a run carries large groups.
 
     The recursion is unrolled into one frame per trial and level: the frame
     at level l >= 2 joins the frontier over spans 0..l-2 with span l-1 at
@@ -524,7 +505,7 @@ class _BlockRun:
         self,
         models: list[_SpanModel],
         chain: RepeaterChain,
-        stream: _GroupStream,
+        stream: _TrialStream,
         waits: np.ndarray,
     ):
         self._models = models
@@ -676,44 +657,36 @@ def _folded_bell(models: list[_SpanModel], nodes: tuple[QorsNode, ...]) -> np.nd
 def _delivered_bells(
     models: list[_SpanModel], nodes: tuple[QorsNode, ...], waits: np.ndarray
 ) -> np.ndarray:
-    """Bell weights of each trial's delivered pair, shape (trials, 4), from
-    the waits _BlockRun recorded, transposed to shape (trials, 2 * nodes):
-    the folded pair decayed by lam = exp(-(waits @ rates)), summed column by
-    column so that no trial's value depends on another's."""
-    exponent = np.zeros(len(waits))
+    """Bell weights of each trial's delivered pair, shape (4, trials), from
+    the waits _BlockRun recorded, shape (2 * nodes, trials): the folded pair
+    decayed by lam = exp(-(rates @ waits)), summed row by row so that no
+    trial's value depends on another's. Each weight is one contiguous row."""
+    exponent = np.zeros(waits.shape[1])
     for j, node in enumerate(nodes):
         # The frontier's node-side qubit waited at the node; both qubits of
         # the span pair waited, at the node and at the span's right holder.
         node_rate = 1.0 / node.memory.coherence_time
         span_rate = node_rate + models[j + 1].right_decay_rate
-        exponent += node_rate * waits[:, 2 * j]
-        exponent += span_rate * waits[:, 2 * j + 1]
+        exponent += node_rate * waits[2 * j]
+        exponent += span_rate * waits[2 * j + 1]
     lam = np.exp(-exponent)
-    bells = np.empty((len(waits), 4))
-    # One weight at a time: numpy broadcasts over a length-4 last axis slowly.
-    for g, c in enumerate(_folded_bell(models, nodes)):
-        bells[:, g] = _bell_decay(c, lam)
-    return bells
+    return _bell_decay(_folded_bell(models, nodes)[:, None], lam)
 
 
 def _run_trial_range(
     models: list[_SpanModel], chain: RepeaterChain, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trials lo..hi-1, up to MC_GROUP blocks at a time: ready times and
-    delivered Bell weights."""
+    """Trials lo..hi-1, MC_GROUP at a time: ready times and delivered Bell
+    weights, shape (4, hi - lo)."""
     lo, hi = int(lo), int(hi)
+    key = _stream_key(seed)
     times = np.empty(hi - lo)
     waits = np.zeros((2 * len(chain.nodes), hi - lo))
-    start = lo
-    while start < hi:
-        stop = min(hi, (start // MC_BLOCK + MC_GROUP) * MC_BLOCK)
-        out = slice(start - lo, stop - lo)
-        # Free each group's uniforms before the next group draws its own.
-        stream = _GroupStream(seed, start, stop - start)
+    for start in range(lo, hi, MC_GROUP):
+        out = slice(start - lo, min(hi, start + MC_GROUP) - lo)
+        stream = _TrialStream(key, start, out.stop - out.start)
         times[out] = _BlockRun(models, chain, stream, waits[:, out]).ready_times()
-        del stream
-        start = stop
-    return times, _delivered_bells(models, chain.nodes, waits.T)
+    return times, _delivered_bells(models, chain.nodes, waits)
 
 
 def simulate_chain_mc(
@@ -725,26 +698,28 @@ def simulate_chain_mc(
 ) -> EndToEndResult:
     """Monte Carlo over full protocol runs.
 
-    Trials run in groups of up to MC_GROUP blocks of MC_BLOCK consecutive
-    indices, all trials of a group through the protocol at once, with at
-    most MC_GROUP * MC_BLOCK * MC_CHUNK * 8 B (4 MiB) of uniforms held.
-    Block b draws from default_rng([seed, b]) in (MC_BLOCK, MC_CHUNK)
-    chunks of uniforms and trial i reads row i % MC_BLOCK of block
-    i // MC_BLOCK, so each trial depends only on (seed, i); workers take
-    contiguous index ranges, and results are byte-identical for any worker
-    count. A trial samples only times and the waits at each swap; its
+    Trials run in groups of up to MC_GROUP consecutive indices, all trials
+    of a group through the protocol at once. Draw j of trial i is a pure
+    function of (seed, i, j), SplitMix64 output (i << 32) + j + 1 under a
+    key from np.random.SeedSequence(seed), and each trial holds only its
+    8-byte stream state. So each trial depends only on (seed, i); workers
+    take contiguous index ranges, and results are byte-identical for any
+    worker count. A trial samples only times and the waits at each swap; its
     delivered pair is lam * c + (1 - lam) / 4 in Bell weights, with c from
     _folded_bell, shared with the analytic engine, and lam =
-    exp(-(waits @ rates)) the decay its waits accumulated. Every delivered
+    exp(-(rates @ waits)) the decay its waits accumulated. Every delivered
     weight vector is checked (weights >= -1e-12, sum 1 within 1e-10), and
-    the result's ``bell`` is their mean. A group of trials that needs
-    more than MC_WORK_FACTOR times the span generations the chain needs
-    without a cutoff raises StateError, and so does a seed that is not a
-    non-negative integer. ``attempts`` (from span_attempts(chain)) saves
-    recomputing the span stacks.
+    the result's ``bell`` is their mean, each weight summed pairwise. A
+    group of trials that needs more than MC_WORK_FACTOR times the span
+    generations the chain needs without a cutoff raises StateError, and so
+    do more than 2**32 trials, a trial that would draw 2**32 uniforms, and a
+    seed that is not a non-negative integer. ``attempts`` (from
+    span_attempts(chain)) saves recomputing the span stacks.
     """
     if trials < 1:
         raise StateError("need at least one trial")
+    if trials > _COUNTER_STRIDE:
+        raise StateError(f"at most {_COUNTER_STRIDE} trials per run, got {trials}")
     if workers < 1:
         raise StateError("worker count must be positive")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -770,26 +745,23 @@ def simulate_chain_mc(
                 )
             )
         times = np.concatenate([p[0] for p in parts])
-        bells = np.concatenate([p[1] for p in parts])
+        bells = np.concatenate([p[1] for p in parts], axis=1)
 
-    # Row sums column by column: the additions sum(axis=1) makes over four
-    # values, in the same order, without its slow length-4 inner loop.
-    total = ((bells[:, 0] + bells[:, 1]) + bells[:, 2]) + bells[:, 3]
+    total = ((bells[0] + bells[1]) + bells[2]) + bells[3]
     if bells.min() < -1e-12 or np.abs(total - 1.0).max() > 1e-10:
         raise StateError("a delivered pair has invalid Bell weights")
-    fids = bells[:, 0]
+    bell = bells.mean(axis=1)
     mean_t = float(times.mean())
-    fid = float(fids.mean())
-    fid_se = float(fids.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    fid_se = float(bells[0].std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     t_se = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return EndToEndResult(
-        fidelity=fid,
+        fidelity=float(bell[0]),
         pair_rate_hz=1.0 / mean_t,
         mean_latency_s=mean_t,
         trials=trials,
         fidelity_stderr=fid_se,
         rate_stderr=t_se / mean_t**2,
-        bell=bells.mean(axis=0),
+        bell=bell,
         engine="mc",
     )
 

@@ -9,6 +9,9 @@ operators from the channel catalog and the span's transmittance from
 ``qorsim.fiber``, and ``oracle_delivered_bells`` folds Bell weights node
 by node with the engine's Bell-vector steps. The catalog channels and
 these helpers are checked against closed forms on their own.
+``oracle_splitmix_uniform`` recomputes the Monte Carlo engine's draws one
+at a time in Python integers; it shares only the key derivation from the
+seed, numpy's ``SeedSequence``.
 
 The Gaussian section at the end derives photon loss from a beam-splitter
 Hamiltonian instead: quadratic Hamiltonians, symplectic transforms via
@@ -19,6 +22,7 @@ ordering ``RAIL_DIM``/``VACUUM_INDEX``, and raises qorsim's ``StateError``
 and ``DimensionError``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +180,30 @@ def oracle_span_attempt(span, detector_efficiency: float, write_efficiency: floa
         w = noise / (p + noise)
         state = (1.0 - w) * state + w * np.eye(4) / 4.0
     return p, state
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def oracle_splitmix64(key: int, n: int) -> int:
+    """Output number n >= 1 of SplitMix64 (Vigna's splitmix64.c) started at
+    state ``key``: the mix of key + n * gamma, in 64-bit arithmetic."""
+    z = (key + n * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+@functools.cache
+def _oracle_key(seed: int) -> int:
+    return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+
+
+def oracle_splitmix_uniform(seed: int, i: int, j: int) -> float:
+    """Draw j of Monte Carlo trial i: the top 53 bits of SplitMix64 output
+    (i << 32) + j + 1, under the key SeedSequence(seed) generates, as a
+    float in [0, 1)."""
+    return (oracle_splitmix64(_oracle_key(seed), (i << 32) + j + 1) >> 11) / 2.0**53
 
 
 def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):

@@ -33,8 +33,6 @@ from qorsim.linalg import (
 )
 from qorsim.qkd import OneWayRepeaterSpec, qec_max_span
 from qorsim.repeater import (
-    MC_BLOCK,
-    MC_CHUNK,
     MC_GROUP,
     MC_WORK_FACTOR,
     EndToEndResult,
@@ -49,11 +47,12 @@ from qorsim.repeater import (
     _expected_wait,
     _final_classical_delay,
     _GeomTime,
-    _GroupStream,
     _run_trial_range,
     _source_pair,
     _span_models,
     _SpanModel,
+    _stream_key,
+    _TrialStream,
     entanglement_swap,
     memory_decay,
     simulate_chain_analytic,
@@ -68,6 +67,8 @@ from oracles import (
     oracle_delivered_bells,
     oracle_depolarize,
     oracle_span_attempt,
+    oracle_splitmix64,
+    oracle_splitmix_uniform,
     oracle_swap,
 )
 
@@ -538,9 +539,9 @@ class TestMonteCarloEngine:
     def test_deterministic_across_workers_and_runs(self):
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
-        # Five blocks, the last one partial. At this count the means once
-        # differed in the last digits when summed in column order.
-        trials = 4 * MC_BLOCK + 1808
+        # At this count the means once differed in the last digits when
+        # summed in column order.
+        trials = 10000
         a = simulate_chain_mc(chain, trials=trials, seed=5, workers=1)
         b = simulate_chain_mc(chain, trials=trials, seed=5, workers=2)
         c = simulate_chain_mc(chain, trials=trials, seed=5, workers=3)
@@ -558,45 +559,47 @@ class TestMonteCarloEngine:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         models = _span_models(chain)
-        short_t, short_b = _run_trial_range(models, chain, 5, 0, MC_BLOCK + 100)
-        long_t, long_b = _run_trial_range(models, chain, 5, 0, 2 * MC_BLOCK + 37)
-        assert np.array_equal(short_t, long_t[:MC_BLOCK + 100])
-        assert np.array_equal(short_b, long_b[:MC_BLOCK + 100])
-        tail_t, _ = _run_trial_range(models, chain, 5, MC_BLOCK - 30, MC_BLOCK + 100)
-        assert np.array_equal(tail_t, short_t[MC_BLOCK - 30:])
+        short_t, short_b = _run_trial_range(models, chain, 5, 0, 2148)
+        long_t, long_b = _run_trial_range(models, chain, 5, 0, 4133)
+        assert np.array_equal(short_t, long_t[:2148])
+        assert np.array_equal(short_b, long_b[:, :2148])
+        tail_t, _ = _run_trial_range(models, chain, 5, 2018, 2148)
+        assert np.array_equal(tail_t, short_t[2018:])
 
     def test_grouped_runs_do_not_change_results(self):
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         models = _span_models(chain)
-        group = MC_GROUP * MC_BLOCK
+        group = MC_GROUP
         hi = 2 * group + 37
         whole_t, whole_b = _run_trial_range(models, chain, 5, 0, hi)
-        # Cut inside a block, on a block boundary and on a group boundary.
-        cuts = [0, 1000, 3 * MC_BLOCK, group, group + MC_BLOCK + 11, 2 * group, hi]
+        # Cut on group boundaries and between them, so the parts' groups
+        # start at other trials than the whole run's.
+        cuts = [0, 1000, 6144, group, group + 2059, 2 * group, hi]
         parts = [_run_trial_range(models, chain, 5, a, b) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(whole_t, np.concatenate([t for t, _ in parts]))
-        assert np.array_equal(whole_b, np.concatenate([b for _, b in parts]))
+        assert np.array_equal(whole_b, np.concatenate([b for _, b in parts], axis=1))
 
     def test_numpy_integer_bounds(self):
-        # Worker ranges come from np.linspace; PCG64's advance takes only
-        # Python ints.
+        # Worker ranges come from np.linspace; the groups and the stream's
+        # counters are built from them.
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         models = _span_models(chain)
-        lo, hi = MC_BLOCK - 100, MC_GROUP * MC_BLOCK + 100
+        lo, hi = 1948, MC_GROUP + 100
         want_t, want_b = _run_trial_range(models, chain, 5, lo, hi)
         got_t, got_b = _run_trial_range(models, chain, 5, np.int64(lo), np.int64(hi))
         assert np.array_equal(want_t, got_t)
         assert np.array_equal(want_b, got_b)
 
-    def test_uniform_buffer_is_bounded_by_the_group(self):
-        # Uniforms take MC_CHUNK * 8 = 256 B per trial of a group; a run
-        # of more groups adds only its per-trial results.
+    def test_group_memory_is_its_per_trial_arrays(self):
+        # The stream holds one 8-byte state per trial. A full group's peak
+        # is its per-trial arrays (results, stream states, frames and their
+        # temporaries): under 24 float64 words per trial, less than the 32
+        # buffered uniforms (256 B) per trial a chunked stream held.
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),),
                               attempt_rate=1e6, memory_cutoff=1.0)
         models = _span_models(chain)
-        group = MC_GROUP * MC_BLOCK
 
         def peak(trials):
             tracemalloc.start()
@@ -606,11 +609,11 @@ class TestMonteCarloEngine:
             finally:
                 tracemalloc.stop()
 
-        one, three = peak(group), peak(3 * group)
-        assert one > group * MC_CHUNK * 8
-        # Each extra trial keeps its ready time and its waits.
-        per_trial = 8 * (1 + 2 * len(chain.nodes))
-        assert three - one <= 2 * group * per_trial + 64 * 1024
+        assert peak(MC_GROUP) < MC_GROUP * 24 * 8
+        # A longer run peaks when it forms the delivered weights. Per trial:
+        # the ready time and waits (3 words), the decay exponent and lam (2),
+        # the four weights and the closed form's temporaries (9).
+        assert peak(3 * MC_GROUP) < 3 * MC_GROUP * 16 * 8
 
     def test_work_budget_stops_a_starved_cutoff(self, tmp_path):
         from qorsim.planner import build_chain, load_route
@@ -627,8 +630,8 @@ class TestMonteCarloEngine:
         assert MC_WORK_FACTOR * need * 20 < spent <= MC_WORK_FACTOR * need * 20 + 20
 
     def test_long_chain_memory_is_bounded(self):
-        # Seven spans: the slowest trials draw thousands of uniforms each.
-        # Each trial's stream holds MC_CHUNK of them at a time.
+        # Seven spans: the slowest trials draw thousands of uniforms each,
+        # and each trial's stream holds none of them.
         chain = RepeaterChain(spans=(_span(),) * 7, nodes=(_node(),) * 6,
                               attempt_rate=1e6, memory_cutoff=1.0)
         models = _span_models(chain)
@@ -665,6 +668,35 @@ class TestMonteCarloEngine:
             simulate_chain_mc(chain, trials=0)
         with pytest.raises(StateError):
             simulate_chain_mc(chain, trials=10, workers=0)
+
+    def test_trial_indices_fit_the_counter(self):
+        # Trial i owns counters (i << 32) + 1 onward, so 2**32 trials fit
+        # in 64 bits and one more would alias. Raised before any allocation.
+        chain = RepeaterChain(spans=(_span(),))
+        with pytest.raises(StateError, match="at most 4294967296 trials"):
+            simulate_chain_mc(chain, trials=2**32 + 1)
+
+    def test_bell_is_the_pairwise_mean_of_each_weight(self):
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.01),),
+                              attempt_rate=1e6, memory_cutoff=0.05)
+        res = simulate_chain_mc(chain, trials=5000, seed=4)
+        assert res.bell[0] == res.fidelity
+        _, bells = _run_trial_range(_span_models(chain), chain, 4, 0, 5000)
+        for g in range(4):
+            assert abs(res.bell[g] - math.fsum(bells[g]) / 5000) < 1e-15
+
+    def test_one_trial_plan_raises_no_warnings(self, tmp_path):
+        # The stream's uint64 arithmetic wraps by design; it must do so on
+        # arrays, where numpy does not warn about overflow.
+        import warnings
+
+        from qorsim.planner import load_route, run_plan
+
+        route = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_plan(route, "entanglement", trials=1, seed=7)
+        assert report["provenance"]["trials"] == 1
 
     @pytest.mark.parametrize("seed", [-1, -5, 2.5, "3", True, None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -706,62 +738,89 @@ def _dense_inputs(chain):
     return spans, nodes
 
 
-class _ReplayedRow:
-    """Trial ``index``'s uniforms as the engine's streams lay them out: row
-    index % MC_BLOCK of the (MC_BLOCK, MC_CHUNK) chunks drawn in turn from
-    default_rng([seed, index // MC_BLOCK]); geometric counts by inversion."""
+class _OracleTrial:
+    """Trial ``index``'s uniforms from oracle_splitmix_uniform, in order;
+    geometric counts by inversion."""
 
     def __init__(self, seed, index):
-        self._rng = np.random.default_rng([seed, index // MC_BLOCK])
-        self._row = index % MC_BLOCK
-        self._values = []
+        self._seed, self._index, self._draws = seed, index, 0
 
     def random(self):
-        if not self._values:
-            self._values = list(self._rng.random((MC_BLOCK, MC_CHUNK))[self._row][::-1])
-        return self._values.pop()
+        u = oracle_splitmix_uniform(self._seed, self._index, self._draws)
+        self._draws += 1
+        return u
 
     def geometric(self, p):
         return 1 + math.floor(np.log1p(-self.random()) / math.log1p(-p))
 
 
-class TestGroupStream:
-    """A group's stream against each trial's row replayed from its block's
-    generator. Rows are read in lockstep sets at different paces, so one
-    refill loads rows of several chunks, of both blocks, adjacent rows,
-    rows within 32 of each other that are not adjacent, and rows far
-    apart."""
+class TestTrialStream:
+    """The counter-based stream against the scalar SplitMix64 oracle, the
+    generator's published outputs, its range guard and a statistical
+    sanity check."""
 
     @pytest.mark.parametrize("lo, count, sets", [
-        # Two blocks of one group.
-        (0, 2 * MC_BLOCK, [[10, 11, 12], [40, 47, 70], [200, 1500, MC_BLOCK + 3],
-                           [MC_BLOCK + 30, MC_BLOCK + 33]]),
-        # A run that starts mid-block; rows 38, 39 and 41 straddle the block
-        # boundary at 40.
-        (MC_BLOCK - 40, 120, [[0, 1, 2], [5, 12, 30], [38, 39, 41], [60, 100]]),
-    ])
-    def test_uniforms_match_replayed_rows(self, lo, count, sets):
+        (0, 4096, [[10, 11, 12], [40, 47, 70], [200, 1500, 2051], [2078, 4095]]),
+        # The last trials a run may hold: their counters use the top bits.
+        (2**32 - 120, 120, [[0, 1, 2], [5, 12, 30], [38, 39, 41], [60, 119]]),
+    ], ids=["first-trials", "last-trials"])
+    def test_uniforms_match_the_oracle(self, lo, count, sets):
+        # Rows are read in lockstep sets at different paces, so each call
+        # takes trials at different draw counts.
         seed = 13
-        stream = _GroupStream(seed, lo, count)
-        replayed = {j: _ReplayedRow(seed, lo + j) for rows in sets for j in rows}
+        stream = _TrialStream(_stream_key(seed), lo, count)
+        draws = {j: 0 for rows in sets for j in rows}
         pace = np.random.default_rng(3)
-        reads = dict.fromkeys(replayed, 0)
-        for _ in range(6 * MC_CHUNK):
+        for _ in range(100):
             idx = np.sort([j for rows in sets if pace.random() < 0.7 for j in rows])
             if not idx.size:
                 continue
-            want = [replayed[j].random() for j in idx.tolist()]
+            want = [oracle_splitmix_uniform(seed, lo + j, draws[j]) for j in idx.tolist()]
             assert np.array_equal(stream.uniforms(idx), want)
             for j in idx.tolist():
-                reads[j] += 1
-        # Every row went through several chunks.
-        assert min(reads.values()) > 3 * MC_CHUNK
+                draws[j] += 1
+        assert min(draws.values()) > 50
+
+    def test_reference_outputs(self):
+        # The first outputs of Vigna's splitmix64.c seeded with 1234567.
+        want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+        assert [oracle_splitmix64(1234567, n) for n in (1, 2, 3)] == want
+        # The engine's stream with that key: trial 0 reads outputs 1, 2, 3.
+        stream = _TrialStream(1234567, 0, 1)
+        got = [stream.uniforms(np.array([0]))[0] for _ in want]
+        assert got == [(z >> 11) * 2.0**-53 for z in want]
+
+    def test_draw_count_guard(self):
+        # A call draws at most once per trial, so the call count bounds every
+        # trial's draw index; it stops before reaching the next trial's.
+        stream = _TrialStream(_stream_key(5), 0, 3)
+        idx = np.arange(3)
+        stream._calls = 2**32 - 3
+        stream.uniforms(idx)
+        stream.uniforms(idx)
+        with pytest.raises(StateError, match="at most 4294967295 uniforms"):
+            stream.uniforms(idx)
+
+    def test_draws_look_uniform_and_independent(self):
+        # 256 trials x 256 draws: u[j, i] is draw j of trial i, 2**16 values.
+        stream = _TrialStream(_stream_key(2024), 0, 256)
+        idx = np.arange(256)
+        u = np.array([stream.uniforms(idx) for _ in range(256)])
+        counts = np.bincount((u * 64).astype(int).ravel(), minlength=64)
+        expected = u.size / 64
+        # Chi-squared with 63 degrees of freedom: mean 63, sd 11.2.
+        assert ((counts - expected) ** 2 / expected).sum() < 120
+        # Neighbouring trials (i, j), (i + 1, j); successive draws (i, j),
+        # (i, j + 1).
+        for a, b in ((u[:, :-1], u[:, 1:]), (u[:-1], u[1:])):
+            r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(r) < 4.0 / math.sqrt(a.size)
 
 
 class TestBellEngineAgainstDenseOracle:
-    """The block-batched Bell-weight Monte Carlo engine against the
-    dense-state protocol run one trial at a time on the same streams. Each
-    run straddles the first block boundary and ends in a partial block."""
+    """The batched Bell-weight Monte Carlo engine against the dense-state
+    protocol run one trial at a time on the same draws, from the scalar
+    stream oracle. Each run starts at a trial other than 0."""
 
     @pytest.mark.parametrize("n_spans, cutoff, coherence, penalty, trials", [
         (2, 1.0, 1.0, 0.0, 300),
@@ -778,15 +837,15 @@ class TestBellEngineAgainstDenseOracle:
             attempt_rate=1e6, memory_cutoff=cutoff,
         )
         seed = 11
-        lo = MC_BLOCK - trials // 2
+        lo = 2048 - trials // 2
         hi = lo + trials
         times, bells = _run_trial_range(_span_models(chain), chain, seed, lo, hi)
         spans, nodes = _dense_inputs(chain)
         for i in range(lo, hi):
-            t, rho = oracle_chain_trial(spans, nodes, cutoff, _ReplayedRow(seed, i))
+            t, rho = oracle_chain_trial(spans, nodes, cutoff, _OracleTrial(seed, i))
             assert t == times[i - lo]
             want = bell_diagonal_weights(DensityMatrix(rho))
-            assert np.max(np.abs(want - bells[i - lo])) < 1e-12
+            assert np.max(np.abs(want - bells[:, i - lo])) < 1e-12
         if cutoff < 1.0:
             loose = dataclasses.replace(chain, memory_cutoff=1.0)
             free, _ = _run_trial_range(_span_models(loose), loose, seed, lo, hi)
@@ -824,8 +883,8 @@ class TestBellEngineAgainstDenseOracle:
         ]
         waits = rng.exponential(rng.uniform(1e-4, 0.3, 2 * (n_spans - 1)),
                                 (500, 2 * (n_spans - 1)))
-        got = _delivered_bells(models, nodes, waits)
-        want = oracle_delivered_bells(models, nodes, waits)
+        got = _delivered_bells(models, nodes, waits.T)
+        want = oracle_delivered_bells(models, nodes, waits).T
         assert np.max(np.abs(got - want)) < 1e-15
 
     def test_invalid_delivered_weights_rejected(self, monkeypatch):
@@ -834,7 +893,7 @@ class TestBellEngineAgainstDenseOracle:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
         monkeypatch.setattr(
             repeater, "_delivered_bells",
-            lambda models, nodes, decays: np.tile([1.1, -0.1, 0.0, 0.0], (len(decays), 1)),
+            lambda models, nodes, waits: np.tile([[1.1], [-0.1], [0.0], [0.0]], waits.shape[1]),
         )
         with pytest.raises(StateError, match="invalid Bell weights"):
             simulate_chain_mc(chain, trials=5)
@@ -857,7 +916,7 @@ class TestBellEngineAgainstDenseOracle:
         good = [0.7, 0.1, 0.1, 0.1]
         monkeypatch.setattr(
             repeater, "_delivered_bells",
-            lambda models, nodes, waits: np.array([good, row, good]),
+            lambda models, nodes, waits: np.array([good, row, good]).T,
         )
         if valid:
             simulate_chain_mc(chain, trials=3)
