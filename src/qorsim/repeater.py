@@ -683,8 +683,9 @@ def _run_trial_range(
     times = np.empty(hi - lo)
     waits = np.zeros((2 * len(chain.nodes), hi - lo))
     for start in range(lo, hi, MC_GROUP):
-        out = slice(start - lo, min(hi, start + MC_GROUP) - lo)
-        stream = _TrialStream(key, start, out.stop - out.start)
+        stop = min(hi, start + MC_GROUP)
+        out = slice(start - lo, stop - lo)
+        stream = _TrialStream(key, start, stop - start)
         times[out] = _BlockRun(models, chain, stream, waits[:, out]).ready_times()
     return times, _delivered_bells(models, chain.nodes, waits)
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -688,8 +689,6 @@ class TestMonteCarloEngine:
     def test_one_trial_plan_raises_no_warnings(self, tmp_path):
         # The stream's uint64 arithmetic wraps by design; it must do so on
         # arrays, where numpy does not warn about overflow.
-        import warnings
-
         from qorsim.planner import load_route, run_plan
 
         route = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
