@@ -291,6 +291,8 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 # _folded_bell, folds the ready states through each node's dephasing and
 # swap, and lam is the survival weight of all the decay on the way. Monte
 # Carlo draws lam per trial; the analytic engine takes its expectation.
+# _span_models turns the protocol conventions into each merge's numbers,
+# and both engines read only those models, never the chain's nodes.
 
 # Largest off-diagonal Bell-basis element a span state may have.
 BELL_DIAGONAL_TOL = 1e-12
@@ -332,13 +334,19 @@ def _bell_weights(state: DensityMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SpanModel:
-    """Per-span quantities both engines share."""
+    """Per-span quantities both engines share. The last five describe the
+    merge at the node on the span's left; span 0 has none, and the engines
+    read them only from span 1 on."""
 
     success_prob: float
     cycle_s: float
-    one_way_s: float
     ready_bell: np.ndarray        # Bell weights at ready time, pre-ready decay folded in
     right_decay_rate: float       # 1/coherence at the right holder, 0 if ideal
+    front_rate: float             # decay of the frontier's node-side qubit: node 1/coherence
+    span_rate: float              # decay of the waiting span pair: front_rate + right_decay_rate
+    swap_prob: float              # bsm_success_prob * read_efficiency**2
+    visibility_penalty: float     # the node's bsm_visibility_penalty
+    notify_s: float               # swap outcome's delay before the merged pair is usable
 
 
 def _span_ends(chain: RepeaterChain, i: int) -> tuple[QorsNode | None, QorsNode | None]:
@@ -377,34 +385,33 @@ def _span_models(
         raise DimensionError(
             f"{len(chain.spans)} spans need as many attempts, got {len(attempts)}"
         )
+    one_way = [photon_dwell_time(span) for span in chain.spans]
+    # A swap's outcome crosses its span to the new frontier edge; the last
+    # one must reach both end stations.
+    final = max(one_way[-1], sum(one_way[:-1])) if len(one_way) > 1 else 0.0
+    notify = one_way[:-1] + [final]
     models = []
-    for i, (span, attempt) in enumerate(zip(chain.spans, attempts)):
+    for i, attempt in enumerate(attempts):
         left, right = _span_ends(chain, i)
         left_rate = 1.0 / left.memory.coherence_time if left else 0.0
         right_rate = 1.0 / right.memory.coherence_time if right else 0.0
-        one_way = photon_dwell_time(span)
         # By ready time the left qubit has aged one one-way delay, the right
         # qubit one round trip.
-        lam = math.exp(-(left_rate * one_way + right_rate * 2.0 * one_way))
+        lam = math.exp(-(left_rate * one_way[i] + right_rate * 2.0 * one_way[i]))
         models.append(
             _SpanModel(
                 success_prob=attempt.success_probability,
-                cycle_s=1.0 / chain.attempt_rate + 2.0 * one_way,
-                one_way_s=one_way,
+                cycle_s=1.0 / chain.attempt_rate + 2.0 * one_way[i],
                 ready_bell=_bell_decay(_bell_weights(attempt.state), lam),
                 right_decay_rate=right_rate,
+                front_rate=left_rate,
+                span_rate=left_rate + right_rate,
+                swap_prob=left.bsm_success_prob * left.memory.read_efficiency**2 if left else 1.0,
+                visibility_penalty=left.bsm_visibility_penalty if left else 0.0,
+                notify_s=notify[i],
             )
         )
     return models
-
-
-def _final_classical_delay(models: list[_SpanModel]) -> float:
-    """Outcome of the last swap must reach both end stations."""
-    if len(models) == 1:
-        return 0.0
-    to_right = models[-1].one_way_s
-    to_left = sum(m.one_way_s for m in models[:-1])
-    return max(to_right, to_left)
 
 
 # Monte Carlo stream and work budget. Draw j of trial i is a pure function
@@ -494,11 +501,12 @@ class _BlockRun:
     span generations of the whole group. Per-frame state is one 1-D array
     per level, indexed by trial.
 
-    Each swap writes how long the two pairs it joined waited at its node
-    (frontier, span) into ``waits``, shape (2 * nodes, trials), as rows
-    [f_0, s_0, f_1, s_1, ...]. A trial ends with a pass in which every swap
-    succeeds, so the last write per node describes the swaps that built
-    the delivered pair.
+    Each swap step folds the decay of the two pairs it joins into
+    ``exponent``, one value per trial: the frontier's wait at the node
+    times the model's front_rate plus the span pair's wait times its
+    span_rate. Level 2 starts a trial's sum and each higher level adds to
+    it. A trial ends with a pass in which every swap succeeds, so its last
+    sum is the decay exponent of the delivered pair.
     """
 
     def __init__(
@@ -506,25 +514,20 @@ class _BlockRun:
         models: list[_SpanModel],
         chain: RepeaterChain,
         stream: _TrialStream,
-        waits: np.ndarray,
+        exponent: np.ndarray,
     ):
         self._models = models
         self._cutoff = chain.memory_cutoff
         self._stream = stream
-        self._waits = waits
+        self._exponent = exponent
         self._log_fail = [math.log1p(-m.success_prob) if m.success_prob < 1.0 else 0.0
                           for m in models]
-        self._swap_prob = [node.bsm_success_prob * node.memory.read_efficiency**2
-                           for node in chain.nodes]
-        # The outcome of the swap at level l travels to the new frontier
-        # edge; the last one must reach both end stations.
-        self._notify = [m.one_way_s for m in models[1:-1]] + [_final_classical_delay(models)]
         # Without a cutoff, building spans 0..l takes a build of 0..l-1 and
         # one generation of span l per swap attempt, 1/q attempts on average.
         self._need = 1.0
-        for q in self._swap_prob:
-            self._need = (self._need + 1.0) / q
-        trials, levels = waits.shape[1], len(models) + 1
+        for m in models[1:]:
+            self._need = (self._need + 1.0) / m.swap_prob
+        trials, levels = len(exponent), len(models) + 1
         self._budget = MC_WORK_FACTOR * self._need * trials
         self._spent = 0
         # Per level l (entry l), per trial: the frame's start time, and for
@@ -540,9 +543,9 @@ class _BlockRun:
         self._racing_count = [0] * levels
 
     def ready_times(self) -> np.ndarray:
-        """The delivered pairs' ready times; fills ``waits``. Raises
+        """The delivered pairs' ready times; fills ``exponent``. Raises
         StateError past the work budget."""
-        trials = self._waits.shape[1]
+        trials = len(self._exponent)
         ready = np.empty(trials)
         running = np.ones(trials, dtype=bool)
         todo = np.arange(trials)
@@ -565,7 +568,7 @@ class _BlockRun:
             cycle = max(m.cycle_s for m in self._models)
             raise StateError(
                 f"Monte Carlo gave up after {self._spent} span generations "
-                f"for {self._waits.shape[1]} trials, more than {MC_WORK_FACTOR} times "
+                f"for {len(self._exponent)} trials, more than {MC_WORK_FACTOR} times "
                 f"the {self._need:.3g} per trial these spans need on average "
                 f"without a cutoff: memory_cutoff {self._cutoff:.3g} s is too "
                 f"short against a span cycle of up to {cycle:.3g} s"
@@ -637,57 +640,51 @@ class _BlockRun:
         t_swap = np.maximum(t_f, t_s)
         for start in self._start[2:level + 1]:
             start[up] = t_swap
-        col = 2 * (level - 2)
-        self._waits[col][up] = t_swap - u_f
-        self._waits[col + 1][up] = t_swap - t_s
-        won = (self._stream.uniforms(up) < self._swap_prob[level - 2]).nonzero()[0]
+        # The frontier's node-side qubit waited at the node; both qubits of
+        # the span pair waited, at the node and at the span's right holder.
+        # Summed as (earlier levels + frontier) + span.
+        m = self._models[level - 1]
+        exponent = m.front_rate * (t_swap - u_f)
+        if level > 2:
+            exponent += self._exponent[up]
+        exponent += m.span_rate * (t_swap - t_s)
+        self._exponent[up] = exponent
+        won = (self._stream.uniforms(up) < m.swap_prob).nonzero()[0]
         t_won = t_swap[won]
-        return up[won], t_won + self._notify[level - 2], t_won
+        return up[won], t_won + m.notify_s, t_won
 
 
-def _folded_bell(models: list[_SpanModel], nodes: tuple[QorsNode, ...]) -> np.ndarray:
+def _folded_bell(models: list[_SpanModel]) -> np.ndarray:
     """Bell weights of the delivered pair had nothing waited: the ready
     states folded through each node's dephasing and swap."""
     c = models[0].ready_bell
-    for node, m in zip(nodes, models[1:]):
-        c = _bell_convolve(_bell_dephase(c, node.bsm_visibility_penalty), m.ready_bell)
+    for m in models[1:]:
+        c = _bell_convolve(_bell_dephase(c, m.visibility_penalty), m.ready_bell)
     return c
-
-
-def _delivered_bells(
-    models: list[_SpanModel], nodes: tuple[QorsNode, ...], waits: np.ndarray
-) -> np.ndarray:
-    """Bell weights of each trial's delivered pair, shape (4, trials), from
-    the waits _BlockRun recorded, shape (2 * nodes, trials): the folded pair
-    decayed by lam = exp(-(rates @ waits)), summed row by row so that no
-    trial's value depends on another's. Each weight is one contiguous row."""
-    exponent = np.zeros(waits.shape[1])
-    for j, node in enumerate(nodes):
-        # The frontier's node-side qubit waited at the node; both qubits of
-        # the span pair waited, at the node and at the span's right holder.
-        node_rate = 1.0 / node.memory.coherence_time
-        span_rate = node_rate + models[j + 1].right_decay_rate
-        exponent += node_rate * waits[2 * j]
-        exponent += span_rate * waits[2 * j + 1]
-    lam = np.exp(-exponent)
-    return _bell_decay(_folded_bell(models, nodes)[:, None], lam)
 
 
 def _run_trial_range(
     models: list[_SpanModel], chain: RepeaterChain, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trials lo..hi-1, MC_GROUP at a time: ready times and delivered Bell
-    weights, shape (4, hi - lo)."""
+    weights, shape (4, hi - lo), each weight one contiguous row. A trial's
+    pair is _folded_bell's c decayed by lam = exp(-exponent), its own
+    exponent alone, so no trial's value depends on another's."""
     lo, hi = int(lo), int(hi)
     key = _stream_key(seed)
     times = np.empty(hi - lo)
-    waits = np.zeros((2 * len(chain.nodes), hi - lo))
+    exponent = np.zeros(hi - lo)     # a single span has no swap to write it
     for start in range(lo, hi, MC_GROUP):
         stop = min(hi, start + MC_GROUP)
         out = slice(start - lo, stop - lo)
         stream = _TrialStream(key, start, stop - start)
-        times[out] = _BlockRun(models, chain, stream, waits[:, out]).ready_times()
-    return times, _delivered_bells(models, chain.nodes, waits)
+        times[out] = _BlockRun(models, chain, stream, exponent[out]).ready_times()
+    return times, _bell_decay(_folded_bell(models)[:, None], np.exp(-exponent))
+
+
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers, False for bools and the rest."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def simulate_chain_mc(
@@ -705,25 +702,26 @@ def simulate_chain_mc(
     key from np.random.SeedSequence(seed), and each trial holds only its
     8-byte stream state. So each trial depends only on (seed, i); workers
     take contiguous index ranges, and results are byte-identical for any
-    worker count. A trial samples only times and the waits at each swap; its
-    delivered pair is lam * c + (1 - lam) / 4 in Bell weights, with c from
-    _folded_bell, shared with the analytic engine, and lam =
-    exp(-(rates @ waits)) the decay its waits accumulated. Every delivered
-    weight vector is checked (weights >= -1e-12, sum 1 within 1e-10), and
-    the result's ``bell`` is their mean, each weight summed pairwise. A
-    group of trials that needs more than MC_WORK_FACTOR times the span
-    generations the chain needs without a cutoff raises StateError, and so
-    do more than 2**32 trials, a trial that would draw 2**32 uniforms, and a
-    seed that is not a non-negative integer. ``attempts`` (from
+    worker count. A trial samples only times and one decay exponent, the
+    waits at its swaps times the span models' rates; its delivered pair is
+    lam * c + (1 - lam) / 4 in Bell weights, with c from _folded_bell,
+    shared with the analytic engine, and lam = exp(-exponent). Every
+    delivered weight vector is checked (weights >= -1e-12, sum 1 within
+    1e-10), and the result's ``bell`` is their mean, each weight summed
+    pairwise. A group of trials that needs more than MC_WORK_FACTOR times
+    the span generations the chain needs without a cutoff raises
+    StateError, and so do more than 2**32 trials, a trial that would draw
+    2**32 uniforms, trials or workers that are not positive integers, and
+    a seed that is not a non-negative integer. ``attempts`` (from
     span_attempts(chain)) saves recomputing the span stacks.
     """
-    if trials < 1:
-        raise StateError("need at least one trial")
+    if not _is_integer(trials) or trials < 1:
+        raise StateError(f"trials must be a positive integer, got {trials!r}")
     if trials > _COUNTER_STRIDE:
         raise StateError(f"at most {_COUNTER_STRIDE} trials per run, got {trials}")
-    if workers < 1:
-        raise StateError("worker count must be positive")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(workers) or workers < 1:
+        raise StateError(f"worker count must be a positive integer, got {workers!r}")
+    if not _is_integer(seed) or seed < 0:
         raise StateError("seed must be a non-negative integer")
     models = _span_models(chain, attempts)
     if workers == 1 or trials < 4 * workers:
@@ -868,38 +866,30 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     lam * c + (1 - lam) / 4 with lam's expectation carried as one scalar.
     """
     models = _span_models(chain)
-    n = len(models)
-    final_delay = _final_classical_delay(models)
     front = _GeomTime(models[0].success_prob, models[0].cycle_s)
     lam = 1.0
     mean_t = front.mean
-    for i in range(2, n + 1):
-        m = models[i - 1]
-        node = chain.nodes[i - 2]
+    for m in models[1:]:
         span = _GeomTime(m.success_prob, m.cycle_s)
         # Frontier right qubit decays while waiting for the span, the span's
         # two stored qubits decay together while waiting for the frontier.
-        r_front = 1.0 / node.memory.coherence_time
-        r_span = r_front + m.right_decay_rate
         if front.p >= span.p:
-            e_front, e_span, e_round = _expected_wait(front, span, r_front, r_span)
+            e_front, e_span, e_round = _expected_wait(front, span, m.front_rate, m.span_rate)
         else:
-            e_span, e_front, e_round = _expected_wait(span, front, r_span, r_front)
+            e_span, e_front, e_round = _expected_wait(span, front, m.span_rate, m.front_rate)
         # Only one side waits, so E[f(A) g(B)] = f(EA, 1) + f(1, EB) - f(1, 1)
         # for the two affine decay factors: the pair survives e_front + e_span - 1.
         lam *= e_front + e_span - 1.0
-        q = node.bsm_success_prob * node.memory.read_efficiency**2
-        notify = m.one_way_s if i < n else final_delay
-        mean_t = e_round / q + notify
+        mean_t = e_round / m.swap_prob + m.notify_s
         # p = 1 puts one atom at mean_t: the frontier's point-mass collapse.
         front = _GeomTime(1.0, mean_t)
-        if i < n:
-            # While the swap outcome travels to the new frontier edge, the
-            # merged pair's right qubit keeps decaying there. The interval
-            # is deterministic, so this factor is exact.
-            lam *= math.exp(-m.right_decay_rate * notify)
+        # While the swap outcome travels to the new frontier edge, the merged
+        # pair's right qubit keeps decaying there. The interval is
+        # deterministic, so this factor is exact; the last span's right end
+        # is an end station, which does not decay, so its factor is 1.
+        lam *= math.exp(-m.right_decay_rate * m.notify_s)
 
-    bell = _bell_decay(_folded_bell(models, chain.nodes), lam)
+    bell = _bell_decay(_folded_bell(models), lam)
     return EndToEndResult(
         fidelity=float(bell[0]),
         pair_rate_hz=1.0 / mean_t,

@@ -259,9 +259,10 @@ def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):
 
 def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
     """The Monte Carlo engine's delivered Bell weights folded node by node:
-    each swap decays both inputs by their own recorded waits, dephases the
-    frontier and convolves. ``models`` are the engine's span models, and
-    ``waits`` has shape (trials, 2 * nodes)."""
+    each swap decays both inputs by their own waits, dephases the frontier
+    and convolves. Rates and penalties come from ``nodes``; of the engine's
+    span models only ``ready_bell`` and ``right_decay_rate`` are read.
+    ``waits`` has shape (trials, 2 * nodes), frontier then span per node."""
     b = np.broadcast_to(models[0].ready_bell, (len(waits), 4))
     for j, node in enumerate(nodes):
         # The frontier's node-side qubit waited at the node; both qubits of

@@ -44,9 +44,8 @@ from qorsim.repeater import (
     _bell_convolve,
     _bell_decay,
     _bell_dephase,
-    _delivered_bells,
     _expected_wait,
-    _final_classical_delay,
+    _folded_bell,
     _GeomTime,
     _run_trial_range,
     _source_pair,
@@ -594,15 +593,16 @@ class TestMonteCarloEngine:
         assert np.array_equal(want_b, got_b)
 
     def test_group_memory_is_its_per_trial_arrays(self):
-        # The stream holds one 8-byte state per trial. A full group's peak
-        # is its per-trial arrays (results, stream states, frames and their
-        # temporaries): under 24 float64 words per trial, less than the 32
-        # buffered uniforms (256 B) per trial a chunked stream held.
-        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),),
-                              attempt_rate=1e6, memory_cutoff=1.0)
-        models = _span_models(chain)
-
-        def peak(trials):
+        # The stream holds one 8-byte state per trial, and the decay one
+        # exponent, whatever the span count. A full group's peak is its
+        # per-trial arrays (results, stream states, frames and their
+        # temporaries): under 24 float64 words per trial at 2 and at 5
+        # spans, less than the 32 buffered uniforms (256 B) per trial a
+        # chunked stream held.
+        def peak(n_spans, trials):
+            chain = RepeaterChain(spans=(_span(),) * n_spans, nodes=(_node(),) * (n_spans - 1),
+                                  attempt_rate=1e6, memory_cutoff=1.0)
+            models = _span_models(chain)
             tracemalloc.start()
             try:
                 _run_trial_range(models, chain, 3, 0, trials)
@@ -610,11 +610,12 @@ class TestMonteCarloEngine:
             finally:
                 tracemalloc.stop()
 
-        assert peak(MC_GROUP) < MC_GROUP * 24 * 8
+        for n_spans in (2, 5):
+            assert peak(n_spans, MC_GROUP) < MC_GROUP * 24 * 8
         # A longer run peaks when it forms the delivered weights. Per trial:
-        # the ready time and waits (3 words), the decay exponent and lam (2),
-        # the four weights and the closed form's temporaries (9).
-        assert peak(3 * MC_GROUP) < 3 * MC_GROUP * 16 * 8
+        # the ready time and the decay exponent (2), lam (1), the four
+        # weights and the closed form's temporaries (9).
+        assert peak(2, 3 * MC_GROUP) < 3 * MC_GROUP * 16 * 8
 
     def test_work_budget_stops_a_starved_cutoff(self, tmp_path):
         from qorsim.planner import build_chain, load_route
@@ -669,6 +670,27 @@ class TestMonteCarloEngine:
             simulate_chain_mc(chain, trials=0)
         with pytest.raises(StateError):
             simulate_chain_mc(chain, trials=10, workers=0)
+
+    @pytest.mark.parametrize("kw", [
+        {"trials": 10.5}, {"trials": True}, {"trials": 10.0}, {"trials": "10"},
+        {"trials": np.float64(10.0)}, {"trials": None},
+        {"workers": 2.5}, {"workers": True}, {"workers": 2.0}, {"workers": "2"},
+    ])
+    def test_trials_and_workers_must_be_integers(self, kw):
+        # 10.5 trials once ran 10 and divided the errors by sqrt(10.5); 2.5
+        # workers ended in a raw TypeError.
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
+        args = {"trials": 10, "workers": 1, **kw}
+        with pytest.raises(StateError, match="must be a positive integer"):
+            simulate_chain_mc(chain, seed=7, **args)
+
+    def test_numpy_integer_trials_and_workers(self):
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
+        want = simulate_chain_mc(chain, trials=50, seed=7)
+        got = simulate_chain_mc(chain, trials=np.int64(50), seed=7, workers=np.int32(1))
+        assert got.trials == 50
+        assert got.mean_latency_s == want.mean_latency_s
+        assert np.array_equal(got.bell, want.bell)
 
     def test_trial_indices_fit_the_counter(self):
         # Trial i owns counters (i << 32) + 1 onward, so 2**32 trials fit
@@ -873,16 +895,27 @@ class TestBellEngineAgainstDenseOracle:
             _node(float(rng.uniform(1e-3, 1.0)), penalty=float(rng.uniform(0.0, 0.5)))
             for _ in range(n_spans - 1)
         )
-        models = [
-            _SpanModel(success_prob=0.1, cycle_s=1e-5, one_way_s=1e-4,
-                       ready_bell=rng.dirichlet([20.0, 1.0, 1.0, 1.0]),
-                       right_decay_rate=(1.0 / nodes[i].memory.coherence_time
-                                         if i < n_spans - 1 else 0.0))
-            for i in range(n_spans)
-        ]
+        models = []
+        for i in range(n_spans):
+            left = nodes[i - 1] if i > 0 else None
+            front_rate = 1.0 / left.memory.coherence_time if left else 0.0
+            right_rate = 1.0 / nodes[i].memory.coherence_time if i < n_spans - 1 else 0.0
+            models.append(_SpanModel(
+                success_prob=0.1, cycle_s=1e-5,
+                ready_bell=rng.dirichlet([20.0, 1.0, 1.0, 1.0]),
+                right_decay_rate=right_rate, front_rate=front_rate,
+                span_rate=front_rate + right_rate, swap_prob=0.5,
+                visibility_penalty=left.bsm_visibility_penalty if left else 0.0,
+                notify_s=1e-4,
+            ))
         waits = rng.exponential(rng.uniform(1e-4, 0.3, 2 * (n_spans - 1)),
                                 (500, 2 * (n_spans - 1)))
-        got = _delivered_bells(models, nodes, waits.T)
+        # The engine's closed form: the folded pair decayed by the waits
+        # times the models' rates, frontier then span at each node.
+        exponent = np.zeros(len(waits))
+        for j, m in enumerate(models[1:]):
+            exponent = (exponent + m.front_rate * waits[:, 2 * j]) + m.span_rate * waits[:, 2 * j + 1]
+        got = _bell_decay(_folded_bell(models)[:, None], np.exp(-exponent))
         want = oracle_delivered_bells(models, nodes, waits).T
         assert np.max(np.abs(got - want)) < 1e-15
 
@@ -891,8 +924,9 @@ class TestBellEngineAgainstDenseOracle:
 
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
         monkeypatch.setattr(
-            repeater, "_delivered_bells",
-            lambda models, nodes, waits: np.tile([[1.1], [-0.1], [0.0], [0.0]], waits.shape[1]),
+            repeater, "_run_trial_range",
+            lambda models, chain, seed, lo, hi: (
+                np.ones(hi - lo), np.tile([[1.1], [-0.1], [0.0], [0.0]], hi - lo)),
         )
         with pytest.raises(StateError, match="invalid Bell weights"):
             simulate_chain_mc(chain, trials=5)
@@ -914,8 +948,8 @@ class TestBellEngineAgainstDenseOracle:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
         good = [0.7, 0.1, 0.1, 0.1]
         monkeypatch.setattr(
-            repeater, "_delivered_bells",
-            lambda models, nodes, waits: np.array([good, row, good]).T,
+            repeater, "_run_trial_range",
+            lambda models, chain, seed, lo, hi: (np.ones(3), np.array([good, row, good]).T),
         )
         if valid:
             simulate_chain_mc(chain, trials=3)
@@ -973,6 +1007,7 @@ class TestAnalyticEngine:
             attempt_rate=1e6,
         )
         models = _span_models(chain)
+        one_way = [photon_dwell_time(span) for span in chain.spans]
         assert models[1].success_prob > models[0].success_prob
         # The engine's model with each merge as a double sum over atoms.
         front, bell = _grid(models[0].success_prob, models[0].cycle_s), models[0].ready_bell
@@ -989,7 +1024,9 @@ class TestAnalyticEngine:
 
             bell = merged(e_front, 1.0) + merged(1.0, e_span) - merged(1.0, 1.0)
             last = i == len(chain.nodes) - 1
-            notify = _final_classical_delay(models) if last else m.one_way_s
+            # The last outcome must reach both end stations.
+            notify = (max(one_way[-1], one_way[0] + one_way[1]) if last
+                      else one_way[i + 1])
             mean = e_max / (node.bsm_success_prob * node.memory.read_efficiency**2) + notify
             bell = bell if last else _bell_decay(bell, math.exp(-m.right_decay_rate * notify))
             front = ([mean], [1.0])
