@@ -642,7 +642,9 @@ class _BlockRun:
             start[up] = t_swap
         # The frontier's node-side qubit waited at the node; both qubits of
         # the span pair waited, at the node and at the span's right holder.
-        # Summed as (earlier levels + frontier) + span.
+        # The grouping (earlier levels + frontier) + span is part of the
+        # results: grouping the node's two terms first moves Bell weights in
+        # their last bit.
         m = self._models[level - 1]
         exponent = m.front_rate * (t_swap - u_f)
         if level > 2:

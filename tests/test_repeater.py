@@ -677,20 +677,12 @@ class TestMonteCarloEngine:
         {"workers": 2.5}, {"workers": True}, {"workers": 2.0}, {"workers": "2"},
     ])
     def test_trials_and_workers_must_be_integers(self, kw):
-        # 10.5 trials once ran 10 and divided the errors by sqrt(10.5); 2.5
-        # workers ended in a raw TypeError.
+        # A float count would run floor(trials) trials while the result
+        # and its standard errors used the float.
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
         args = {"trials": 10, "workers": 1, **kw}
         with pytest.raises(StateError, match="must be a positive integer"):
             simulate_chain_mc(chain, seed=7, **args)
-
-    def test_numpy_integer_trials_and_workers(self):
-        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
-        want = simulate_chain_mc(chain, trials=50, seed=7)
-        got = simulate_chain_mc(chain, trials=np.int64(50), seed=7, workers=np.int32(1))
-        assert got.trials == 50
-        assert got.mean_latency_s == want.mean_latency_s
-        assert np.array_equal(got.bell, want.bell)
 
     def test_trial_indices_fit_the_counter(self):
         # Trial i owns counters (i << 32) + 1 onward, so 2**32 trials fit
@@ -729,6 +721,11 @@ class TestMonteCarloEngine:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
         want = simulate_chain_mc(chain, trials=50, seed=7)
         got = simulate_chain_mc(chain, trials=50, seed=np.int64(7))
+        assert got.mean_latency_s == want.mean_latency_s
+        assert np.array_equal(got.bell, want.bell)
+        # Numpy integer trial and worker counts are accepted too.
+        got = simulate_chain_mc(chain, trials=np.int64(50), seed=7, workers=np.int32(1))
+        assert got.trials == 50
         assert got.mean_latency_s == want.mean_latency_s
         assert np.array_equal(got.bell, want.bell)
 
