@@ -14,6 +14,7 @@ composition multiplies operator sets, so keep stacks shallow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -206,15 +207,15 @@ def apply_to_subsystem(
     the number of Kraus operators, without forming I (x) K (x) I.
     """
     dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != rho.dim:
+    if math.prod(dims) != rho.dim:
         raise DimensionError(f"dims {dims} do not match state dim {rho.dim}")
     if not 0 <= index < len(dims):
         raise DimensionError(f"subsystem index {index} out of range")
     if channel.in_dim != dims[index] or channel.out_dim != dims[index]:
         raise DimensionError("subsystem application needs a square channel")
     d = dims[index]
-    before = int(np.prod(dims[:index])) if index > 0 else 1
-    after = int(np.prod(dims[index + 1:])) if index + 1 < len(dims) else 1
+    before = math.prod(dims[:index])
+    after = math.prod(dims[index + 1:])
     # Superoperator S[(i, j), (k, l)] = sum_n K[n, i, k] conj(K[n, j, l]):
     # the Choi matrix with its middle two indices swapped.
     s = choi_matrix(channel).reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)

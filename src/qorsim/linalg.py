@@ -61,10 +61,11 @@ class DensityMatrix:
         herm = np.abs(arr - arr.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise StateError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = complex(np.trace(arr))
+        tr = complex(arr.trace())
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace {tr:.12g} differs from 1 beyond {TRACE_TOL:g}")
-        lo = float(np.linalg.eigvalsh(arr).min())
+        # eigvalsh returns ascending eigenvalues; entries are finite here.
+        lo = float(np.linalg.eigvalsh(arr)[0])
         if lo < -PSD_TOL:
             raise StateError(f"negative eigenvalue {lo:.3e} below -{PSD_TOL:g}")
         arr = arr.copy()

@@ -42,6 +42,7 @@ from .repeater import (
     QorsNode,
     RepeaterChain,
     SpanAttempt,
+    _is_integer,
     simulate_chain_mc,
     span_attempts,
     span_entanglement_attempt,  # noqa: F401  (kept importable from planner, as before)
@@ -385,9 +386,12 @@ def run_plan(
     chain = build_chain(route, technologies[0], param_overrides)
     params = _effective_params(route, param_overrides)
     attempts = span_attempts(chain)
+    # Numpy integers, which simulate_chain_mc accepts, are recorded as
+    # Python ints so that the report serialises; anything else is recorded
+    # as given.
     provenance = {
-        "seed": seed,
-        "trials": trials,
+        "seed": int(seed) if _is_integer(seed) else seed,
+        "trials": int(trials) if _is_integer(trials) else trials,
         "config_hash": _config_hash(route, param_overrides),
         "version": __version__,
     }

@@ -151,6 +151,10 @@ class EndToEndResult:
         return DensityMatrix(np.einsum("k,ki,kj->ij", self.bell, BELL_KETS, BELL_KETS.conj()))
 
 
+# I/4, the two-qubit state that background coincidences herald.
+_MIXED_PAIR = np.eye(4) / 4.0
+
+
 @functools.cache
 def _source_pair() -> DensityMatrix:
     """The source's entangled pair with the flying qubit embedded in the
@@ -183,7 +187,7 @@ def span_entanglement_attempt(
     rho = apply_to_subsystem(stack.channel, _source_pair(), 0, [3, 2])
     # Herald: project the rail onto its photon levels and renormalize.
     sub = rho.matrix[:4, :4]
-    survival = float(np.real(np.trace(sub)))
+    survival = float(sub.trace().real)
     if survival < 1e-14:
         raise StateError("span transmitted nothing; cannot herald")
     conditional = sub / survival
@@ -191,7 +195,7 @@ def span_entanglement_attempt(
     noise = stack.noise_probability
     if noise > 0.0:
         w_noise = noise / (p + noise)
-        conditional = (1.0 - w_noise) * conditional + w_noise * np.eye(4) / 4.0
+        conditional = (1.0 - w_noise) * conditional + w_noise * _MIXED_PAIR
     return SpanAttempt(
         success_probability=p,
         state=DensityMatrix(conditional),
@@ -681,7 +685,16 @@ def _run_trial_range(
         out = slice(start - lo, stop - lo)
         stream = _TrialStream(key, start, stop - start)
         times[out] = _BlockRun(models, chain, stream, exponent[out]).ready_times()
-    return times, _bell_decay(_folded_bell(models)[:, None], np.exp(-exponent))
+    # _bell_decay row by row, written in place: broadcasting c[:, None]
+    # against lam builds (4, trials) temporaries and takes several times
+    # longer for the same per-element arithmetic.
+    lam = np.exp(-exponent)
+    rest = (1.0 - lam) / 4.0
+    bells = np.empty((4, hi - lo))
+    for row, ck in zip(bells, _folded_bell(models)):
+        np.multiply(lam, ck, out=row)
+        row += rest
+    return times, bells
 
 
 def _is_integer(x) -> bool:

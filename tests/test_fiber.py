@@ -1,9 +1,20 @@
 """Fiber catalog, link budget, and the per-span channel stack."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from qorsim.channels import apply_channel, verify_cptp
+from qorsim.channels import (
+    apply_channel,
+    compose,
+    dephasing_channel,
+    embed_qubit_channel,
+    loss_channel,
+    sop_rotation_channel,
+    verify_cptp,
+)
 from qorsim.fiber import (
     BANDS,
     C_BAND,
@@ -20,7 +31,7 @@ from qorsim.fiber import (
     span_channel_stack,
     transmittance,
 )
-from qorsim.linalg import DensityMatrix
+from qorsim.linalg import DensityMatrix, StateError
 
 
 class TestCatalog:
@@ -100,6 +111,41 @@ class TestSpanStack:
             dephasing_p=1e-3, sop_drift_rate=5e4,
             sop_recalibration_interval=1e-6, coexistence_noise_prob=1e-5,
         )
+
+    def test_stack_matches_catalog_composition(self):
+        # (drift rate, interval) pairs whose angle runs from 0 up to pi.
+        drifts = [(0.0, 0.0), (0.0, 3.0), (5e4, 1e-6), (1.0, 1.0),
+                  (2.0, math.pi / 4), (math.pi, 1.0)]
+        for length, band, p, (omega, dt), insertion in itertools.product(
+            [0.0, 0.5, 9.0, 25.0, 60.0, 120.0],
+            [O_BAND, C_BAND, L_BAND],
+            [0.0, 1e-3, 0.3, 0.5, 1.0],
+            drifts,
+            [0.0, 1.0, 3.7],
+        ):
+            span = FiberSpan(
+                length_km=length, quantum_band=band, dephasing_p=p,
+                sop_drift_rate=omega, sop_recalibration_interval=dt,
+                mux_insertion_loss_db=insertion,
+            )
+            qubit = compose(dephasing_channel(p), sop_rotation_channel(omega, dt))
+            expected = compose(embed_qubit_channel(qubit),
+                               loss_channel(transmittance(span)))
+            got = span_channel_stack(span).channel
+            assert np.array_equal(got.operators, expected.operators), span
+            assert got.heralded is expected.heralded is False
+
+    def test_overflowing_drift_angle_is_non_finite(self):
+        # Each factor is finite, the product is inf: cos and sin give NaN.
+        span = FiberSpan(length_km=1.0, sop_drift_rate=1e200,
+                         sop_recalibration_interval=1e200)
+        with np.errstate(invalid="ignore"):
+            for build in (lambda: sop_rotation_channel(1e200, 1e200),
+                          lambda: span_channel_stack(span)):
+                with pytest.raises(
+                    StateError, match="^Kraus operator 0 contains non-finite entries$"
+                ):
+                    build()
 
     def test_stack_is_cptp(self):
         report = verify_cptp(span_channel_stack(self._span()).channel)

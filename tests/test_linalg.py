@@ -60,6 +60,44 @@ class TestDensityMatrixValidation:
         with pytest.raises(StateError):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("entries, error", [
+        # Smallest eigenvalue, against PSD_TOL = 1e-10; the negative one is
+        # listed last so that its place in the spectrum is not the first.
+        ([[1.0 + 0.5e-10, 0.0], [0.0, -0.5e-10]], None),
+        ([[1.0 + 2e-10, 0.0], [0.0, -2e-10]], "negative eigenvalue"),
+        # Trace, against TRACE_TOL = 1e-10.
+        ([[0.5 + 0.5e-10, 0.0], [0.0, 0.5]], None),
+        ([[0.5 + 2e-10, 0.0], [0.0, 0.5]], "trace"),
+        ([[0.5 - 2e-10, 0.0], [0.0, 0.5]], "trace"),
+        # Hermiticity, against HERMITICITY_TOL = 1e-12.
+        ([[0.5, 0.1 + 0.5e-12], [0.1, 0.5]], None),
+        ([[0.5, 0.1 + 2e-12], [0.1, 0.5]], "not Hermitian"),
+        ([[0.5, 0.1j + 2e-12j], [-0.1j, 0.5]], "not Hermitian"),
+        # Non-finite entries fail before any other check (see also
+        # test_rejects_nan).
+        ([[0.5, np.nan], [np.nan, 0.5]], "non-finite"),
+        ([[0.5, 0.0], [0.0, np.inf]], "non-finite"),
+    ])
+    def test_validation_boundaries(self, entries, error):
+        m = np.array(entries, dtype=complex)
+        if error is None:
+            assert np.array_equal(DensityMatrix(m).matrix, m)
+        else:
+            with pytest.raises(StateError, match=error):
+                DensityMatrix(m)
+
+    def test_eigenvalue_boundary_in_a_rotated_basis(self):
+        # The same spectra as above, off the computational basis.
+        u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2)
+        for lo, error in ((-0.5e-10, None), (-2e-10, "negative eigenvalue")):
+            m = u @ np.diag([1.0 - lo, lo]) @ u.conj().T
+            m = (m + m.conj().T) / 2
+            if error is None:
+                DensityMatrix(m)
+            else:
+                with pytest.raises(StateError, match=error):
+                    DensityMatrix(m)
+
     def test_rejects_oversized(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(128, dtype=complex) / 128)

@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 import qorsim.repeater as repeater
@@ -311,6 +312,14 @@ class TestRunPlan:
         rc = load_route(write_route(tmp_path, [0.0, 25.0]))
         with pytest.raises(ConfigError, match="unknown technology"):
             run_plan(rc, technology="drone")
+
+    def test_numpy_integer_provenance_serialises(self, tmp_path):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        for tech in (TECH_ENTANGLEMENT, TECH_ONE_WAY, "both"):
+            plain = run_plan(rc, technology=tech, trials=20, seed=3)
+            numpy = run_plan(rc, technology=tech, trials=np.int64(20),
+                             seed=np.uint32(3))
+            assert json.dumps(numpy, indent=2) == json.dumps(plain, indent=2)
 
     def test_config_hash_stable_and_sensitive(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
