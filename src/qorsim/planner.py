@@ -42,7 +42,7 @@ from .repeater import (
     QorsNode,
     RepeaterChain,
     SpanAttempt,
-    _is_integer,
+    _check_mc_args,
     simulate_chain_mc,
     span_attempts,
     span_entanglement_attempt,  # noqa: F401  (kept importable from planner, as before)
@@ -374,7 +374,8 @@ def run_plan(
     technology "both" returns [entanglement report, one_way report]; the
     two share one chain and one set of span attempts. One-way transport is
     assessed against its loss budget only; its end_to_end and qkd sections
-    are null.
+    are null. Trials, seed and workers that simulate_chain_mc would reject
+    raise ConfigError for every technology, before any of them runs.
     """
     if technology == "both":
         technologies = TECHNOLOGIES
@@ -382,16 +383,22 @@ def run_plan(
         technologies = (technology,)
     else:
         raise ConfigError(f"unknown technology {technology!r}")
+    # Every plan checks the run parameters by the Monte Carlo engine's
+    # rules, so no report records a seed or trial count that engine could
+    # not have used.
+    try:
+        _check_mc_args(trials, seed, workers)
+    except StateError as e:
+        raise ConfigError(str(e)) from None
 
     chain = build_chain(route, technologies[0], param_overrides)
     params = _effective_params(route, param_overrides)
     attempts = span_attempts(chain)
-    # Numpy integers, which simulate_chain_mc accepts, are recorded as
-    # Python ints so that the report serialises; anything else is recorded
-    # as given.
+    # Numpy integers are recorded as Python ints, so that the report
+    # serialises.
     provenance = {
-        "seed": int(seed) if _is_integer(seed) else seed,
-        "trials": int(trials) if _is_integer(trials) else trials,
+        "seed": int(seed),
+        "trials": int(trials),
         "config_hash": _config_hash(route, param_overrides),
         "version": __version__,
     }

@@ -442,17 +442,28 @@ def _stream_key(seed: int) -> np.uint64:
     return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
 
 
-class _TrialStream:
-    """The uniforms of trials lo..lo+count-1: draw j of trial i is
-    (z >> 11) * 2**-53 for z the SplitMix64 mix of key + n * gamma (mod
-    2**64), n = (i << 32) + j + 1. Each trial keeps its Weyl state key +
-    n * gamma, which a draw steps by gamma as SplitMix64 does, and nothing
-    else is held. Every operation is on uint64 arrays, which wrap without
-    warning.
+@functools.cache
+def _weyl_steps(k: int) -> np.ndarray:
+    """gamma, 2 gamma, ..., k gamma (mod 2**64) as a (k, 1) uint64 column:
+    added to a row of Weyl states, row r steps them r + 1 draws on."""
+    steps = np.arange(1, k + 1, dtype=np.uint64)[:, None] * _GOLDEN_GAMMA
+    steps.flags.writeable = False
+    return steps
 
-    A call draws at most one value per trial, so counting calls bounds
-    every trial's draws: the stream raises StateError before a trial could
-    reach the next trial's counters."""
+
+class _TrialStream:
+    """The draws of trials lo..lo+count-1: draw j of trial i is z >> 11,
+    the top 53 bits of the SplitMix64 mix z of key + n * gamma (mod 2**64),
+    n = (i << 32) + j + 1; its uniform is that times 2**-53. Each trial
+    keeps its Weyl state key + n * gamma, which a draw steps by gamma as
+    SplitMix64 does, and nothing else is held. Every operation is on uint64
+    arrays, which wrap without warning.
+
+    A call of k draws takes each trial's next k at once: one gather and one
+    scatter of the Weyl states. A trial may give its last draw back, and
+    its next call reads that draw again. ``_calls`` adds up k over the
+    calls, which bounds every trial's draw count: the stream raises
+    StateError before a trial could reach the next trial's counters."""
 
     def __init__(self, key, lo: int, count: int):
         state = np.arange(lo, lo + count, dtype=np.uint64) << np.uint64(32)
@@ -461,17 +472,17 @@ class _TrialStream:
         self._state = state
         self._calls = 0
 
-    def uniforms(self, idx: np.ndarray) -> np.ndarray:
-        """The next uniform of each trial in ``idx`` (distinct positions)."""
-        self._calls += 1
+    def draws(self, idx: np.ndarray, k: int = 1) -> np.ndarray:
+        """The next k draws of each trial in ``idx`` (distinct positions),
+        as 53-bit integers: a (k, len(idx)) uint64 array, row r the r-th."""
+        self._calls += k
         if self._calls >= _COUNTER_STRIDE:
             raise StateError(
                 f"Monte Carlo stream exhausted: a trial may draw at most "
                 f"{_COUNTER_STRIDE - 1} uniforms"
             )
-        z = self._state[idx]
-        z += _GOLDEN_GAMMA
-        self._state[idx] = z
+        z = self._state[idx] + _weyl_steps(k)
+        self._state[idx] = z[-1]
         t = z >> np.uint64(30)
         z ^= t
         z *= _MIX_1
@@ -481,7 +492,32 @@ class _TrialStream:
         np.right_shift(z, np.uint64(31), out=t)
         z ^= t
         z >>= np.uint64(11)
-        return z * 2.0**-53
+        return z
+
+    def uniforms(self, idx: np.ndarray) -> np.ndarray:
+        """The next uniform of each trial in ``idx`` (distinct positions)."""
+        return self.draws(idx)[0] * 2.0**-53
+
+    def give_back(self, idx: np.ndarray) -> None:
+        """Step the trials in ``idx`` back one draw: each one's next call
+        reads its last draw again."""
+        self._state[idx] -= _GOLDEN_GAMMA
+
+
+def _attempt_times(u: np.ndarray, log_fail, cycle, t0: np.ndarray) -> np.ndarray:
+    """Ready times t0 + (floor(log1p(-u) / log_fail) + 1) * cycle of spans
+    generated from t0, for uniforms u, with log_fail = log1p(-p): scalars,
+    or columns against the rows of u. Writes over u."""
+    # Through two buffers in turn: numpy is slow when one array of one
+    # element, as in a pass late in a run, is both input and output of an
+    # operation.
+    k = np.negative(u)
+    np.log1p(k, out=u)
+    np.divide(u, log_fail, out=k)
+    np.floor(k, out=u)
+    np.add(u, 1.0, out=k)
+    np.multiply(k, cycle, out=u)
+    return np.add(u, t0, out=k)
 
 
 class _BlockRun:
@@ -493,24 +529,27 @@ class _BlockRun:
     The recursion is unrolled into one frame per trial and level: the frame
     at level l >= 2 joins the frontier over spans 0..l-2 with span l-1 at
     node l-2, and level 1 is span 0 alone. Each pass starts every unfinished
-    trial at level 1 and carries the trials whose frontier completes up the
-    levels: a fresh frame draws its span from the frame's start time, then
-    runs the cutoff race and the swap. A trial whose frontier expired in the
-    race, or whose swap failed, goes back to level 1 with the frames below
-    restarted, and the next pass takes it on. So a pass costs a few vector
-    steps per level however the trials' depths differ, and each trial draws
-    its uniforms in the order of the depth-first recursion: one per span
-    generation, turned into a geometric attempt count by inversion (none
-    when success is certain), and one per swap. The work budget counts the
-    span generations of the whole group. Per-frame state is one 1-D array
-    per level, indexed by trial.
+    trial at levels 1 and 2, the first node's step, and carries the trials
+    whose frontier completes up the levels: a fresh frame draws its span
+    from the frame's start time, then runs the cutoff race and the swap. A
+    trial whose frontier expired in the race, or whose swap failed, goes
+    back to level 1 with the frames below restarted, and the next pass
+    takes it on. So a pass costs a few vector steps per level however the
+    trials' depths differ, and each trial reads its draws in the order of
+    the depth-first recursion: one per span generation, turned into a
+    geometric attempt count by inversion (none when success is certain),
+    and one per swap. The first node's step takes all of them in one stream
+    call; a trial whose spans race gives its swap draw back and draws it
+    again after the race. The work budget counts the span generations of
+    the whole group. Per-frame state is one 1-D array per level, indexed by
+    trial.
 
-    Each swap step folds the decay of the two pairs it joins into
-    ``exponent``, one value per trial: the frontier's wait at the node
-    times the model's front_rate plus the span pair's wait times its
-    span_rate. Level 2 starts a trial's sum and each higher level adds to
-    it. A trial ends with a pass in which every swap succeeds, so its last
-    sum is the decay exponent of the delivered pair.
+    A pass carries each trial's decay exponent up the levels, for the
+    trials that swap: at each node the frontier's wait there times the
+    model's front_rate plus the span pair's wait times its span_rate,
+    added to the sum from the nodes below. A trial ends with a pass in
+    which every swap succeeds, and only then is its sum, the decay exponent
+    of the delivered pair, written to ``exponent``.
     """
 
     def __init__(
@@ -518,20 +557,31 @@ class _BlockRun:
         models: list[_SpanModel],
         chain: RepeaterChain,
         stream: _TrialStream,
+        ready: np.ndarray,
         exponent: np.ndarray,
     ):
         self._models = models
         self._cutoff = chain.memory_cutoff
         self._stream = stream
+        self._ready = ready
         self._exponent = exponent
         self._log_fail = [math.log1p(-m.success_prob) if m.success_prob < 1.0 else 0.0
                           for m in models]
+        # A draw z decides a swap by z < q * 2**53, exactly u < q for its
+        # uniform u = z * 2**-53; for an integer z that is z < ceil(q * 2**53).
+        self._swap_below = [np.uint64(math.ceil(m.swap_prob * 2.0**53)) for m in models]
+        # The first node's step generates spans 0 and 1 together, one row
+        # per span whose success is not certain: their failure logs and
+        # cycles as columns.
+        first = [i for i, m in enumerate(models[:2]) if m.success_prob < 1.0]
+        self._first_fail = np.array([self._log_fail[i] for i in first])[:, None]
+        self._first_cycle = np.array([models[i].cycle_s for i in first])[:, None]
         # Without a cutoff, building spans 0..l takes a build of 0..l-1 and
         # one generation of span l per swap attempt, 1/q attempts on average.
         self._need = 1.0
         for m in models[1:]:
             self._need = (self._need + 1.0) / m.swap_prob
-        trials, levels = len(exponent), len(models) + 1
+        trials, levels = len(ready), len(models) + 1
         self._budget = MC_WORK_FACTOR * self._need * trials
         self._spent = 0
         # Per level l (entry l), per trial: the frame's start time, and for
@@ -546,58 +596,105 @@ class _BlockRun:
                         for level in range(levels)]
         self._racing_count = [0] * levels
 
-    def ready_times(self) -> np.ndarray:
-        """The delivered pairs' ready times; fills ``exponent``. Raises
-        StateError past the work budget."""
-        trials = len(self._exponent)
-        ready = np.empty(trials)
+    def run(self) -> None:
+        """Fill ``ready`` with the delivered pairs' ready times and
+        ``exponent`` with their decay exponents. Raises StateError past the
+        work budget."""
+        trials = len(self._ready)
         running = np.ones(trials, dtype=bool)
         todo = np.arange(trials)
         while todo.size:
-            t_f = self._gen_span(0, self._start[1][todo], todo)
-            up, u_f = todo, t_f
-            for level in range(2, len(self._models) + 1):
-                up, t_f, u_f = self._join(level, up, t_f, u_f)
+            up, t_f, u_f, exponent = self._first_node(todo)
+            for level in range(3, len(self._models) + 1):
+                up, t_f, u_f, exponent = self._join(level, up, t_f, u_f, exponent)
                 if not up.size:
                     break
-            ready[up] = t_f
+            self._ready[up] = t_f
+            self._exponent[up] = exponent
             running[up] = False
             todo = todo[running[todo]]
-        return ready
 
-    def _gen_span(self, i: int, t0: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Ready times of span i for trials ``idx``, generating from t0."""
-        self._spent += len(idx)
+    def _spend(self, generations: int) -> None:
+        """Count span generations against the work budget."""
+        self._spent += generations
         if self._spent > self._budget:
             cycle = max(m.cycle_s for m in self._models)
             raise StateError(
                 f"Monte Carlo gave up after {self._spent} span generations "
-                f"for {len(self._exponent)} trials, more than {MC_WORK_FACTOR} times "
+                f"for {len(self._ready)} trials, more than {MC_WORK_FACTOR} times "
                 f"the {self._need:.3g} per trial these spans need on average "
                 f"without a cutoff: memory_cutoff {self._cutoff:.3g} s is too "
                 f"short against a span cycle of up to {cycle:.3g} s"
             )
+
+    def _gen_span(self, i: int, t0: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Ready times of span i for trials ``idx``, generating from t0."""
+        self._spend(len(idx))
         m = self._models[i]
         if m.success_prob >= 1.0:
             return t0 + m.cycle_s
-        # t0 + (floor(log1p(-u) / log1p(-p)) + 1) * cycle, through two
-        # buffers in turn: numpy is slow when one array of one element, as
-        # in a pass late in a run, is both input and output of an operation.
-        u = self._stream.uniforms(idx)
-        k = np.negative(u)
-        np.log1p(k, out=u)
-        np.divide(u, self._log_fail[i], out=k)
-        np.floor(k, out=u)
-        np.add(u, 1.0, out=k)
-        np.multiply(k, m.cycle_s, out=u)
-        return np.add(u, t0, out=k)
+        return _attempt_times(self._stream.uniforms(idx), self._log_fail[i], m.cycle_s, t0)
+
+    def _first_node(
+        self, todo: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | float]:
+        """Levels 1 and 2 of trials ``todo``: span 0, and with a node, span
+        1, their cutoff race and the swap at node 0. Returns the trials that
+        swapped, their ready times, swap times and decay exponents; a single
+        span has no swap, and its exponent is 0."""
+        t0 = self._start[1][todo]
+        if len(self._models) == 1:
+            return todo, self._gen_span(0, t0, todo), None, 0.0
+        self._spend(len(todo))
+        self._spend(len(todo))
+        draws = self._stream.draws(todo, len(self._first_fail) + 1)
+        rows = iter(_attempt_times(draws[:-1] * 2.0**-53, self._first_fail,
+                                   self._first_cycle, t0))
+        t_f, t_s = (next(rows) if m.success_prob < 1.0 else t0 + m.cycle_s
+                    for m in self._models[:2])
+        swap = draws[-1]
+        # Cutoff race at node 0: only the side that expired restarts, from
+        # expiry, until the two are within the cutoff. A racing trial reads
+        # its swap draw after the race's draws.
+        cutoff = self._cutoff
+        race = (np.abs(t_s - t_f) > cutoff).nonzero()[0]
+        if race.size:
+            back = todo[race]
+            self._stream.give_back(back)
+            ahead = race
+            while ahead.size:
+                late = t_s[ahead] > t_f[ahead]
+                a, b = ahead[late], ahead[~late]
+                if a.size:
+                    t_f[a] = self._gen_span(0, t_f[a] + cutoff, todo[a])
+                if b.size:
+                    t_s[b] = self._gen_span(1, t_s[b] + cutoff, todo[b])
+                ahead = ahead[np.abs(t_s[ahead] - t_f[ahead]) > cutoff]
+            swap[race] = self._stream.draws(back)[0]
+        # A failed swap restarts both spans from its time. Trials that swap
+        # are written too: they are restarted again before their next pass.
+        t_swap = np.maximum(t_f, t_s)
+        self._start[2][todo] = t_swap
+        m = self._models[1]
+        won = (swap < self._swap_below[1]).nonzero()[0]
+        t_won = t_swap[won]
+        # Span 0's pair waited at the node; both qubits of span 1's pair
+        # waited, at the node and at the span's right holder.
+        exponent = m.front_rate * (t_won - t_f[won]) + m.span_rate * (t_won - t_s[won])
+        return todo[won], t_won + m.notify_s, t_won, exponent
 
     def _join(
-        self, level: int, up: np.ndarray, t_f: np.ndarray, u_f: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The frames at ``level`` of trials ``up``, whose frontiers below
-        are ready at t_f (last decay at u_f): (trials that swapped, their
-        ready times, their swap times)."""
+        self,
+        level: int,
+        up: np.ndarray,
+        t_f: np.ndarray,
+        u_f: np.ndarray,
+        exponent: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The frames at ``level`` >= 3 of trials ``up``, whose frontiers
+        below are ready at t_f (last swap at u_f) with decay ``exponent``:
+        (trials that swapped, their ready times, swap times and
+        exponents)."""
         cutoff = self._cutoff
         span_t = self._span_t[level]
         racing = self._racing_count[level]
@@ -609,22 +706,17 @@ class _BlockRun:
             span_t[up] = np.nan
         else:
             t_s = self._gen_span(level - 1, self._start[level][up], up)
-        # Cutoff race: only the side that expired restarts, from expiry. A
-        # regenerated span races again here, and so does a regenerated span
-        # 0 at level 2; a longer frontier is rebuilt from level 1 on the next
-        # pass while this frame keeps its span.
+        # Cutoff race: a regenerated span races again here, from its expiry;
+        # an expired frontier is rebuilt from level 1 on the next pass while
+        # this frame keeps its span.
         race = (np.abs(t_s - t_f) > cutoff).nonzero()[0]
         expired = []
         while race.size:
             late = t_s[race] > t_f[race]
-            a, b = race[late], race[~late]
-            if level > 2:
-                expired.append(a)
-                race = b
-            elif a.size:
-                t_f[a] = u_f[a] = self._gen_span(0, t_f[a] + cutoff, up[a])
-            if b.size:
-                t_s[b] = self._gen_span(level - 1, t_s[b] + cutoff, up[b])
+            expired.append(race[late])
+            race = race[~late]
+            if race.size:
+                t_s[race] = self._gen_span(level - 1, t_s[race] + cutoff, up[race])
             race = race[np.abs(t_s[race] - t_f[race]) > cutoff]
         gone = np.concatenate(expired) if expired else race   # race is empty here
         self._racing_count[level] += len(gone) - racing
@@ -638,26 +730,24 @@ class _BlockRun:
             stay[gone] = False
             stay = stay.nonzero()[0]
             up, t_f, u_f, t_s = up[stay], t_f[stay], u_f[stay], t_s[stay]
+            exponent = exponent[stay]
         # A failed swap restarts the whole frontier from its time. Frames
         # of a trial that swaps are written too: they are restarted again
         # before the trial's next pass reads them.
         t_swap = np.maximum(t_f, t_s)
         for start in self._start[2:level + 1]:
             start[up] = t_swap
+        m = self._models[level - 1]
+        won = (self._stream.draws(up)[0] < self._swap_below[level - 1]).nonzero()[0]
+        t_won = t_swap[won]
         # The frontier's node-side qubit waited at the node; both qubits of
         # the span pair waited, at the node and at the span's right holder.
         # The grouping (earlier levels + frontier) + span is part of the
         # results: grouping the node's two terms first moves Bell weights in
         # their last bit.
-        m = self._models[level - 1]
-        exponent = m.front_rate * (t_swap - u_f)
-        if level > 2:
-            exponent += self._exponent[up]
-        exponent += m.span_rate * (t_swap - t_s)
-        self._exponent[up] = exponent
-        won = (self._stream.uniforms(up) < m.swap_prob).nonzero()[0]
-        t_won = t_swap[won]
-        return up[won], t_won + m.notify_s, t_won
+        exponent = (m.front_rate * (t_won - u_f[won]) + exponent[won]
+                    + m.span_rate * (t_won - t_s[won]))
+        return up[won], t_won + m.notify_s, t_won, exponent
 
 
 def _folded_bell(models: list[_SpanModel]) -> np.ndarray:
@@ -679,12 +769,12 @@ def _run_trial_range(
     lo, hi = int(lo), int(hi)
     key = _stream_key(seed)
     times = np.empty(hi - lo)
-    exponent = np.zeros(hi - lo)     # a single span has no swap to write it
+    exponent = np.empty(hi - lo)
     for start in range(lo, hi, MC_GROUP):
         stop = min(hi, start + MC_GROUP)
         out = slice(start - lo, stop - lo)
         stream = _TrialStream(key, start, stop - start)
-        times[out] = _BlockRun(models, chain, stream, exponent[out]).ready_times()
+        _BlockRun(models, chain, stream, times[out], exponent[out]).run()
     # _bell_decay row by row, written in place: broadcasting c[:, None]
     # against lam builds (4, trials) temporaries and takes several times
     # longer for the same per-element arithmetic.
@@ -702,6 +792,20 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_mc_args(trials, seed, workers) -> None:
+    """Raise StateError unless simulate_chain_mc can run these: trials and
+    workers positive integers, at most 2**32 trials, and a non-negative
+    integer seed. Numpy integers count as integers, bools do not."""
+    if not _is_integer(trials) or trials < 1:
+        raise StateError(f"trials must be a positive integer, got {trials!r}")
+    if trials > _COUNTER_STRIDE:
+        raise StateError(f"at most {_COUNTER_STRIDE} trials per run, got {trials}")
+    if not _is_integer(workers) or workers < 1:
+        raise StateError(f"worker count must be a positive integer, got {workers!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise StateError("seed must be a non-negative integer")
+
+
 def simulate_chain_mc(
     chain: RepeaterChain,
     trials: int,
@@ -715,10 +819,13 @@ def simulate_chain_mc(
     of a group through the protocol at once. Draw j of trial i is a pure
     function of (seed, i, j), SplitMix64 output (i << 32) + j + 1 under a
     key from np.random.SeedSequence(seed), and each trial holds only its
-    8-byte stream state. So each trial depends only on (seed, i); workers
-    take contiguous index ranges, and results are byte-identical for any
-    worker count. A trial samples only times and one decay exponent, the
-    waits at its swaps times the span models' rates; its delivered pair is
+    8-byte stream state. A trial reads its draws in protocol order, however
+    a pass batches them: the step at the first node takes a trial's span
+    and swap draws in one stream call. So each trial depends only on
+    (seed, i); workers take contiguous index ranges, and results are
+    byte-identical for any worker count. A trial samples only times and one
+    decay exponent, the waits at its swaps times the span models' rates,
+    kept for the pass in which every swap succeeds; its delivered pair is
     lam * c + (1 - lam) / 4 in Bell weights, with c from _folded_bell,
     shared with the analytic engine, and lam = exp(-exponent). Every
     delivered weight vector is checked (weights >= -1e-12, sum 1 within
@@ -727,17 +834,11 @@ def simulate_chain_mc(
     the span generations the chain needs without a cutoff raises
     StateError, and so do more than 2**32 trials, a trial that would draw
     2**32 uniforms, trials or workers that are not positive integers, and
-    a seed that is not a non-negative integer. ``attempts`` (from
+    a seed that is not a non-negative integer (_check_mc_args, which
+    run_plan applies to every plan). ``attempts`` (from
     span_attempts(chain)) saves recomputing the span stacks.
     """
-    if not _is_integer(trials) or trials < 1:
-        raise StateError(f"trials must be a positive integer, got {trials!r}")
-    if trials > _COUNTER_STRIDE:
-        raise StateError(f"at most {_COUNTER_STRIDE} trials per run, got {trials}")
-    if not _is_integer(workers) or workers < 1:
-        raise StateError(f"worker count must be a positive integer, got {workers!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise StateError("seed must be a non-negative integer")
+    _check_mc_args(trials, seed, workers)
     models = _span_models(chain, attempts)
     if workers == 1 or trials < 4 * workers:
         times, bells = _run_trial_range(models, chain, seed, 0, trials)

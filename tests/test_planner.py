@@ -369,6 +369,26 @@ class TestRunPlan:
                        param_overrides={"max_heralding_km": 20.0})
         assert not rep["verdict"]["feasible"]
 
+    @pytest.mark.parametrize("tech", [TECH_ONE_WAY, TECH_ENTANGLEMENT, "both"])
+    @pytest.mark.parametrize("kw, message", [
+        ({"trials": -5, "seed": "abc"}, "trials must be a positive integer"),
+        ({"seed": "abc"}, "seed must be a non-negative integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"trials": 2.0}, "trials must be a positive integer"),
+        ({"trials": 2**32 + 1}, "at most 4294967296 trials"),
+        ({"workers": 0}, "worker count must be a positive integer"),
+    ])
+    def test_run_parameters_checked_for_every_technology(self, tmp_path, monkeypatch,
+                                                         tech, kw, message):
+        # A one-way plan runs no Monte Carlo, yet its report records the
+        # seed and trials; every plan checks them before building anything.
+        import qorsim.planner as planner
+
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        monkeypatch.setattr(planner, "build_chain", lambda *a, **k: pytest.fail("plan ran"))
+        with pytest.raises(ConfigError, match=message):
+            run_plan(rc, technology=tech, **{"trials": 10, "seed": 1, **kw})
+
 
 class TestValidateReport:
     @pytest.fixture()

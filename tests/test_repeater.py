@@ -631,6 +631,35 @@ class TestMonteCarloEngine:
         spent = int(re.search(r"after (\d+) span generations", str(err.value))[1])
         assert MC_WORK_FACTOR * need * 20 < spent <= MC_WORK_FACTOR * need * 20 + 20
 
+    def test_one_stream_call_per_pass(self, monkeypatch):
+        # Two spans whose cutoff never binds: a pass's one stream call takes
+        # both span draws and the swap draw of every unfinished trial, so
+        # pass p carries the trials that have failed p - 1 swaps. The
+        # oracle finds each trial's swap count from its draws 2, 5, 8, ...
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),),
+                              attempt_rate=1e6, memory_cutoff=1.0)
+        calls = []
+        draws = _TrialStream.draws
+
+        def counted(stream, idx, k=1):
+            calls.append((k, len(idx)))
+            return draws(stream, idx, k)
+
+        monkeypatch.setattr(_TrialStream, "draws", counted)
+        models = _span_models(chain)
+        seed, trials = 8, 10000
+        _run_trial_range(models, chain, seed, 0, trials)
+        q = models[1].swap_prob
+        swaps = []
+        for i in range(trials):
+            n = 1
+            while oracle_splitmix_uniform(seed, i, 3 * n - 1) >= q:
+                n += 1
+            swaps.append(n)
+        passes = max(swaps)
+        assert passes > 5
+        assert calls == [(3, sum(n >= p for n in swaps)) for p in range(1, passes + 1)]
+
     def test_long_chain_memory_is_bounded(self):
         # Seven spans: the slowest trials draw thousands of uniforms each,
         # and each trial's stream holds none of them.
@@ -799,6 +828,35 @@ class TestTrialStream:
                 draws[j] += 1
         assert min(draws.values()) > 50
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_draws_match_the_oracle(self, k):
+        # Each call takes k draws from a random subset of trials, so calls
+        # take trials at different draw counts. Some trials then give their
+        # last draw back and draw again: they read that value first.
+        seed, lo, count = 21, 4000, 48
+        stream = _TrialStream(_stream_key(seed), lo, count)
+        draws = np.zeros(count, dtype=int)
+        pace = np.random.default_rng(k)
+
+        def take(idx):
+            got = stream.draws(idx, k)
+            want = [[oracle_splitmix_uniform(seed, lo + j, int(draws[j]) + r) for j in idx.tolist()]
+                    for r in range(k)]
+            assert got.shape == (k, len(idx))
+            assert np.array_equal(got * 2.0**-53, want)
+            draws[idx] += k
+            return got
+
+        for _ in range(40):
+            idx = np.sort(pace.choice(count, size=int(pace.integers(1, count)), replace=False))
+            got = take(idx)
+            keep = pace.random(len(idx)) < 0.4
+            stream.give_back(idx[keep])
+            draws[idx[keep]] -= 1
+            again = take(idx[keep])
+            assert np.array_equal(again[0], got[-1][keep])
+        assert draws.min() > 10
+
     def test_reference_outputs(self):
         # The first outputs of Vigna's splitmix64.c seeded with 1234567.
         want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
@@ -847,11 +905,21 @@ class TestBellEngineAgainstDenseOracle:
         (2, 2e-4, 0.01, 0.0, 300),    # cutoff binds: mean span wait ~1.7 ms
         (3, 5e-4, 0.05, 0.07, 60),
         (2, 1.0, 1.0, 0.2, 300),
+        (1, 1.0, 1.0, 0.0, 300),      # a single span: no node, no swap draw
+        (5, 2e-3, 0.05, 0.0, 10),     # frames race above node 0
+        # Span lengths in km; a 0 km span heralds at its first attempt.
+        pytest.param((0.0, 20.0, 20.0), 2e-4, 0.01, 0.0, 40, id="certain-first-span"),
+        pytest.param((20.0, 0.0, 20.0), 2e-4, 0.01, 0.0, 40, id="certain-second-span"),
     ])
     def test_same_times_and_states(self, n_spans, cutoff, coherence, penalty, trials):
+        lengths = (20.0,) * n_spans if isinstance(n_spans, int) else n_spans
+        # A 0 km span is lossless, and the nodes at its ends write and
+        # detect its photons with certainty.
         chain = RepeaterChain(
-            spans=tuple(_span(20.0, O_BAND) for _ in range(n_spans)),
-            nodes=tuple(_node(coherence, penalty=penalty) for _ in range(n_spans - 1)),
+            spans=tuple(_span(km, O_BAND) if km else FiberSpan(length_km=0.0) for km in lengths),
+            nodes=tuple(_node(coherence, penalty=penalty, write=0.9 if lengths[j] else 1.0,
+                              det=0.8 if lengths[j + 1] else 1.0)
+                        for j in range(len(lengths) - 1)),
             attempt_rate=1e6, memory_cutoff=cutoff,
         )
         seed = 11
