@@ -301,6 +301,10 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 # Largest off-diagonal Bell-basis element a span state may have.
 BELL_DIAGONAL_TOL = 1e-12
 _XOR = np.array([[g ^ k for k in range(4)] for g in range(4)])
+# The Bell-basis change of a two-qubit matrix is _BELL_BRAS @ m @ _BELL_KETS_T.
+_BELL_BRAS = BELL_KETS.conj()
+_BELL_KETS_T = BELL_KETS.T
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
 def _bell_decay(b: np.ndarray, lam) -> np.ndarray:
@@ -327,13 +331,13 @@ def _bell_weights(state: DensityMatrix) -> np.ndarray:
     """Bell weights of a state the engines treat as Bell-diagonal; raises
     StateError if any off-diagonal Bell-basis element exceeds
     BELL_DIAGONAL_TOL (a channel that is not a Pauli mixture would)."""
-    m = BELL_KETS.conj() @ state.matrix @ BELL_KETS.T
-    off = float(np.abs(m - np.diag(np.diag(m))).max())
+    m = _BELL_BRAS @ state.matrix @ _BELL_KETS_T
+    off = float(np.abs(m[_OFF_DIAGONAL]).max())
     if off > BELL_DIAGONAL_TOL:
         raise StateError(
             f"span state is not Bell-diagonal: off-diagonal residual {off:.3e}"
         )
-    return np.real(np.diag(m)).copy()
+    return m.diagonal().real.copy()
 
 
 @dataclass(frozen=True)
@@ -437,9 +441,56 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
+# numpy's SeedSequence (O'Neill's seed_seq design) with its default pool of
+# four 32-bit words: the hash and mix constants and the shift.
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
 def _stream_key(seed: int) -> np.uint64:
-    """The run's SplitMix64 key: one 64-bit word from the seed's SeedSequence."""
-    return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
+    """The run's SplitMix64 key: np.random.SeedSequence(seed)
+    .generate_state(1, np.uint64)[0], computed in integer arithmetic so
+    that a run does not import numpy.random."""
+    seed = int(seed)
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = _SEED_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _SEED_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_SEED_MIX_L * x - _SEED_MIX_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_SEED_POOL)]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_SEED_POOL:]:
+        for dst in range(_SEED_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # Two output words from the pool, low word first.
+    hash_const = _SEED_INIT_B
+    out = []
+    for value in pool[:2]:
+        value ^= hash_const
+        hash_const = hash_const * _SEED_MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    return np.uint64(out[0] | out[1] << 32)
 
 
 @functools.cache
@@ -818,7 +869,7 @@ def simulate_chain_mc(
     Trials run in groups of up to MC_GROUP consecutive indices, all trials
     of a group through the protocol at once. Draw j of trial i is a pure
     function of (seed, i, j), SplitMix64 output (i << 32) + j + 1 under a
-    key from np.random.SeedSequence(seed), and each trial holds only its
+    key from the seed's SeedSequence, and each trial holds only its
     8-byte stream state. A trial reads its draws in protocol order, however
     a pass batches them: the step at the first node takes a trial's span
     and swap draws in one stream call. So each trial depends only on
@@ -886,22 +937,28 @@ def simulate_chain_mc(
 # on its attempt grid; after the first merge the frontier time is collapsed
 # to a point mass at its mean, the same type with success 1. A merge sums
 # over the atoms of the side that heralds more often, with the other side's
-# closed forms. The state is _folded_bell's c and one expected survival
-# weight lam: a merge multiplies lam by e_front + e_span - 1, the expected
-# survivals of the two sides, and a notification that is not the last by
-# its decay. Cutoff expiry is neglected, so results are exact only when
-# cutoffs are generous.
+# closed forms, evaluated once per point set: the atom counts and their
+# products with log q are shared by every form. A point-mass side is one
+# float point, so every merge after the first, and any merge with a certain
+# span, builds no arrays. The state is _folded_bell's c and one expected
+# survival weight lam: a merge multiplies lam by e_front + e_span - 1, the
+# expected survivals of the two sides, and a notification that is not the
+# last by its decay. Cutoff expiry is neglected, so results are exact only
+# when cutoffs are generous.
 
 def _nlog(n, log_v):
     """n * log_v, with 0 where n is 0 (also when log_v is -inf)."""
-    return np.multiply(n, log_v, out=np.zeros(np.shape(n)), where=n > 0)
+    if isinstance(n, np.ndarray):
+        return np.multiply(n, log_v, out=np.zeros(n.shape), where=n > 0)
+    return n * log_v if n > 0 else 0.0
 
 
 class _GeomTime:
     """Ready time T = K * cycle, K >= 1 the attempt that succeeds with
     probability p; p = 1 is the point mass at cycle. The closed forms take
-    points x (scalars or arrays); an atom within 1e-12 (relative) of x is a
-    tie."""
+    points x (a float or an array); an atom within 1e-12 (relative) of x is
+    a tie. Each form also takes x's counts from _counts, so that forms
+    evaluated at the same points count once."""
 
     def __init__(self, p: float, cycle: float):
         self.p = p
@@ -914,39 +971,40 @@ class _GeomTime:
         k = np.arange(math.ceil(math.log(1e-16) / self.log_q) + 1)
         return (k + 1) * self.cycle, self.p * np.exp(_nlog(k, self.log_q))
 
-    def _atoms_below(self, x, tie: bool):
-        """How many atoms lie below x, counting a tie when ``tie``."""
-        y = np.asarray(x, dtype=float) / self.cycle
-        if tie:
-            return np.clip(np.floor(y * (1 + 1e-12)), 0, None)
-        return np.clip(np.ceil(y * (1 - 1e-12)) - 1, 0, None)
+    def _counts(self, x):
+        """The atoms up to x, a tie counted (n), and below x (m), with n log q
+        and m log q."""
+        y = x / self.cycle
+        n = np.maximum(np.floor(y * (1 + 1e-12)), 0.0)
+        m = np.maximum(np.ceil(y * (1 - 1e-12)) - 1, 0.0)
+        return n, m, _nlog(n, self.log_q), _nlog(m, self.log_q)
 
-    def cdf(self, x):
+    def cdf(self, x, c=None):
         """P(T <= x)."""
-        return -np.expm1(_nlog(self._atoms_below(x, True), self.log_q))
+        _, _, n_log, _ = c or self._counts(x)
+        return -np.expm1(n_log)
 
-    def sf(self, x):
+    def sf(self, x, c=None):
         """P(T >= x)."""
-        return np.exp(_nlog(self._atoms_below(x, False), self.log_q))
+        _, _, _, m_log = c or self._counts(x)
+        return np.exp(m_log)
 
-    def excess(self, x):
+    def excess(self, x, c=None):
         """E[(T - x)+]. Past the n atoms up to x, T is n cycles plus a fresh
         copy of itself."""
-        n = self._atoms_below(x, True)
-        return np.exp(_nlog(n, self.log_q)) * (n * self.cycle - x + self.mean)
+        n, _, n_log, _ = c or self._counts(x)
+        return np.exp(n_log) * (n * self.cycle - x + self.mean)
 
-    def decay_above(self, x, rate):
+    def decay_above(self, x, rate, c=None):
         """E[exp(-rate (T - x)); T > x]."""
-        n = self._atoms_below(x, True)
+        n, _, n_log, _ = c or self._counts(x)
         # 1 - q exp(-rate cycle), the generating function's denominator.
         den = -np.expm1(self.log_q - rate * self.cycle)
-        return self.p * np.exp(
-            _nlog(n, self.log_q) - rate * ((n + 1) * self.cycle - x)
-        ) / den
+        return self.p * np.exp(n_log - rate * ((n + 1) * self.cycle - x)) / den
 
-    def decay_below(self, x, rate):
+    def decay_below(self, x, rate, c=None):
         """E[exp(-rate (x - T)); T < x]."""
-        m = self._atoms_below(x, False)
+        _, m, _, _ = c or self._counts(x)
         # Atoms k = 1..m weigh p q^(k-1) exp(-rate (x - k cycle)): a
         # geometric series of ratio v = q exp(rate cycle), summed from its
         # largest term (the first if v <= 1, else the last).
@@ -956,19 +1014,31 @@ class _GeomTime:
         top = max(log_v, 0.0) * (m - 1) - rate * np.maximum(x - self.cycle, 0.0)
         return self.p * np.exp(top) * series
 
+    def wait_terms(self, x, r_a, r_b):
+        """At points x of another ready time A: P(T <= x) + E[exp(-r_a (T - x));
+        T > x], P(T >= x) + E[exp(-r_b (x - T)); T < x] and x + E[(T - x)+],
+        the integrands of _expected_wait, from one count of the atoms."""
+        c = self._counts(x)
+        return (
+            self.cdf(x, c) + self.decay_above(x, r_a, c),
+            self.sf(x, c) + self.decay_below(x, r_b, c),
+            x + self.excess(x, c),
+        )
+
 
 def _expected_wait(a: _GeomTime, b: _GeomTime, r_a: float, r_b: float):
     """For independent ready times A and B whose pairs decay at rates r_a and
     r_b while they wait for each other: E[exp(-r_a (B - A)+)],
-    E[exp(-r_b (A - B)+)] and E[max(A, B)]. Sums over the atoms of a, the
-    side with the larger p; below GEOM_EXACT_MIN_P a is coarsened to it at
-    the same mean."""
+    E[exp(-r_b (A - B)+)] and E[max(A, B)]. Sums b's wait_terms over the
+    atoms of a, the side with the larger p; below GEOM_EXACT_MIN_P a is
+    coarsened to it at the same mean. A point mass a is its one atom, a
+    float of weight 1."""
+    if a.p == 1.0:
+        return tuple(float(t) for t in b.wait_terms(a.cycle, r_a, r_b))
     if a.p < GEOM_EXACT_MIN_P:
         a = _GeomTime(GEOM_EXACT_MIN_P, a.mean * GEOM_EXACT_MIN_P)
     x, w = a.atoms()
-    decay_a = np.dot(w, b.cdf(x) + b.decay_above(x, r_a))
-    decay_b = np.dot(w, b.sf(x) + b.decay_below(x, r_b))
-    return float(decay_a), float(decay_b), float(np.dot(w, x + b.excess(x)))
+    return tuple(float(np.dot(w, t)) for t in b.wait_terms(x, r_a, r_b))
 
 
 def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:

@@ -59,6 +59,18 @@ class TestRuntimeImports:
         )
         assert out.strip() == "0"
 
+    def test_plan_loads_no_numpy_random(self, tmp_path):
+        # The Monte Carlo key is SeedSequence's hash in integer arithmetic,
+        # so a plan that runs Monte Carlo never imports numpy.random.
+        route = write_route(tmp_path, [0.0, 20.0, 40.0])
+        out = _fresh_interpreter(
+            "import sys; from qorsim import planner; "
+            f"reports = planner.run_plan(planner.load_route({route!r}), 'both', trials=200); "
+            "assert reports[0]['end_to_end']['fidelity'] > 0.25; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        )
+        assert out.strip() == "[]"
+
 
 class TestFibers:
     def test_json_lists_builtin_types(self, capsys):

@@ -5,9 +5,11 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qorsim.fiber import (
     C_BAND,
@@ -20,6 +22,7 @@ from qorsim.fiber import (
     transmittance,
 )
 from qorsim.linalg import (
+    BELL_KETS,
     DensityMatrix,
     DimensionError,
     StateError,
@@ -34,6 +37,7 @@ from qorsim.linalg import (
 )
 from qorsim.qkd import OneWayRepeaterSpec, qec_max_span
 from qorsim.repeater import (
+    BELL_DIAGONAL_TOL,
     MC_GROUP,
     MC_WORK_FACTOR,
     EndToEndResult,
@@ -425,6 +429,79 @@ class TestWaitDistributions:
         got = _expected_wait(a, b, r_a, r_b)
         assert np.allclose(got, fine, rtol=1e-3, atol=0.0)
         assert not np.allclose(got, fine, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _wait_case(draw):
+    """A ready time b, a point x and two decay rates. Points fall on an
+    atom of b, within 1e-12 of one, below the first or anywhere; rates are
+    zero, arbitrary, or r_b with q exp(r_b cycle) = 1 exactly (a cycle that
+    is a power of two keeps r_b cycle = -log q in floating point)."""
+    p = draw(st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0)))
+    rate_kind = draw(st.sampled_from(["zero", "any", "degenerate"] if p < 1.0 else ["zero", "any"]))
+    if rate_kind == "degenerate":
+        cycle = 2.0 ** -draw(st.integers(min_value=7, max_value=20))
+    else:
+        cycle = draw(st.floats(min_value=1e-6, max_value=1e-2))
+    b = _GeomTime(p, cycle)
+    k = draw(st.integers(min_value=1, max_value=60))
+    where = draw(st.sampled_from(["atom", "near", "below", "any"]))
+    if where == "atom":
+        x = k * cycle
+    elif where == "near":
+        x = k * cycle * (1.0 + draw(st.floats(min_value=-1e-12, max_value=1e-12)))
+    elif where == "below":
+        x = cycle * draw(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True))
+    else:
+        x = cycle * draw(st.floats(min_value=1e-3, max_value=80.0))
+    rates = st.floats(min_value=0.0, max_value=1e4)
+    if rate_kind == "zero":
+        r_a = r_b = 0.0
+    elif rate_kind == "any":
+        r_a, r_b = draw(rates), draw(rates)
+    else:
+        r_a, r_b = draw(rates), -b.log_q / cycle
+        assert b.log_q + r_b * cycle == 0.0
+    return b, x, r_a, r_b
+
+
+class TestFusedWaitTerms:
+    """_GeomTime.wait_terms and the point-mass merge keep the bits of the
+    single closed forms evaluated over atom arrays."""
+
+    @settings(deadline=None)
+    @given(_wait_case())
+    def test_float_point_matches_one_atom_array(self, case):
+        b, x, r_a, r_b = case
+        xs = np.array([x])
+        for form in (b.cdf, b.sf, b.excess):
+            assert form(x) == form(xs)[0]
+        assert b.decay_above(x, r_a) == b.decay_above(xs, r_a)[0]
+        assert b.decay_below(x, r_b) == b.decay_below(xs, r_b)[0]
+        assert b.wait_terms(x, r_a, r_b) == tuple(t[0] for t in b.wait_terms(xs, r_a, r_b))
+
+    @settings(deadline=None)
+    @given(_wait_case())
+    def test_fused_terms_are_the_single_forms(self, case):
+        b, x, r_a, r_b = case
+        for pts in (x, np.array([0.5 * x, x, 2.0 * x])):
+            above, below, later = b.wait_terms(pts, r_a, r_b)
+            assert np.array_equal(above, b.cdf(pts) + b.decay_above(pts, r_a))
+            assert np.array_equal(below, b.sf(pts) + b.decay_below(pts, r_b))
+            assert np.array_equal(later, pts + b.excess(pts))
+
+    @settings(deadline=None)
+    @given(_wait_case())
+    def test_point_mass_side_builds_no_atoms(self, case):
+        b, x, r_a, r_b = case
+        a = _GeomTime(1.0, x)
+        times, weights = a.atoms()
+        want = (np.dot(weights, b.cdf(times) + b.decay_above(times, r_a)),
+                np.dot(weights, b.sf(times) + b.decay_below(times, r_b)),
+                np.dot(weights, times + b.excess(times)))
+        with mock.patch.object(_GeomTime, "atoms", side_effect=AssertionError("atoms built")):
+            got = _expected_wait(a, b, r_a, r_b)
+        assert got == tuple(float(v) for v in want)
 
 
 class TestBellVectorAlgebra:
@@ -866,6 +943,20 @@ class TestTrialStream:
         got = [stream.uniforms(np.array([0]))[0] for _ in want]
         assert got == [(z >> 11) * 2.0**-53 for z in want]
 
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 2**200 + 3,
+        np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1),
+    ])
+    def test_key_is_seed_sequence_word(self, seed):
+        want = np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
+        got = _stream_key(seed)
+        assert type(got) is np.uint64 and got == want
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**300))
+    def test_key_matches_seed_sequence(self, seed):
+        assert _stream_key(seed) == np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+
     def test_draw_count_guard(self):
         # A call draws at most once per trial, so the call count bounds every
         # trial's draw index; it stops before reaching the next trial's.
@@ -950,6 +1041,22 @@ class TestBellEngineAgainstDenseOracle:
             simulate_chain_mc(chain, trials=10, attempts=(skewed,))
         with pytest.raises(DimensionError):
             _span_models(chain, (skewed, skewed))
+
+    @pytest.mark.parametrize("scale, rejected", [(0.5, False), (2.0, True)])
+    def test_bell_diagonal_tolerance_boundary(self, scale, rejected):
+        # One Phi+/Psi+ coherence of scale * BELL_DIAGONAL_TOL in the Bell
+        # basis: the rounding of the basis change is far below it.
+        bell = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+        bell[0, 1] = bell[1, 0] = scale * BELL_DIAGONAL_TOL
+        state = DensityMatrix(BELL_KETS.T @ bell @ BELL_KETS.conj())
+        chain = RepeaterChain(spans=(_span(),), attempt_rate=1e6)
+        attempt = SpanAttempt(success_probability=0.1, state=state, transmittance=0.1)
+        if rejected:
+            with pytest.raises(StateError, match="not Bell-diagonal"):
+                _span_models(chain, (attempt,))
+        else:
+            (model,) = _span_models(chain, (attempt,))
+            assert np.allclose(model.ready_bell, [0.7, 0.1, 0.1, 0.1], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("n_spans", [2, 3, 4, 5, 6])
     def test_closed_form_fold_matches_per_node_fold(self, n_spans):
