@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .fiber import BANDS, DEFAULT_FIBER_TYPES, Band, FiberConfigError, FiberSpec, FiberSpan
@@ -300,15 +300,15 @@ def build_chain(
             read_efficiency=params["memory_read_efficiency"],
             cryogenic_required=params["memory_cryogenic"],
         )
+        # Built once, so that a route without huts checks its parameters too.
+        node = QorsNode(
+            memory=memory,
+            bsm_success_prob=params["bsm_success_prob"],
+            bsm_visibility_penalty=params["bsm_visibility_penalty"],
+            detector_efficiency=params["detector_efficiency"],
+        )
         nodes = tuple(
-            QorsNode(
-                memory=memory,
-                bsm_success_prob=params["bsm_success_prob"],
-                bsm_visibility_penalty=params["bsm_visibility_penalty"],
-                detector_efficiency=params["detector_efficiency"],
-                position_km=site.position_km,
-            )
-            for site in route.sites[1:-1]
+            replace(node, position_km=site.position_km) for site in route.sites[1:-1]
         )
         cutoff = params["memory_cutoff"] or params["memory_coherence_time"]
         return RepeaterChain(
@@ -374,7 +374,8 @@ def run_plan(
     technology "both" returns [entanglement report, one_way report]; the
     two share one chain and one set of span attempts. One-way transport is
     assessed against its loss budget only; its end_to_end and qkd sections
-    are null. Trials, seed and workers that simulate_chain_mc would reject
+    are null. Trials, seed and workers that simulate_chain_mc would reject,
+    and a one-way loss threshold or heralding reach that is not positive,
     raise ConfigError for every technology, before any of them runs.
     """
     if technology == "both":
@@ -385,14 +386,22 @@ def run_plan(
         raise ConfigError(f"unknown technology {technology!r}")
     # Every plan checks the run parameters by the Monte Carlo engine's
     # rules, so no report records a seed or trial count that engine could
-    # not have used.
+    # not have used, and checks both technologies' requirements.
     try:
         _check_mc_args(trials, seed, workers)
+        params = _effective_params(route, param_overrides)
+        one_way_spec = OneWayRepeaterSpec(
+            loss_threshold_db=params["one_way_loss_threshold_db"],
+            cryogenic_required=bool(params["one_way_cryogenic"]),
+        )
     except StateError as e:
         raise ConfigError(str(e)) from None
+    _require(
+        params["max_heralding_km"] > 0,
+        f"max_heralding_km must be positive, got {params['max_heralding_km']!r}",
+    )
 
     chain = build_chain(route, technologies[0], param_overrides)
-    params = _effective_params(route, param_overrides)
     attempts = span_attempts(chain)
     # Numpy integers are recorded as Python ints, so that the report
     # serialises.
@@ -407,10 +416,7 @@ def run_plan(
         verdict = assess_chain(
             chain,
             tech,
-            one_way_spec=OneWayRepeaterSpec(
-                loss_threshold_db=params["one_way_loss_threshold_db"],
-                cryogenic_required=bool(params["one_way_cryogenic"]),
-            ),
+            one_way_spec=one_way_spec,
             max_heralding_km=params["max_heralding_km"],
             coexistence=route.coexistence,
         )
@@ -523,6 +529,8 @@ def validate_report(report: dict) -> None:
         fail("verdict must have exactly feasible/violations")
     if not isinstance(verdict["feasible"], bool):
         fail("verdict.feasible must be a boolean")
+    if not isinstance(verdict["violations"], list):
+        fail("verdict.violations must be a list")
     for j, v in enumerate(verdict["violations"]):
         if not isinstance(v, dict) or set(v) != {"requirement", "span_index", "detail"}:
             fail(f"violations[{j}] must have exactly requirement/span_index/detail")

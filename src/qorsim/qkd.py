@@ -166,33 +166,25 @@ def assess_chain(
     reach_failures = []
     for i, span in enumerate(chain.spans):
         if technology == TECH_ENTANGLEMENT:
-            if span.length_km > max_heralding_km:
-                reach_failures.append(
-                    Violation(
-                        requirement=R_SPAN_REACH,
-                        span_index=i,
-                        detail=(
-                            f"span {i} length {span.length_km:g} km exceeds the "
-                            f"{max_heralding_km:g} km heralded-attempt limit"
-                        ),
-                    )
-                )
+            limit, rule = max_heralding_km, "heralded-attempt limit"
         else:
             att = span.fiber.attenuation(span.quantum_band)
             limit = qec_max_span(att, spec.loss_threshold_db)
-            if span.length_km > limit:
-                reach_failures.append(
-                    Violation(
-                        requirement=R_SPAN_REACH,
-                        span_index=i,
-                        detail=(
-                            f"span {i} length {span.length_km:g} km exceeds the "
-                            f"{limit:g} km one-way limit "
-                            f"({spec.loss_threshold_db:g} dB budget at "
-                            f"{att:g} dB/km in the {span.quantum_band.name} band)"
-                        ),
-                    )
+            rule = (
+                f"one-way limit ({spec.loss_threshold_db:g} dB budget at "
+                f"{att:g} dB/km in the {span.quantum_band.name} band)"
+            )
+        if span.length_km > limit:
+            reach_failures.append(
+                Violation(
+                    requirement=R_SPAN_REACH,
+                    span_index=i,
+                    detail=(
+                        f"span {i} length {span.length_km:g} km exceeds the "
+                        f"{limit:g} km {rule}"
+                    ),
                 )
+            )
     violations.extend(reach_failures)
     if reach_failures:
         violations.append(

@@ -186,10 +186,13 @@ def span_entanglement_attempt(
 
     rho = apply_to_subsystem(stack.channel, _source_pair(), 0, [3, 2])
     # Herald: project the rail onto its photon levels and renormalize.
+    # Loss moves photon levels only to vacuum, so the photon block is the
+    # survival times a state: dividing it out keeps full relative precision
+    # for any survival in the normal float range.
     sub = rho.matrix[:4, :4]
     survival = float(sub.trace().real)
-    if survival < 1e-14:
-        raise StateError("span transmitted nothing; cannot herald")
+    if not survival >= np.finfo(float).tiny:
+        raise StateError(f"span transmitted {survival:.3g} of its photons; cannot herald")
     conditional = sub / survival
 
     noise = stack.noise_probability
@@ -219,33 +222,25 @@ def memory_decay(
     return apply_to_subsystem(depolarizing_channel(p), state, qubit, [2, 2])
 
 
-_CORRECTIONS_ON_RIGHT = tuple(np.kron(np.eye(2), op) for op in BELL_SIDE_OPS)
 # Linear-optics BSMs herald only the odd-parity Bell outcomes.
 _HERALDED_OUTCOMES = (1, 3)
-_Z_ON_QUBIT1_OF4 = np.kron(
-    np.kron(np.eye(2), np.array([[1, 0], [0, -1]], dtype=complex)), np.eye(4)
-)
 
 
-def _swap_states(left: np.ndarray, right: np.ndarray, visibility_penalty: float) -> np.ndarray:
-    """Bell-measure qubits (1, 2) of left x right, aggregate the heralded
-    outcomes with their Pauli corrections applied to the far right qubit."""
-    joint = np.kron(left, right)
-    if visibility_penalty > 0.0:
-        z = _Z_ON_QUBIT1_OF4
-        joint = (1.0 - visibility_penalty) * joint + visibility_penalty * (
-            z @ joint @ z
-        )
-    t = joint.reshape((2,) * 8)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in _HERALDED_OUTCOMES:
+def _bell_measure(joint: np.ndarray, pre: int, outcomes) -> np.ndarray:
+    """Bell-measure the middle two qubits of ``joint``, a state on a
+    ``pre``-dimensional system and three qubits. Each kept outcome's
+    projection, Pauli-corrected on the last qubit, is summed; returns the
+    normalized state of the first system and the last qubit."""
+    t = joint.reshape((pre, 2, 2, 2) * 2)
+    out = np.zeros((2 * pre, 2 * pre), dtype=complex)
+    for k in outcomes:
         v = BELL_KETS[k].reshape(2, 2)
-        m = np.einsum("mn,amnbcpqd,pq->abcd", v.conj(), t, v).reshape(4, 4)
-        c = _CORRECTIONS_ON_RIGHT[k]
+        m = np.einsum("mn,amnbcpqd,pq->abcd", v.conj(), t, v).reshape(2 * pre, 2 * pre)
+        c = np.kron(np.eye(pre), BELL_SIDE_OPS[k])
         out += c @ m @ c.conj().T
     tr = float(np.real(np.trace(out)))
     if tr < 1e-14:
-        raise StateError("Bell measurement has no support on heralded outcomes")
+        raise StateError("Bell measurement has no support on the kept outcomes")
     out = out / tr
     return (out + out.conj().T) / 2
 
@@ -262,7 +257,12 @@ def entanglement_swap(
     """
     if left.dim != 4 or right.dim != 4:
         raise DimensionError("entanglement swap needs two two-qubit states")
-    out = _swap_states(left.matrix, right.matrix, node.bsm_visibility_penalty)
+    joint = np.kron(left.matrix, right.matrix)
+    penalty = node.bsm_visibility_penalty
+    if penalty > 0.0:
+        z = np.kron(np.kron(np.eye(2), np.diag([1.0, -1.0])), np.eye(4))
+        joint = (1.0 - penalty) * joint + penalty * (z @ joint @ z)
+    out = _bell_measure(joint, 2, _HERALDED_OUTCOMES)
     return SwapResult(
         success_probability=node.bsm_success_prob, state=DensityMatrix(out)
     )
@@ -273,16 +273,7 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
     averaging over all four corrected measurement outcomes."""
     if state.dim != 2 or resource.dim != 4:
         raise DimensionError("teleport needs a qubit state and a two-qubit resource")
-    joint = np.kron(state.matrix, resource.matrix)
-    t = joint.reshape((2,) * 6)
-    out = np.zeros((2, 2), dtype=complex)
-    for k in range(4):
-        v = BELL_KETS[k].reshape(2, 2)
-        m = np.einsum("mn,mnapqb,pq->ab", v.conj(), t, v)
-        c = BELL_SIDE_OPS[k]
-        out += c @ m @ c.conj().T
-    out = out / float(np.real(np.trace(out)))
-    return DensityMatrix((out + out.conj().T) / 2)
+    return DensityMatrix(_bell_measure(np.kron(state.matrix, resource.matrix), 1, range(4)))
 
 
 # Chain engines. Every span state the span stack produces is diagonal in
@@ -670,12 +661,14 @@ class _BlockRun:
         self._spent += generations
         if self._spent > self._budget:
             cycle = max(m.cycle_s for m in self._models)
+            wait = max(m.cycle_s / m.success_prob for m in self._models)
             raise StateError(
                 f"Monte Carlo gave up after {self._spent} span generations "
                 f"for {len(self._ready)} trials, more than {MC_WORK_FACTOR} times "
                 f"the {self._need:.3g} per trial these spans need on average "
                 f"without a cutoff: memory_cutoff {self._cutoff:.3g} s is too "
-                f"short against a span cycle of up to {cycle:.3g} s"
+                f"short against a span cycle of up to {cycle:.3g} s and a mean "
+                f"span wait of up to {wait:.3g} s"
             )
 
     def _gen_span(self, i: int, t0: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -108,6 +108,16 @@ class TestPlan:
         codes = [v["requirement"] for v in rep["verdict"]["violations"]]
         assert "R2-span-reach" in codes
 
+    def test_unreachable_route_is_a_verdict(self, capsys, tmp_path):
+        # 450 km of O band passes about 1e-16 of the photons.
+        route = write_route(tmp_path, [0.0, 450.0])
+        code, out, _ = _run(capsys, ["plan", "--route", route, "--tech", "oneway"])
+        assert code == 0
+        assert json.loads(out)["verdict"]["feasible"] is False
+        code, out, _ = _run(capsys, ["channel", "--route", route])
+        assert code == 0
+        assert json.loads(out)[0]["length_km"] == 450.0
+
     def test_entanglement_small_route(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 20.0, 40.0])
         code, out, _ = _run(capsys, ["plan", "--route", route,

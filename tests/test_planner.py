@@ -253,6 +253,12 @@ class TestBuildChain:
         with pytest.raises(ConfigError):
             build_chain(rc, param_overrides={"detector_efficiency": 2.0})
 
+    @pytest.mark.parametrize("bad", [{"bsm_success_prob": 0}, {"detector_efficiency": 5}])
+    def test_node_parameters_checked_without_huts(self, tmp_path, bad):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0], defaults=bad))
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            build_chain(rc)
+
     def test_unknown_technology(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0]))
         with pytest.raises(ConfigError, match="unknown technology"):
@@ -389,6 +395,24 @@ class TestRunPlan:
         with pytest.raises(ConfigError, match=message):
             run_plan(rc, technology=tech, **{"trials": 10, "seed": 1, **kw})
 
+    @pytest.mark.parametrize("tech", [TECH_ONE_WAY, TECH_ENTANGLEMENT])
+    @pytest.mark.parametrize("params, message", [
+        ({"one_way_loss_threshold_db": 0}, "loss threshold outside"),
+        ({"max_heralding_km": -5}, "max_heralding_km must be positive"),
+    ], ids=["loss-threshold", "heralding-reach"])
+    def test_requirement_parameters_checked_for_every_technology(
+            self, tmp_path, monkeypatch, tech, params, message):
+        import qorsim.planner as planner
+
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        monkeypatch.setattr(planner, "build_chain", lambda *a, **k: pytest.fail("plan ran"))
+        with pytest.raises(ConfigError, match=message):
+            run_plan(rc, technology=tech, trials=10, param_overrides=params)
+
+
+# A key the corrupted report drops.
+_DROP = object()
+
 
 class TestValidateReport:
     @pytest.fixture()
@@ -437,6 +461,39 @@ class TestValidateReport:
             {"requirement": "R1-coexistence", "span_index": None, "detail": "x"}
         ]
         self._expect_fail(rep, "cannot carry violations")
+
+    @pytest.mark.parametrize("path, value, match", [
+        ((), ["not", "an", "object"], "report must be an object"),
+        (("technology",), "smoke-signals", "technology must be one of"),
+        (("route", "length_km"), _DROP, "route.length_km missing"),
+        (("spans",), [], "spans must be a nonempty list"),
+        (("spans", 0, "fidelity"), _DROP, "spans\\[0\\] must have exactly"),
+        (("qkd", "secure"), _DROP, "qkd must have exactly"),
+        (("technology",), TECH_ONE_WAY, "one_way reports carry null"),
+        (("verdict", "feasible"), _DROP, "verdict must have exactly"),
+        (("verdict", "feasible"), "yes", "feasible must be a boolean"),
+        (("verdict", "violations"), 5, "violations must be a list"),
+        (("verdict", "violations"), None, "violations must be a list"),
+        (("provenance", "seed"), _DROP, "provenance must have exactly"),
+    ], ids=[
+        "not-object", "technology", "route-key", "no-spans", "span-keys", "qkd-keys",
+        "one-way-simulation", "verdict-keys", "feasible-type", "violations-int",
+        "violations-none", "provenance-keys",
+    ])
+    def test_malformed_report_is_config_error(self, report, path, value, match):
+        rep = copy.deepcopy(report)
+        if not path:
+            rep = value
+        else:
+            *parents, key = path
+            target = rep
+            for step in parents:
+                target = target[step]
+            if value is _DROP:
+                del target[key]
+            else:
+                target[key] = value
+        self._expect_fail(rep, match)
 
     def test_violation_shape(self, report):
         rep = copy.deepcopy(report)

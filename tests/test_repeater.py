@@ -164,6 +164,18 @@ class TestSpanAttempt:
             assert abs(got.success_probability - p) < 1e-14
             assert np.max(np.abs(got.state.matrix - state)) < 1e-14
 
+    def test_heralds_whatever_arrives(self):
+        # 450 km of O band passes about 1e-16 of the photons.
+        span = FiberSpan(length_km=450.0)
+        got = span_entanglement_attempt(
+            span, detector_efficiency=0.8, memory=MemorySpec(write_efficiency=0.9)
+        )
+        p, state = oracle_span_attempt(span, 0.8, 0.9)
+        assert 0.0 < got.success_probability == pytest.approx(p, rel=1e-12)
+        assert np.max(np.abs(got.state.matrix - state)) < 1e-12
+        with pytest.raises(StateError, match="cannot herald"):
+            span_entanglement_attempt(FiberSpan(length_km=9500.0))
+
     def test_source_pair_is_shared_and_frozen(self):
         pair = _source_pair()
         want = pair.matrix.copy()
@@ -583,6 +595,11 @@ class TestChainValidation:
         with pytest.raises(error, match="inf"):
             make(bad)
 
+    @pytest.mark.parametrize("penalty", [-0.1, 1.5, math.nan])
+    def test_node_visibility_penalty_range(self, penalty):
+        with pytest.raises(StateError, match="bsm_visibility_penalty"):
+            QorsNode(bsm_visibility_penalty=penalty)
+
 
 class TestMonteCarloEngine:
     def test_degenerate_span_is_exact(self):
@@ -707,6 +724,15 @@ class TestMonteCarloEngine:
         need = 2.0 / (node.bsm_success_prob * node.memory.read_efficiency**2)
         spent = int(re.search(r"after (\d+) span generations", str(err.value))[1])
         assert MC_WORK_FACTOR * need * 20 < spent <= MC_WORK_FACTOR * need * 20 + 20
+
+    def test_work_budget_names_the_mean_span_wait(self, tmp_path):
+        # A 1 s cutoff is 340 span cycles, but each 300 km span waits about
+        # 1.5e8 s on average for its pair.
+        from qorsim.planner import build_chain, load_route
+
+        chain = build_chain(load_route(write_route(tmp_path, [0.0, 300.0, 600.0])))
+        with pytest.raises(StateError, match="mean span wait of up to 1.46e\\+08 s"):
+            simulate_chain_mc(chain, trials=2, seed=42)
 
     def test_one_stream_call_per_pass(self, monkeypatch):
         # Two spans whose cutoff never binds: a pass's one stream call takes
