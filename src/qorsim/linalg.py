@@ -3,7 +3,8 @@
 Everything here works on small dense complex matrices (dimension at most
 MAX_DIM): states are validated density operators, plain numpy arrays stand
 in for unitaries and Kraus operators. Arrays wrapped in a DensityMatrix are
-copied and frozen, so states are immutable and safe to share.
+copied and frozen, so states are immutable and safe to share. The
+Bell-weight algebra of two-qubit pairs and the one Bell-basis change live here.
 """
 
 from __future__ import annotations
@@ -214,18 +215,49 @@ def werner_state(f: float) -> DensityMatrix:
     """Werner state with Phi+ fidelity f, valid for f in [0, 1]."""
     if not 0.0 <= f <= 1.0:
         raise StateError(f"Werner fidelity {f} outside [0, 1]")
-    w = (4.0 * f - 1.0) / 3.0
-    rho = w * bell_state(0).matrix + (1.0 - w) * np.eye(4) / 4.0
-    return DensityMatrix(rho)
+    return bell_diagonal_state([f] + [(1.0 - f) / 3.0] * 3)
+
+
+# Bell-weight algebra: weights in BELL_KETS order, one vector or a stack.
+_BELL_BRAS = BELL_KETS.conj()
+_BELL_KETS_T = BELL_KETS.T
+# _XOR[g, k] = g ^ k: a Pauli error with index g maps Bell state k to g ^ k.
+_XOR = np.arange(4)[:, None] ^ np.arange(4)
+
+
+def bell_basis(m: np.ndarray) -> np.ndarray:
+    """Two-qubit matrix m in the Bell basis: entry (j, k) is <beta_j|m|beta_k>."""
+    return _BELL_BRAS @ m @ _BELL_KETS_T
 
 
 def bell_diagonal_weights(rho: DensityMatrix) -> np.ndarray:
     """Diagonal of a two-qubit state in the Bell basis (length-4 vector)."""
     if rho.dim != 4:
         raise DimensionError("Bell projection needs a two-qubit state")
-    return np.real(
-        np.einsum("ki,ij,kj->k", BELL_KETS.conj(), rho.matrix, BELL_KETS)
-    )
+    return bell_basis(rho.matrix).diagonal().real.copy()
+
+
+def bell_diagonal_state(weights) -> DensityMatrix:
+    """Two-qubit state diagonal in the Bell basis with the given weights."""
+    w = np.asarray(weights, dtype=float)
+    return DensityMatrix(_BELL_KETS_T @ (w[:, None] * _BELL_BRAS))
+
+
+def bell_decay(b: np.ndarray, lam) -> np.ndarray:
+    """Depolarize one or both qubits with total survival weight lam."""
+    return lam * b + (1.0 - lam) / 4.0
+
+
+def bell_dephase(b: np.ndarray, p: float) -> np.ndarray:
+    """Phase-flip one qubit with probability p."""
+    return (1.0 - p) * b + p * b[..., _XOR[2]]
+
+
+def bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bell weights after swapping pairs a and b: out[k] = sum_g a[g] b[g ^ k],
+    summed over g in order."""
+    terms = a[..., :, None] * b[..., _XOR]
+    return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

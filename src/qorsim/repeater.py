@@ -39,6 +39,11 @@ from .linalg import (
     DensityMatrix,
     DimensionError,
     StateError,
+    bell_basis,
+    bell_convolve,
+    bell_decay,
+    bell_dephase,
+    bell_diagonal_state,
 )
 
 # The analytic engine sums over the attempt grid of one side of a merge,
@@ -148,7 +153,7 @@ class EndToEndResult:
     @property
     def mean_state(self) -> DensityMatrix:
         """The Bell-diagonal state with weights ``bell``."""
-        return DensityMatrix(np.einsum("k,ki,kj->ij", self.bell, BELL_KETS, BELL_KETS.conj()))
+        return bell_diagonal_state(self.bell)
 
 
 # I/4, the two-qubit state that background coincidences herald.
@@ -280,49 +285,26 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 # the Bell basis, and memory decay (depolarizing), the visibility penalty
 # (dephasing) and the odd-parity swap keep it so. Both engines therefore
 # carry a pair as its four Bell weights (index bit 0: X part, bit 1: Z part
-# of the one-sided Pauli that maps Phi+ to the Bell state). Decay is affine
-# toward I/4, dephasing fixes I/4, and the swap is bilinear with I/4
-# absorbing, so a delivered pair is lam * c + (1 - lam) / 4: c, from
-# _folded_bell, folds the ready states through each node's dephasing and
-# swap, and lam is the survival weight of all the decay on the way. Monte
-# Carlo draws lam per trial; the analytic engine takes its expectation.
+# of the one-sided Pauli that maps Phi+ to the Bell state), whose algebra is
+# in qorsim.linalg. Decay is affine toward I/4, dephasing fixes I/4, and the
+# swap is bilinear with I/4 absorbing, so a delivered pair is
+# lam * c + (1 - lam) / 4: c, from _folded_bell, folds the ready states
+# through each node's dephasing and swap, and lam is the survival weight of
+# all the decay on the way. Monte Carlo draws lam per trial; the analytic
+# engine takes its expectation.
 # _span_models turns the protocol conventions into each merge's numbers,
 # and both engines read only those models, never the chain's nodes.
 
 # Largest off-diagonal Bell-basis element a span state may have.
 BELL_DIAGONAL_TOL = 1e-12
-_XOR = np.array([[g ^ k for k in range(4)] for g in range(4)])
-# The Bell-basis change of a two-qubit matrix is _BELL_BRAS @ m @ _BELL_KETS_T.
-_BELL_BRAS = BELL_KETS.conj()
-_BELL_KETS_T = BELL_KETS.T
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
-
-
-def _bell_decay(b: np.ndarray, lam) -> np.ndarray:
-    """Depolarize one or both qubits with total survival weight lam."""
-    return lam * b + (1.0 - lam) / 4.0
-
-
-def _bell_dephase(b: np.ndarray, p: float) -> np.ndarray:
-    """Phase-flip one qubit with probability p."""
-    flipped = b[..., [2, 3, 0, 1]]
-    return (1.0 - p) * b + p * flipped
-
-
-def _bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bell weights after swapping pairs a and b: out[k] = sum_g a[g] b[g ^ k].
-    Works on stacks of weight vectors along leading axes."""
-    out = a[..., 0:1] * b
-    for g in range(1, 4):
-        out = out + a[..., g:g + 1] * b[..., _XOR[g]]
-    return out
 
 
 def _bell_weights(state: DensityMatrix) -> np.ndarray:
     """Bell weights of a state the engines treat as Bell-diagonal; raises
     StateError if any off-diagonal Bell-basis element exceeds
     BELL_DIAGONAL_TOL (a channel that is not a Pauli mixture would)."""
-    m = _BELL_BRAS @ state.matrix @ _BELL_KETS_T
+    m = bell_basis(state.matrix)
     off = float(np.abs(m[_OFF_DIAGONAL]).max())
     if off > BELL_DIAGONAL_TOL:
         raise StateError(
@@ -401,7 +383,7 @@ def _span_models(
             _SpanModel(
                 success_prob=attempt.success_probability,
                 cycle_s=1.0 / chain.attempt_rate + 2.0 * one_way[i],
-                ready_bell=_bell_decay(_bell_weights(attempt.state), lam),
+                ready_bell=bell_decay(_bell_weights(attempt.state), lam),
                 right_decay_rate=right_rate,
                 front_rate=left_rate,
                 span_rate=left_rate + right_rate,
@@ -799,7 +781,7 @@ def _folded_bell(models: list[_SpanModel]) -> np.ndarray:
     states folded through each node's dephasing and swap."""
     c = models[0].ready_bell
     for m in models[1:]:
-        c = _bell_convolve(_bell_dephase(c, m.visibility_penalty), m.ready_bell)
+        c = bell_convolve(bell_dephase(c, m.visibility_penalty), m.ready_bell)
     return c
 
 
@@ -814,12 +796,15 @@ def _run_trial_range(
     key = _stream_key(seed)
     times = np.empty(hi - lo)
     exponent = np.empty(hi - lo)
-    for start in range(lo, hi, MC_GROUP):
-        stop = min(hi, start + MC_GROUP)
-        out = slice(start - lo, stop - lo)
-        stream = _TrialStream(key, start, stop - start)
-        _BlockRun(models, chain, stream, times[out], exponent[out]).run()
-    # _bell_decay row by row, written in place: broadcasting c[:, None]
+    # A wait past the float range becomes inf, which simulate_chain_mc
+    # rejects; numpy need not warn on the way.
+    with np.errstate(over="ignore"):
+        for start in range(lo, hi, MC_GROUP):
+            stop = min(hi, start + MC_GROUP)
+            out = slice(start - lo, stop - lo)
+            stream = _TrialStream(key, start, stop - start)
+            _BlockRun(models, chain, stream, times[out], exponent[out]).run()
+    # bell_decay row by row, written in place: broadcasting c[:, None]
     # against lam builds (4, trials) temporaries and takes several times
     # longer for the same per-element arithmetic.
     lam = np.exp(-exponent)
@@ -909,17 +894,30 @@ def simulate_chain_mc(
     total = ((bells[0] + bells[1]) + bells[2]) + bells[3]
     if bells.min() < -1e-12 or np.abs(total - 1.0).max() > 1e-10:
         raise StateError("a delivered pair has invalid Bell weights")
+    if not np.isfinite(times).all():
+        wait = max(m.cycle_s / m.success_prob for m in models)
+        raise StateError(
+            f"a Monte Carlo latency overflows the float range; the mean span "
+            f"wait is up to {wait:.3g} s"
+        )
     bell = bells.mean(axis=1)
-    mean_t = float(times.mean())
     fid_se = float(bells[0].std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    t_se = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    # Latency statistics of the times scaled by 2**-e, with e the exponent
+    # of the largest time. Near the heralding floor the waits reach 1e306 s,
+    # whose sum, squares and squared mean overflow; a power-of-two scale
+    # is exact, so elsewhere the bits are those of the unscaled formulas.
+    e = math.frexp(float(times.max()))[1]
+    scaled = np.ldexp(times, -e)
+    mean_s = float(scaled.mean())
+    se_s = float(scaled.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean_t = math.ldexp(mean_s, e)
     return EndToEndResult(
         fidelity=float(bell[0]),
         pair_rate_hz=1.0 / mean_t,
         mean_latency_s=mean_t,
         trials=trials,
         fidelity_stderr=fid_se,
-        rate_stderr=t_se / mean_t**2,
+        rate_stderr=math.ldexp(se_s / mean_s**2, -e),
         bell=bell,
         engine="mc",
     )
@@ -1068,7 +1066,7 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         # is an end station, which does not decay, so its factor is 1.
         lam *= math.exp(-m.right_decay_rate * m.notify_s)
 
-    bell = _bell_decay(_folded_bell(models), lam)
+    bell = bell_decay(_folded_bell(models), lam)
     return EndToEndResult(
         fidelity=float(bell[0]),
         pair_rate_hz=1.0 / mean_t,

@@ -1,11 +1,9 @@
-"""Shared fixtures: deterministic RNG, Bell-diagonal builder, route files."""
+"""Shared fixtures: deterministic RNG, route files."""
 
 import json
 
 import numpy as np
 import pytest
-
-from qorsim.linalg import BELL_KETS, DensityMatrix
 
 
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -21,13 +19,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
-
-
-def bell_diag(weights) -> DensityMatrix:
-    """Two-qubit state diagonal in the Bell basis with the given weights."""
-    w = np.asarray(weights, dtype=float)
-    m = np.einsum("k,ki,kj->ij", w, BELL_KETS, BELL_KETS.conj())
-    return DensityMatrix(m)
 
 
 def write_route(tmp_path, positions, name="test-route", band="O",

@@ -38,8 +38,15 @@ from qorsim.channels import (
     sop_rotation_channel,
 )
 from qorsim.fiber import transmittance
-from qorsim.linalg import DensityMatrix, DimensionError, StateError, _as_complex_matrix
-from qorsim.repeater import _bell_convolve, _bell_decay, _bell_dephase
+from qorsim.linalg import (
+    DensityMatrix,
+    DimensionError,
+    StateError,
+    _as_complex_matrix,
+    bell_convolve,
+    bell_decay,
+    bell_dephase,
+)
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -257,6 +264,21 @@ def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):
     return ready, state
 
 
+def reference_bell_dephase(b: np.ndarray, p: float) -> np.ndarray:
+    """Phase flip with probability p by an explicit index list: Z maps
+    Phi+ <-> Phi- and Psi+ <-> Psi-. The bits ``bell_dephase`` must give."""
+    return (1.0 - p) * b + p * b[..., [2, 3, 0, 1]]
+
+
+def reference_bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[k] = sum_g a[g] b[g ^ k] as a loop over g, one term added at a
+    time. The bits ``bell_convolve`` must give."""
+    out = a[..., 0:1] * b
+    for g in range(1, 4):
+        out = out + a[..., g:g + 1] * b[..., [g ^ k for k in range(4)]]
+    return out
+
+
 def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
     """The Monte Carlo engine's delivered Bell weights folded node by node:
     each swap decays both inputs by their own waits, dephases the frontier
@@ -271,8 +293,8 @@ def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
         lam_f = np.exp(-node_rate * waits[:, 2 * j:2 * j + 1])
         span_rate = node_rate + models[j + 1].right_decay_rate
         lam_s = np.exp(-span_rate * waits[:, 2 * j + 1:2 * j + 2])
-        left = _bell_dephase(_bell_decay(b, lam_f), node.bsm_visibility_penalty)
-        b = _bell_convolve(left, _bell_decay(models[j + 1].ready_bell, lam_s))
+        left = bell_dephase(bell_decay(b, lam_f), node.bsm_visibility_penalty)
+        b = bell_convolve(left, bell_decay(models[j + 1].ready_bell, lam_s))
     return b
 
 

@@ -158,6 +158,41 @@ class TestPlan:
         assert rep["technology"] == "one_way"
 
 
+def _finite_json(text: str):
+    """Decoded JSON; fails on NaN and Infinity."""
+    def reject(name):
+        raise AssertionError(f"non-finite JSON number {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestLongSpans:
+    # Hut-less O-band routes: 8700 km heralds about 3e-305 of the attempts,
+    # so the waits reach 1e304 s and their squares pass the float range.
+    @pytest.mark.parametrize("km", [5000.0, 8700.0])
+    @pytest.mark.parametrize("command", [
+        ["plan", "--tech", "entanglement"], ["simulate"], ["simulate", "--engine", "analytic"],
+    ])
+    def test_report_is_finite(self, capsys, tmp_path, km, command):
+        route = write_route(tmp_path, [0.0, km])
+        code, out, err = _run(capsys, command + ["--route", route, "--trials", "2000"])
+        assert code == 0 and err == ""
+        rep = _finite_json(out)
+        latency = rep["end_to_end"]["latency_s"] if command[0] == "plan" else rep["latency_s"]
+        assert latency > 1e170
+
+    def test_latency_past_float_range_is_an_error(self, capsys, tmp_path):
+        # At 8787 km, just inside the heralding floor, some sampled waits
+        # pass 1.8e308 s; the analytic mean still fits.
+        route = write_route(tmp_path, [0.0, 8787.0])
+        for command in (["plan"], ["simulate"]):
+            code, out, err = _run(capsys, command + ["--route", route, "--trials", "2000"])
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "float range" in err
+        code, out, err = _run(capsys, ["simulate", "--engine", "analytic", "--route", route])
+        assert code == 0 and err == ""
+        assert _finite_json(out)["latency_s"] > 1e306
+
+
 class TestSimulate:
     def test_analytic_engine(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 25.0, 50.0])

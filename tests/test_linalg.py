@@ -14,6 +14,7 @@ from qorsim.linalg import (
     DimensionError,
     StateError,
     apply_unitary,
+    bell_diagonal_state,
     bell_diagonal_weights,
     bell_state,
     fidelity,
@@ -27,8 +28,6 @@ from qorsim.linalg import (
     tensor,
     werner_state,
 )
-
-from conftest import bell_diag
 
 
 class TestDensityMatrixValidation:
@@ -241,7 +240,10 @@ class TestBellToolbox:
     def test_weights_invert_synthesis(self, rng):
         for _ in range(20):
             w = rng.dirichlet(np.ones(4))
-            got = bell_diagonal_weights(bell_diag(w))
+            rho = bell_diagonal_state(w)
+            want = sum(w[k] * np.outer(BELL_KETS[k], BELL_KETS[k].conj()) for k in range(4))
+            assert np.max(np.abs(rho.matrix - want)) < 1e-15
+            got = bell_diagonal_weights(rho)
             assert np.max(np.abs(got - w)) < 1e-12
 
     def test_werner_fidelity_roundtrip(self):

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qorsim.fiber import (
     C_BAND,
@@ -26,6 +27,10 @@ from qorsim.linalg import (
     DensityMatrix,
     DimensionError,
     StateError,
+    bell_convolve,
+    bell_decay,
+    bell_dephase,
+    bell_diagonal_state,
     bell_diagonal_weights,
     fidelity,
     ket,
@@ -35,7 +40,8 @@ from qorsim.linalg import (
     random_density_matrix,
     werner_state,
 )
-from qorsim.qkd import OneWayRepeaterSpec, qec_max_span
+from qorsim.planner import spans_table
+from qorsim.qkd import OneWayRepeaterSpec, _qber, qber_from_state, qec_max_span
 from qorsim.repeater import (
     BELL_DIAGONAL_TOL,
     MC_GROUP,
@@ -45,9 +51,7 @@ from qorsim.repeater import (
     QorsNode,
     RepeaterChain,
     SpanAttempt,
-    _bell_convolve,
-    _bell_decay,
-    _bell_dephase,
+    _bell_weights,
     _expected_wait,
     _folded_bell,
     _GeomTime,
@@ -65,7 +69,7 @@ from qorsim.repeater import (
     teleport,
 )
 
-from conftest import bell_diag, write_route
+from conftest import write_route
 from oracles import (
     oracle_chain_trial,
     oracle_delivered_bells,
@@ -74,6 +78,8 @@ from oracles import (
     oracle_splitmix64,
     oracle_splitmix_uniform,
     oracle_swap,
+    reference_bell_convolve,
+    reference_bell_dephase,
 )
 
 
@@ -94,6 +100,26 @@ def _span(length=25.0, band=C_BAND, **kw):
     kw.setdefault("sop_recalibration_interval", 1e-6)
     kw.setdefault("coexistence_noise_prob", 1e-5)
     return FiberSpan(length_km=length, quantum_band=band, **kw)
+
+
+def _random_span_attempts():
+    """200 seeded spans over both bands with random dephasing, drift and
+    noise, each as (span, detector efficiency, write efficiency, attempt)."""
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        span = FiberSpan(
+            length_km=float(rng.uniform(0.0, 120.0)),
+            quantum_band=(O_BAND, C_BAND)[rng.integers(2)],
+            dephasing_p=float(rng.uniform(0.0, 0.3)),
+            sop_drift_rate=float(rng.uniform(0.0, 2.0)),
+            sop_recalibration_interval=float(rng.uniform(0.0, 1.5)),
+            coexistence_noise_prob=float(rng.uniform(0.0, 1e-3)),
+        )
+        det, write = (float(x) for x in rng.uniform(0.1, 1.0, 2))
+        got = span_entanglement_attempt(
+            span, detector_efficiency=det, memory=MemorySpec(write_efficiency=write)
+        )
+        yield span, det, write, got
 
 
 class TestSpanAttempt:
@@ -146,23 +172,19 @@ class TestSpanAttempt:
             span_entanglement_attempt(_span(), detector_efficiency=0.0)
 
     def test_matches_stage_by_stage_oracle(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(200):
-            span = FiberSpan(
-                length_km=float(rng.uniform(0.0, 120.0)),
-                quantum_band=(O_BAND, C_BAND)[rng.integers(2)],
-                dephasing_p=float(rng.uniform(0.0, 0.3)),
-                sop_drift_rate=float(rng.uniform(0.0, 2.0)),
-                sop_recalibration_interval=float(rng.uniform(0.0, 1.5)),
-                coexistence_noise_prob=float(rng.uniform(0.0, 1e-3)),
-            )
-            det, write = (float(x) for x in rng.uniform(0.1, 1.0, 2))
-            got = span_entanglement_attempt(
-                span, detector_efficiency=det, memory=MemorySpec(write_efficiency=write)
-            )
+        for span, det, write, got in _random_span_attempts():
             p, state = oracle_span_attempt(span, det, write)
             assert abs(got.success_probability - p) < 1e-14
             assert np.max(np.abs(got.state.matrix - state)) < 1e-14
+
+    def test_reports_read_the_engines_projection(self):
+        # The span table's fidelity and the QBER of a state are the numbers
+        # the engines' Bell weights give, to the last bit.
+        for span, _, _, got in _random_span_attempts():
+            bell = _bell_weights(got.state)
+            (row,) = spans_table(RepeaterChain(spans=(span,), attempt_rate=1e6), (got,))
+            assert row["fidelity"] == bell[0]
+            assert qber_from_state(got.state) == _qber(bell)
 
     def test_heralds_whatever_arrives(self):
         # 450 km of O band passes about 1e-16 of the photons.
@@ -223,7 +245,7 @@ class TestEntanglementSwap:
         node = _node()
         for _ in range(15):
             wa, wb = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-            a, b = bell_diag(wa), bell_diag(wb)
+            a, b = bell_diagonal_state(wa), bell_diagonal_state(wb)
             got = entanglement_swap(a, b, node).state.matrix
             want = oracle_swap(a.matrix, b.matrix, outcomes=(1, 3))
             assert np.max(np.abs(got - want)) < 1e-12
@@ -249,7 +271,7 @@ class TestEntanglementSwap:
         node = _node()
         for _ in range(10):
             wa, wb = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-            out = entanglement_swap(bell_diag(wa), bell_diag(wb), node)
+            out = entanglement_swap(bell_diagonal_state(wa), bell_diagonal_state(wb), node)
             got = bell_diagonal_weights(out.state)
             want = np.zeros(4)
             for i in range(4):
@@ -287,7 +309,7 @@ class TestTeleport:
 
     def test_unital_on_bell_diagonal_resources(self, rng):
         for _ in range(10):
-            res = bell_diag(rng.dirichlet(np.ones(4)))
+            res = bell_diagonal_state(rng.dirichlet(np.ones(4)))
             out = teleport(maximally_mixed(2), res)
             assert np.max(np.abs(out.matrix - np.eye(2) / 2)) < 1e-12
 
@@ -516,31 +538,57 @@ class TestFusedWaitTerms:
         assert got == tuple(float(v) for v in want)
 
 
+@st.composite
+def _weight_stacks(draw):
+    """Two stacks of weight vectors (a single vector is a stack of shape
+    (4,)); b has a's shape or is one vector, as the engines broadcast a
+    span's ready weights against a stack."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=7)) + (4,)
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    a = draw(hnp.arrays(np.float64, shape, elements=unit))
+    b = draw(hnp.arrays(np.float64, draw(st.sampled_from([shape, (4,)])), elements=unit))
+    return a, b, draw(unit)
+
+
 class TestBellVectorAlgebra:
+    @given(_weight_stacks())
+    def test_kernels_match_reference_bits(self, case):
+        a, b, p = case
+        assert np.array_equal(bell_convolve(a, b), reference_bell_convolve(a, b))
+        assert np.array_equal(bell_dephase(a, p), reference_bell_dephase(a, p))
+
+    def test_kernels_match_reference_bits_on_engine_stacks(self, rng):
+        a = rng.dirichlet(np.ones(4), size=(50, 7))
+        b = rng.dirichlet(np.ones(4), size=(50, 7))
+        for right in (b, b[0, 0]):
+            assert np.array_equal(bell_convolve(a, right), reference_bell_convolve(a, right))
+        for p in rng.uniform(0.0, 1.0, 5):
+            assert np.array_equal(bell_dephase(a, p), reference_bell_dephase(a, p))
+
     def test_decay_preserves_normalization(self, rng):
         w = rng.dirichlet(np.ones(4))
-        out = _bell_decay(w, 0.73)
+        out = bell_decay(w, 0.73)
         assert abs(np.sum(out) - 1.0) < 1e-12
         assert abs(out[0] - (0.73 * w[0] + 0.27 / 4)) < 1e-12
 
     def test_dephase_swaps_phase_pairs(self):
         w = np.array([0.6, 0.2, 0.15, 0.05])
-        out = _bell_dephase(w, 1.0)
+        out = bell_dephase(w, 1.0)
         assert np.array_equal(out, w[[2, 3, 0, 1]])
 
     def test_convolve_is_commutative_with_identity(self, rng):
         a = rng.dirichlet(np.ones(4))
         b = rng.dirichlet(np.ones(4))
-        assert np.max(np.abs(_bell_convolve(a, b) - _bell_convolve(b, a))) < 1e-15
+        assert np.max(np.abs(bell_convolve(a, b) - bell_convolve(b, a))) < 1e-15
         e = np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.max(np.abs(_bell_convolve(a, e) - a)) < 1e-15
+        assert np.max(np.abs(bell_convolve(a, e) - a)) < 1e-15
 
     def test_decay_matches_memory_decay(self):
         lam = math.exp(-0.2)
         w = np.array([0.7, 0.1, 0.1, 0.1])
-        direct = _bell_decay(w, lam)
+        direct = bell_decay(w, lam)
         via_state = bell_diagonal_weights(
-            memory_decay(bell_diag(w), 0.2, MemorySpec(coherence_time=1.0), qubit=0)
+            memory_decay(bell_diagonal_state(w), 0.2, MemorySpec(coherence_time=1.0), qubit=0)
         )
         assert np.max(np.abs(direct - via_state)) < 1e-12
 
@@ -648,6 +696,21 @@ class TestMonteCarloEngine:
             assert a.rate_stderr == other.rate_stderr
             assert np.array_equal(a.bell, other.bell)
             assert np.array_equal(a.mean_state.matrix, other.mean_state.matrix)
+
+    def test_latency_statistics_are_the_plain_formulas(self):
+        # The engine scales times by a power of two so that waits near the
+        # heralding floor do not overflow; on ordinary waits the results are
+        # the unscaled formulas to the last bit.
+        chain = RepeaterChain(spans=(_span(), _span(40.0)), nodes=(_node(0.05),),
+                              attempt_rate=1e6, memory_cutoff=0.05)
+        for trials, seed in ((3000, 5), (1, 6), (777, 7)):
+            res = simulate_chain_mc(chain, trials=trials, seed=seed)
+            times, _ = _run_trial_range(_span_models(chain), chain, seed, 0, trials)
+            mean_t = float(times.mean())
+            t_se = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            assert res.mean_latency_s == mean_t
+            assert res.pair_rate_hz == 1.0 / mean_t
+            assert res.rate_stderr == t_se / mean_t**2
 
     def test_trials_do_not_depend_on_the_run_length(self):
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
@@ -1113,7 +1176,7 @@ class TestBellEngineAgainstDenseOracle:
         exponent = np.zeros(len(waits))
         for j, m in enumerate(models[1:]):
             exponent = (exponent + m.front_rate * waits[:, 2 * j]) + m.span_rate * waits[:, 2 * j + 1]
-        got = _bell_decay(_folded_bell(models)[:, None], np.exp(-exponent))
+        got = bell_decay(_folded_bell(models)[:, None], np.exp(-exponent))
         want = oracle_delivered_bells(models, nodes, waits).T
         assert np.max(np.abs(got - want)) < 1e-15
 
@@ -1217,8 +1280,8 @@ class TestAnalyticEngine:
             # Exactly one side waits, so the expected merged pair is
             # f(EA, 1) + f(1, EB) - f(1, 1) for the decay factors' means.
             def merged(da, db):
-                left = _bell_dephase(_bell_decay(bell, da), node.bsm_visibility_penalty)
-                return _bell_convolve(left, _bell_decay(m.ready_bell, db))
+                left = bell_dephase(bell_decay(bell, da), node.bsm_visibility_penalty)
+                return bell_convolve(left, bell_decay(m.ready_bell, db))
 
             bell = merged(e_front, 1.0) + merged(1.0, e_span) - merged(1.0, 1.0)
             last = i == len(chain.nodes) - 1
@@ -1226,7 +1289,7 @@ class TestAnalyticEngine:
             notify = (max(one_way[-1], one_way[0] + one_way[1]) if last
                       else one_way[i + 1])
             mean = e_max / (node.bsm_success_prob * node.memory.read_efficiency**2) + notify
-            bell = bell if last else _bell_decay(bell, math.exp(-m.right_decay_rate * notify))
+            bell = bell if last else bell_decay(bell, math.exp(-m.right_decay_rate * notify))
             front = ([mean], [1.0])
         res = simulate_chain_analytic(chain)
         assert np.max(np.abs(res.bell - bell)) < 1e-12

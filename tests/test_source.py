@@ -51,3 +51,67 @@ def test_finder_sees_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names ("_x", not dunder) that a module binds at top level and
+    that nothing reads, as "module:line: name"; ``sources`` maps module
+    names to source. The module itself reads a name by loading it in any
+    scope (so a local of the same name hides a miss); another module reads
+    it by importing it from the module or as an attribute of the module's
+    name. A name of the same spelling in another module does not count."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, stmt.lineno, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source_module = node.module.split(".")[-1]
+                read.update((source_module, alias.name) for alias in node.names)
+    return [f"{module}:{line}: {name}" for module, line, name in defined
+            if (module, name) not in read]
+
+
+def test_private_finder_sees_unused_and_reads_across_modules():
+    sources = {
+        "a": (
+            "import b\n"
+            "_LEFT = 1\n"
+            "_USED, _PAIR = 2, 3\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class _Box:\n"
+            "    pass\n"
+            "x = b._via_attr\n"
+        ),
+        "b": (
+            "from .a import _Box\n"
+            "_via_attr = 4\n"
+            "_TABLE: list = []\n"
+            "_USED = 5\n"
+        ),
+    }
+    # a reads b._via_attr and b imports a._Box; a reads only its own _USED.
+    assert unused_private_names(sources) == [
+        "a:2: _LEFT", "a:3: _PAIR", "a:5: _helper", "b:3: _TABLE", "b:4: _USED",
+    ]
+
+
+def test_no_unused_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
