@@ -7,7 +7,7 @@ Kraus operator to the full space with kron products and hands the lifted
 set to ``apply_channel``, ``oracle_span_attempt`` takes each stage's Kraus
 operators from the channel catalog and the span's transmittance from
 ``qorsim.fiber``, and ``oracle_delivered_bells`` folds Bell weights node
-by node with the engine's Bell-vector steps. The catalog channels and
+by node with qorsim.linalg's Bell-weight steps. The catalog channels and
 these helpers are checked against closed forms on their own.
 ``oracle_splitmix_uniform`` recomputes the Monte Carlo engine's draws one
 at a time in Python integers; it shares only the key derivation from the
