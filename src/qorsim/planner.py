@@ -43,6 +43,7 @@ from .repeater import (
     RepeaterChain,
     SpanAttempt,
     _check_mc_args,
+    _checked_attempts,
     simulate_chain_mc,
     span_attempts,
     span_entanglement_attempt,  # noqa: F401  (kept importable from planner, as before)
@@ -347,9 +348,9 @@ def spans_table(
     chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
 ) -> list[dict]:
     """Per-span summary used by reports and the channel subcommand.
-    ``attempts`` (from span_attempts(chain)) saves recomputing them."""
-    if attempts is None:
-        attempts = span_attempts(chain)
+    ``attempts`` (from span_attempts(chain)) saves recomputing them; a
+    count other than one per span raises DimensionError."""
+    attempts = _checked_attempts(chain, attempts)
     return [
         {
             "index": i,
@@ -479,9 +480,13 @@ _REPORT_KEYS = {
 
 
 def validate_report(report: dict) -> None:
-    """Structural check of a single-technology report; raises ConfigError."""
+    """Structural check of a single-technology report, with every number
+    it reports finite; raises ConfigError."""
     def fail(msg: str):
         raise ConfigError(f"report schema: {msg}")
+
+    def number(val, where: str):
+        _number(val, f"report schema: {where} must be a finite number")
 
     if not isinstance(report, dict):
         fail("report must be an object")
@@ -508,9 +513,7 @@ def validate_report(report: dict) -> None:
         if row["index"] != i:
             fail(f"spans[{i}] index out of order")
         for key in ("length_km", "transmittance", "fidelity"):
-            v = row[key]
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                fail(f"spans[{i}].{key} must be a finite number")
+            number(row[key], f"spans[{i}].{key}")
 
     ete, qkd_section = report["end_to_end"], report["qkd"]
     if report["technology"] == TECH_ENTANGLEMENT:
@@ -520,6 +523,12 @@ def validate_report(report: dict) -> None:
             "qber", "sifted_rate_hz", "secret_key_rate_hz", "secure"
         }:
             fail("qkd must have exactly qber/sifted_rate_hz/secret_key_rate_hz/secure")
+        for key, v in ete.items():
+            number(v, f"end_to_end.{key}")
+        for key in ("qber", "sifted_rate_hz", "secret_key_rate_hz"):
+            number(qkd_section[key], f"qkd.{key}")
+        if not isinstance(qkd_section["secure"], bool):
+            fail("qkd.secure must be a boolean")
     else:
         if ete is not None or qkd_section is not None:
             fail("one_way reports carry null end_to_end and qkd")

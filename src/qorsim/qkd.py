@@ -168,11 +168,28 @@ def assess_chain(
         if technology == TECH_ENTANGLEMENT:
             limit, rule = max_heralding_km, "heralded-attempt limit"
         else:
+            # The span's insertion loss comes out of the budget before its
+            # fiber does, as in fiber.transmittance.
             att = span.fiber.attenuation(span.quantum_band)
-            limit = qec_max_span(att, spec.loss_threshold_db)
+            insertion = span.mux_insertion_loss_db
+            budget = spec.loss_threshold_db
+            if insertion >= budget:
+                reach_failures.append(
+                    Violation(
+                        requirement=R_SPAN_REACH,
+                        span_index=i,
+                        detail=(
+                            f"span {i} insertion loss {insertion:g} dB uses the "
+                            f"whole {budget:g} dB one-way budget"
+                        ),
+                    )
+                )
+                continue
+            limit = qec_max_span(att, budget, insertion)
             rule = (
-                f"one-way limit ({spec.loss_threshold_db:g} dB budget at "
-                f"{att:g} dB/km in the {span.quantum_band.name} band)"
+                f"one-way limit ({budget:g} dB budget less {insertion:g} dB "
+                f"insertion loss, at {att:g} dB/km in the "
+                f"{span.quantum_band.name} band)"
             )
         if span.length_km > limit:
             reach_failures.append(

@@ -354,18 +354,27 @@ def span_attempts(chain: RepeaterChain) -> tuple[SpanAttempt, ...]:
     return tuple(attempts)
 
 
-def _span_models(
-    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
-) -> list[_SpanModel]:
-    """Engine inputs per span, from ``attempts`` (span_attempts(chain) when
-    not given). Raises StateError if a heralded state is not Bell-diagonal;
-    the pre-ready memory decay cannot make it so."""
+def _checked_attempts(
+    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None
+) -> tuple[SpanAttempt, ...]:
+    """``attempts``, or span_attempts(chain) when not given; DimensionError
+    unless there is one per span."""
     if attempts is None:
         attempts = span_attempts(chain)
     if len(attempts) != len(chain.spans):
         raise DimensionError(
             f"{len(chain.spans)} spans need as many attempts, got {len(attempts)}"
         )
+    return attempts
+
+
+def _span_models(
+    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
+) -> list[_SpanModel]:
+    """Engine inputs per span, from ``attempts`` (span_attempts(chain) when
+    not given). Raises StateError if a heralded state is not Bell-diagonal;
+    the pre-ready memory decay cannot make it so."""
+    attempts = _checked_attempts(chain, attempts)
     one_way = [photon_dwell_time(span) for span in chain.spans]
     # A swap's outcome crosses its span to the new frontier edge; the last
     # one must reach both end stations.
@@ -927,11 +936,11 @@ def simulate_chain_mc(
 # renewal accounting for the times. Every ready time is one geometric type
 # on its attempt grid; after the first merge the frontier time is collapsed
 # to a point mass at its mean, the same type with success 1. A merge sums
-# over the atoms of the side that heralds more often, with the other side's
-# closed forms, evaluated once per point set: the atom counts and their
-# products with log q are shared by every form. A point-mass side is one
-# float point, so every merge after the first, and any merge with a certain
-# span, builds no arrays. The state is _folded_bell's c and one expected
+# over the atoms of the side that heralds more often: one wait_terms call
+# on the other side gives the merge's three integrands at that set of
+# points, from one count of its atoms. A point-mass side is one float
+# point, so every merge after the first, and any merge with a certain span,
+# builds no arrays. The state is _folded_bell's c and one expected
 # survival weight lam: a merge multiplies lam by e_front + e_span - 1, the
 # expected survivals of the two sides, and a notification that is not the
 # last by its decay. Cutoff expiry is neglected, so results are exact only
@@ -946,10 +955,7 @@ def _nlog(n, log_v):
 
 class _GeomTime:
     """Ready time T = K * cycle, K >= 1 the attempt that succeeds with
-    probability p; p = 1 is the point mass at cycle. The closed forms take
-    points x (a float or an array); an atom within 1e-12 (relative) of x is
-    a tie. Each form also takes x's counts from _counts, so that forms
-    evaluated at the same points count once."""
+    probability p; p = 1 is the point mass at cycle."""
 
     def __init__(self, p: float, cycle: float):
         self.p = p
@@ -962,58 +968,33 @@ class _GeomTime:
         k = np.arange(math.ceil(math.log(1e-16) / self.log_q) + 1)
         return (k + 1) * self.cycle, self.p * np.exp(_nlog(k, self.log_q))
 
-    def _counts(self, x):
-        """The atoms up to x, a tie counted (n), and below x (m), with n log q
-        and m log q."""
-        y = x / self.cycle
-        n = np.maximum(np.floor(y * (1 + 1e-12)), 0.0)
-        m = np.maximum(np.ceil(y * (1 - 1e-12)) - 1, 0.0)
-        return n, m, _nlog(n, self.log_q), _nlog(m, self.log_q)
-
-    def cdf(self, x, c=None):
-        """P(T <= x)."""
-        _, _, n_log, _ = c or self._counts(x)
-        return -np.expm1(n_log)
-
-    def sf(self, x, c=None):
-        """P(T >= x)."""
-        _, _, _, m_log = c or self._counts(x)
-        return np.exp(m_log)
-
-    def excess(self, x, c=None):
-        """E[(T - x)+]. Past the n atoms up to x, T is n cycles plus a fresh
-        copy of itself."""
-        n, _, n_log, _ = c or self._counts(x)
-        return np.exp(n_log) * (n * self.cycle - x + self.mean)
-
-    def decay_above(self, x, rate, c=None):
-        """E[exp(-rate (T - x)); T > x]."""
-        n, _, n_log, _ = c or self._counts(x)
-        # 1 - q exp(-rate cycle), the generating function's denominator.
-        den = -np.expm1(self.log_q - rate * self.cycle)
-        return self.p * np.exp(n_log - rate * ((n + 1) * self.cycle - x)) / den
-
-    def decay_below(self, x, rate, c=None):
-        """E[exp(-rate (x - T)); T < x]."""
-        _, m, _, _ = c or self._counts(x)
-        # Atoms k = 1..m weigh p q^(k-1) exp(-rate (x - k cycle)): a
-        # geometric series of ratio v = q exp(rate cycle), summed from its
-        # largest term (the first if v <= 1, else the last).
-        log_v = self.log_q + rate * self.cycle
-        y = -abs(log_v)
-        series = m if y == 0.0 else np.expm1(_nlog(m, y)) / np.expm1(y)
-        top = max(log_v, 0.0) * (m - 1) - rate * np.maximum(x - self.cycle, 0.0)
-        return self.p * np.exp(top) * series
-
     def wait_terms(self, x, r_a, r_b):
-        """At points x of another ready time A: P(T <= x) + E[exp(-r_a (T - x));
-        T > x], P(T >= x) + E[exp(-r_b (x - T)); T < x] and x + E[(T - x)+],
-        the integrands of _expected_wait, from one count of the atoms."""
-        c = self._counts(x)
+        """At points x > 0 of another ready time A (a float or an array):
+        P(T <= x) + E[exp(-r_a (T - x)); T > x], P(T >= x) +
+        E[exp(-r_b (x - T)); T < x] and x + E[(T - x)+], the integrands of
+        _expected_wait. n counts the atoms up to x, m those below x; an atom
+        within 1e-12 (relative) of x is a tie, in n and not in m."""
+        y = x / self.cycle
+        n = np.floor(y * (1 + 1e-12))
+        m = np.ceil(y * (1 - 1e-12)) - 1
+        n_log = _nlog(n, self.log_q)
+        # 1 - q exp(-r_a cycle), the generating function's denominator.
+        den = -np.expm1(self.log_q - r_a * self.cycle)
+        above = self.p * np.exp(n_log - r_a * ((n + 1) * self.cycle - x)) / den
+        # Atoms k = 1..m weigh p q^(k-1) exp(-r_b (x - k cycle)): a
+        # geometric series of ratio v = q exp(r_b cycle), summed from its
+        # largest term (the first if v <= 1, else the last). Below the first
+        # atom m is 0, and the clamp keeps exp(top) finite against it.
+        log_v = self.log_q + r_b * self.cycle
+        s = -abs(log_v)
+        series = m if s == 0.0 else np.expm1(_nlog(m, s)) / np.expm1(s)
+        top = max(log_v, 0.0) * (m - 1) - r_b * np.maximum(x - self.cycle, 0.0)
+        below = self.p * np.exp(top) * series
+        # Past the n atoms up to x, T is n cycles plus a fresh copy of itself.
         return (
-            self.cdf(x, c) + self.decay_above(x, r_a, c),
-            self.sf(x, c) + self.decay_below(x, r_b, c),
-            x + self.excess(x, c),
+            -np.expm1(n_log) + above,
+            np.exp(_nlog(m, self.log_q)) + below,
+            x + np.exp(n_log) * (n * self.cycle - x + self.mean),
         )
 
 

@@ -279,6 +279,35 @@ def reference_bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reference_nlog(n, log_v):
+    """n * log_v, with 0 where n is 0 (also when log_v is -inf)."""
+    if isinstance(n, np.ndarray):
+        return np.multiply(n, log_v, out=np.zeros(n.shape), where=n > 0)
+    return n * log_v if n > 0 else 0.0
+
+
+def reference_wait_terms(t, x, r_a, r_b):
+    """The integrands of ``_GeomTime.wait_terms`` at points x of a ready time
+    t (with t.p, t.cycle, t.mean and t.log_q), summed from five closed forms
+    over one count of the atoms that clamps both counts at 0. The bits
+    ``wait_terms`` must give."""
+    y = x / t.cycle
+    n = np.maximum(np.floor(y * (1 + 1e-12)), 0.0)
+    m = np.maximum(np.ceil(y * (1 - 1e-12)) - 1, 0.0)
+    n_log, m_log = _reference_nlog(n, t.log_q), _reference_nlog(m, t.log_q)
+    cdf = -np.expm1(n_log)
+    sf = np.exp(m_log)
+    excess = np.exp(n_log) * (n * t.cycle - x + t.mean)
+    den = -np.expm1(t.log_q - r_a * t.cycle)
+    decay_above = t.p * np.exp(n_log - r_a * ((n + 1) * t.cycle - x)) / den
+    log_v = t.log_q + r_b * t.cycle
+    s = -abs(log_v)
+    series = m if s == 0.0 else np.expm1(_reference_nlog(m, s)) / np.expm1(s)
+    top = max(log_v, 0.0) * (m - 1) - r_b * np.maximum(x - t.cycle, 0.0)
+    decay_below = t.p * np.exp(top) * series
+    return cdf + decay_above, sf + decay_below, x + excess
+
+
 def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
     """The Monte Carlo engine's delivered Bell weights folded node by node:
     each swap decays both inputs by their own waits, dephases the frontier

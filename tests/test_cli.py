@@ -118,6 +118,15 @@ class TestPlan:
         assert code == 0
         assert json.loads(out)[0]["length_km"] == 450.0
 
+    def test_insertion_loss_over_budget_is_a_verdict(self, capsys, tmp_path):
+        route = write_route(tmp_path, [0.0, 5.0], defaults={
+            "mux_insertion_loss_db": 3.0, "one_way_loss_threshold_db": 3.0})
+        code, out, _ = _run(capsys, ["plan", "--route", route, "--tech", "oneway"])
+        assert code == 0
+        (r2, _) = json.loads(out)["verdict"]["violations"]
+        assert r2["requirement"] == "R2-span-reach"
+        assert "insertion loss 3 dB" in r2["detail"]
+
     def test_entanglement_small_route(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 20.0, 40.0])
         code, out, _ = _run(capsys, ["plan", "--route", route,

@@ -2,11 +2,14 @@
 
 import copy
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 import qorsim.repeater as repeater
+from qorsim.linalg import DimensionError
 from qorsim.planner import (
     DEFAULT_PARAMS,
     ConfigError,
@@ -282,6 +285,14 @@ class TestSpansTable:
         assert row["transmittance"] == pytest.approx(
             eta(build_chain(rc).spans[0]), abs=1e-15)
 
+    def test_attempt_count_must_match_spans(self, tmp_path):
+        chain = build_chain(load_route(write_route(tmp_path, [0.0, 25.0, 50.0])))
+        attempts = repeater.span_attempts(chain)
+        assert spans_table(chain, attempts) == spans_table(chain)
+        for wrong in (attempts[:1], attempts + attempts[:1]):
+            with pytest.raises(DimensionError, match="2 spans need as many attempts"):
+                spans_table(chain, wrong)
+
 
 class TestRunPlan:
     def test_entanglement_report_sections(self, tmp_path):
@@ -494,6 +505,25 @@ class TestValidateReport:
             else:
                 target[key] = value
         self._expect_fail(rep, match)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("end_to_end", "latency_s", math.inf),
+        ("end_to_end", "fidelity", "x"),
+        ("end_to_end", "pair_rate_hz", True),
+        ("qkd", "qber", math.nan),
+        ("qkd", "sifted_rate_hz", None),
+        ("qkd", "secret_key_rate_hz", -math.inf),
+        ("qkd", "secure", 1.0),
+        ("qkd", "secure", None),
+    ], ids=[
+        "latency-inf", "fidelity-str", "rate-bool", "qber-nan", "sifted-none",
+        "key-rate-neg-inf", "secure-float", "secure-none",
+    ])
+    def test_simulation_numbers_are_checked(self, report, section, key, value):
+        rep = copy.deepcopy(report)
+        rep[section][key] = value
+        kind = "a boolean" if key == "secure" else "a finite number"
+        self._expect_fail(rep, re.escape(f"{section}.{key} must be {kind}"))
 
     def test_violation_shape(self, report):
         rep = copy.deepcopy(report)

@@ -209,6 +209,26 @@ class TestAssessChain:
         assert R_SPAN_REACH in codes
         assert R_EXISTING_SITES in codes
 
+    def test_one_way_reach_charges_insertion_loss(self):
+        # 1 dB of insertion loss leaves 2 dB of the O-band budget: 5.71 km.
+        def chain(km, insertion=1.0):
+            span = FiberSpan(length_km=km, quantum_band=O_BAND,
+                             mux_insertion_loss_db=insertion)
+            return RepeaterChain(spans=(span,), attempt_rate=1e6)
+
+        assert assess_chain(chain(5.0), TECH_ONE_WAY).feasible
+        bad = assess_chain(chain(7.0), TECH_ONE_WAY)
+        assert [v.requirement for v in bad.violations] == [R_SPAN_REACH, R_EXISTING_SITES]
+        assert "5.71429 km" in bad.violations[0].detail
+        assert "1 dB insertion loss" in bad.violations[0].detail
+        # Insertion loss that uses the whole budget leaves no length in reach.
+        spec = OneWayRepeaterSpec(loss_threshold_db=3.0)
+        whole = assess_chain(chain(5.0, insertion=3.0), TECH_ONE_WAY, one_way_spec=spec)
+        r2 = [v for v in whole.violations if v.requirement == R_SPAN_REACH]
+        assert len(r2) == 1 and r2[0].span_index == 0
+        assert "insertion loss 3 dB uses the whole 3 dB" in r2[0].detail
+        assert not whole.feasible
+
     def test_one_way_cryogenics_is_route_level(self):
         spec = OneWayRepeaterSpec(loss_threshold_db=3.0, cryogenic_required=True)
         rep = assess_chain(_chain([8.0, 8.0]), TECH_ONE_WAY, coexistence=True,

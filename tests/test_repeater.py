@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qorsim.fiber import (
@@ -80,6 +80,7 @@ from oracles import (
     oracle_swap,
     reference_bell_convolve,
     reference_bell_dephase,
+    reference_wait_terms,
 )
 
 
@@ -346,6 +347,16 @@ def _brute_wait(a, b, r_a, r_b):
     return decay_a, decay_b, e_max
 
 
+def _brute_terms(times, pmf, x, r_a, r_b):
+    """wait_terms' three integrands at a point x as sums over atoms."""
+    above, below = times > x, times < x
+    return (
+        np.sum(pmf[~above]) + np.sum(pmf[above] * np.exp(-r_a * (times[above] - x))),
+        np.sum(pmf[~below]) + np.sum(pmf[below] * np.exp(-r_b * (x - times[below]))),
+        x + np.sum(pmf * np.clip(times - x, 0.0, None)),
+    )
+
+
 class TestWaitDistributions:
     def test_grid_moments(self):
         g = _GeomTime(0.23, 1.7e-4)
@@ -356,61 +367,62 @@ class TestWaitDistributions:
         pt_times, pt_pmf = _GeomTime(1.0, 2.4).atoms()
         assert list(pt_times) == [2.4] and list(pt_pmf) == [1.0]
 
-    def test_grid_cdf_and_tail(self):
+    def test_grid_terms_match_sums(self):
         g = _GeomTime(0.3, 1.0)
         times, pmf = _grid(0.3, 1.0)
-        # P(T <= 2) with T geometric on {1, 2, ...}
-        assert abs(g.cdf(2.0) - (0.3 + 0.7 * 0.3)) < 1e-12
-        assert abs(g.cdf(2.5) - g.cdf(2.0)) < 1e-12
-        for x in (0.5, 2.0, 2.5):
-            brute = float(np.sum(pmf * np.clip(times - x, 0.0, None)))
-            assert abs(g.excess(x) - brute) < 1e-12
+        # Rates with ratio q exp(r_b cycle) below and above 1; points on,
+        # between, below and a rounding error past the atoms.
+        for x in (0.5, 1.0, 2.0, 2.5, 3.0 * (1.0 + 1e-15), 7.0):
+            for r_a, r_b in ((0.0, 0.0), (0.8, 0.8), (0.8, 2.0), (2.0, 0.8)):
+                brute = _brute_terms(times, pmf, x, r_a, r_b)
+                for got, want in zip(g.wait_terms(x, r_a, r_b), brute):
+                    assert abs(got - want) < 1e-12 * max(want, 1.0)
 
-    def test_grid_sf_counts_ties(self):
+    def test_steep_rates_leave_cdf_and_sf(self):
+        # At an infinite r_a only T <= x survives, and at r_b = 1e4 an atom a
+        # tenth of a cycle or more below x weighs exp(-1000), 0 in floating
+        # point: the first two integrands are P(T <= x) and P(T >= x).
         g = _GeomTime(0.3, 1.0)
         times, pmf = _grid(0.3, 1.0)
         for x in (0.5, 1.0, 2.0, 2.5, 3.0 * (1.0 + 1e-15)):
-            assert abs(g.sf(x) - float(np.sum(pmf[times >= x * (1 - 1e-12)]))) < 1e-12
+            sf = g.wait_terms(x, math.inf, 1e4)[1]
+            assert abs(sf - float(np.sum(pmf[times >= x * (1 - 1e-12)]))) < 1e-12
+        # P(T <= 2) with T geometric on {1, 2, ...}
+        cdf = g.wait_terms(2.0, math.inf, 1e4)[0]
+        assert abs(cdf - (0.3 + 0.7 * 0.3)) < 1e-12
+        assert g.wait_terms(2.5, math.inf, 1e4)[0] == cdf
         # An atom a rounding error past x is a tie on both sides.
-        assert abs(g.cdf(2.0 * (1.0 - 1e-15)) - g.cdf(2.0)) < 1e-15
+        assert g.wait_terms(2.0 * (1.0 - 1e-15), math.inf, 1e4)[:2] == g.wait_terms(
+            2.0, math.inf, 1e4)[:2]
         # A tie belongs to both sides: P(T <= x) + P(T >= x) = 1 + P(T = x).
-        assert abs(g.cdf(2.0) + g.sf(2.0) - 1.0 - 0.7 * 0.3) < 1e-12
+        assert abs(sum(g.wait_terms(2.0, math.inf, 1e4)[:2]) - 1.0 - 0.7 * 0.3) < 1e-12
         pt = _GeomTime(1.0, 2.4)
-        assert pt.sf(2.4) == 1.0 and pt.cdf(2.4) == 1.0 and pt.sf(2.5) == 0.0
+        assert pt.wait_terms(2.4, math.inf, 1e4)[:2] == (1.0, 1.0)
+        assert pt.wait_terms(2.5, math.inf, 1e4)[1] == 0.0
 
-    def test_grid_decay_above_matches_sum(self):
+    def test_ties_count_once(self):
+        # Each integrand counts a tie once, so the integrands do not jump at
+        # an atom.
         g = _GeomTime(0.3, 1.0)
-        times, pmf = _grid(0.3, 1.0)
-        rate = 0.8
-        for x in (2.0, 2.5):
-            above = times > x
-            brute = float(np.sum(pmf[above] * np.exp(-rate * (times[above] - x))))
-            assert abs(g.decay_above(x, rate) - brute) < 1e-12
-
-    def test_grid_decay_below_matches_sum(self):
-        times, pmf = _grid(0.3, 1.0)
-        g = _GeomTime(0.3, 1.0)
-        # Rates with ratio q exp(rate cycle) below and above 1.
-        for rate in (0.8, 2.0):
-            for x in (0.5, 1.0, 2.0, 2.5, 7.0):
-                below = times < x * (1 - 1e-12)
-                brute = float(np.sum(pmf[below] * np.exp(-rate * (x - times[below]))))
-                assert abs(g.decay_below(x, rate) - brute) < 1e-12 * max(brute, 1.0)
+        on_atom = g.wait_terms(2.0, 0.8, 2.0)
+        for x in (2.0 * (1.0 - 1e-15), 2.0 * (1.0 + 1e-15)):
+            assert np.allclose(g.wait_terms(x, 0.8, 2.0), on_atom, rtol=1e-13, atol=0.0)
         pt = _GeomTime(1.0, 2.4)
-        assert pt.decay_below(2.4, 0.5) == 0.0
-        assert abs(pt.decay_below(3.0, 0.5) - math.exp(-0.3)) < 1e-15
+        assert pt.wait_terms(2.4, 0.5, 0.5) == (1.0, 1.0, 2.4)
+        assert abs(pt.wait_terms(3.0, 0.5, 0.5)[1] - math.exp(-0.3)) < 1e-15
 
     def test_decay_below_at_degenerate_rate(self):
-        # q exp(rate cycle) = 1: every atom below x weighs p exp(-rate (x - cycle)).
+        # q exp(rate cycle) = 1: each of the m atoms below x weighs
+        # p exp(-rate (x - cycle)), and P(T >= x) = q^m.
         g = _GeomTime(0.5, 1.0)
         rate = math.log(2.0)
         assert g.log_q + rate * g.cycle == 0.0
         for x, m in ((5.0, 4), (5.5, 5)):
-            want = m * 0.5 * math.exp(-rate * (x - 1.0))
-            assert abs(g.decay_below(x, rate) - want) < 1e-12
+            want = 0.5**m + m * 0.5 * math.exp(-rate * (x - 1.0))
+            assert abs(g.wait_terms(x, 0.0, rate)[1] - want) < 1e-12
             # and the series nearby agrees continuously
             for r in (rate * (1 - 1e-9), rate * (1 + 1e-9)):
-                assert abs(g.decay_below(x, r) - want) < 1e-8
+                assert abs(g.wait_terms(x, 0.0, r)[1] - want) < 1e-8
 
     def test_expected_max_of_iid_geometrics(self):
         p, cyc = 0.23, 1.7e-4
@@ -457,20 +469,20 @@ class TestWaitDistributions:
         a, b = _GeomTime(5e-5, 1e-3), _GeomTime(3e-5, 1.3e-3)
         r_a, r_b = 0.3 / a.mean, 0.5 / b.mean
         x, w = a.atoms()
-        fine = (np.dot(w, b.cdf(x) + b.decay_above(x, r_a)),
-                np.dot(w, b.sf(x) + b.decay_below(x, r_b)),
-                np.dot(w, x + b.excess(x)))
+        fine = tuple(np.dot(w, t) for t in b.wait_terms(x, r_a, r_b))
         got = _expected_wait(a, b, r_a, r_b)
         assert np.allclose(got, fine, rtol=1e-3, atol=0.0)
         assert not np.allclose(got, fine, rtol=1e-12, atol=0.0)
 
 
 @st.composite
-def _wait_case(draw):
+def _wait_case(draw, arrays=False):
     """A ready time b, a point x and two decay rates. Points fall on an
-    atom of b, within 1e-12 of one, below the first or anywhere; rates are
-    zero, arbitrary, or r_b with q exp(r_b cycle) = 1 exactly (a cycle that
-    is a power of two keeps r_b cycle = -log q in floating point)."""
+    atom of b, within 1e-12 of one, below the first (down to 1e-9 cycles)
+    or anywhere; with arrays, x may be an array of 1 to 6 such points.
+    Rates are zero, arbitrary, or r_b with q exp(r_b cycle) = 1 exactly (a
+    cycle that is a power of two keeps r_b cycle = -log q in floating
+    point)."""
     p = draw(st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0)))
     rate_kind = draw(st.sampled_from(["zero", "any", "degenerate"] if p < 1.0 else ["zero", "any"]))
     if rate_kind == "degenerate":
@@ -478,16 +490,22 @@ def _wait_case(draw):
     else:
         cycle = draw(st.floats(min_value=1e-6, max_value=1e-2))
     b = _GeomTime(p, cycle)
-    k = draw(st.integers(min_value=1, max_value=60))
-    where = draw(st.sampled_from(["atom", "near", "below", "any"]))
-    if where == "atom":
-        x = k * cycle
-    elif where == "near":
-        x = k * cycle * (1.0 + draw(st.floats(min_value=-1e-12, max_value=1e-12)))
-    elif where == "below":
-        x = cycle * draw(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True))
+
+    def point():
+        k = draw(st.integers(min_value=1, max_value=60))
+        where = draw(st.sampled_from(["atom", "near", "below", "any"]))
+        if where == "atom":
+            return k * cycle
+        if where == "near":
+            return k * cycle * (1.0 + draw(st.floats(min_value=-1e-12, max_value=1e-12)))
+        if where == "below":
+            return cycle * draw(st.floats(min_value=1e-9, max_value=1.0, exclude_max=True))
+        return cycle * draw(st.floats(min_value=1e-9, max_value=80.0))
+
+    if arrays and draw(st.booleans()):
+        x = np.array([point() for _ in range(draw(st.integers(min_value=1, max_value=6)))])
     else:
-        x = cycle * draw(st.floats(min_value=1e-3, max_value=80.0))
+        x = point()
     rates = st.floats(min_value=0.0, max_value=1e4)
     if rate_kind == "zero":
         r_a = r_b = 0.0
@@ -500,29 +518,31 @@ def _wait_case(draw):
 
 
 class TestFusedWaitTerms:
-    """_GeomTime.wait_terms and the point-mass merge keep the bits of the
-    single closed forms evaluated over atom arrays."""
+    """_GeomTime.wait_terms keeps the bits of the five closed forms it folds
+    (reference_wait_terms), and the point-mass merge those of an atom
+    array."""
+
+    @settings(deadline=None)
+    @given(_wait_case(arrays=True))
+    # Points a rounding error past an atom, where m's tie tolerance matters.
+    @example((_GeomTime(0.3, 1.0), 3.0 * (1.0 + 1e-15), 0.8, 2.0))
+    @example((_GeomTime(1.0, 1e-3), np.array([1e-3 * (1.0 + 1e-13), 1e-12]), 5.0, 5.0))
+    # q exp(r_b cycle) = 1, where the decay-below series is m terms of one size.
+    @example((_GeomTime(0.5, 2.0**-10), 5.5 * 2.0**-10, 0.0, math.log(2.0) * 2.0**10))
+    def test_terms_keep_the_reference_bits(self, case):
+        b, x, r_a, r_b = case
+        got = b.wait_terms(x, r_a, r_b)
+        want = reference_wait_terms(b, x, r_a, r_b)
+        for g, w in zip(got, want, strict=True):
+            assert np.shape(g) == np.shape(x)
+            assert np.array_equal(g, w)
 
     @settings(deadline=None)
     @given(_wait_case())
     def test_float_point_matches_one_atom_array(self, case):
         b, x, r_a, r_b = case
         xs = np.array([x])
-        for form in (b.cdf, b.sf, b.excess):
-            assert form(x) == form(xs)[0]
-        assert b.decay_above(x, r_a) == b.decay_above(xs, r_a)[0]
-        assert b.decay_below(x, r_b) == b.decay_below(xs, r_b)[0]
         assert b.wait_terms(x, r_a, r_b) == tuple(t[0] for t in b.wait_terms(xs, r_a, r_b))
-
-    @settings(deadline=None)
-    @given(_wait_case())
-    def test_fused_terms_are_the_single_forms(self, case):
-        b, x, r_a, r_b = case
-        for pts in (x, np.array([0.5 * x, x, 2.0 * x])):
-            above, below, later = b.wait_terms(pts, r_a, r_b)
-            assert np.array_equal(above, b.cdf(pts) + b.decay_above(pts, r_a))
-            assert np.array_equal(below, b.sf(pts) + b.decay_below(pts, r_b))
-            assert np.array_equal(later, pts + b.excess(pts))
 
     @settings(deadline=None)
     @given(_wait_case())
@@ -530,9 +550,7 @@ class TestFusedWaitTerms:
         b, x, r_a, r_b = case
         a = _GeomTime(1.0, x)
         times, weights = a.atoms()
-        want = (np.dot(weights, b.cdf(times) + b.decay_above(times, r_a)),
-                np.dot(weights, b.sf(times) + b.decay_below(times, r_b)),
-                np.dot(weights, times + b.excess(times)))
+        want = tuple(np.dot(weights, t) for t in b.wait_terms(times, r_a, r_b))
         with mock.patch.object(_GeomTime, "atoms", side_effect=AssertionError("atoms built")):
             got = _expected_wait(a, b, r_a, r_b)
         assert got == tuple(float(v) for v in want)

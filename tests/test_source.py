@@ -115,3 +115,64 @@ def test_private_finder_sees_unused_and_reads_across_modules():
 def test_no_unused_private_names():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def unused_private_methods(sources: dict[str, str]) -> list[str]:
+    """Methods (not dunder) of top-level private classes ("class _X") that
+    no module reads as an attribute, as "module:line: _X.name"; ``sources``
+    maps module names to source. A read of an attribute of that name on any
+    object, in any module, counts."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name.startswith("_"):
+                defined += [
+                    (module, f.lineno, stmt.name, f.name) for f in stmt.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (f.name.startswith("__") and f.name.endswith("__"))
+                ]
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return [f"{module}:{line}: {cls}.{name}" for module, line, cls, name in defined
+            if name not in read]
+
+
+def test_private_method_finder_sees_unused_and_reads_across_modules():
+    sources = {
+        "a": (
+            "class _Box:\n"
+            "    def __init__(self):\n"
+            "        self.n = self._count()\n"
+            "    def _count(self):\n"
+            "        return 1\n"
+            "    def left(self):\n"
+            "        return 2\n"
+            "    def shared(self):\n"
+            "        return 3\n"
+            "class Public:\n"
+            "    def unread(self):\n"
+            "        return 4\n"
+        ),
+        "b": (
+            "from .a import _Box\n"
+            "def f(box):\n"
+            "    return box.shared()\n"
+            "class _Sized:\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def _spare(self):\n"
+            "        return _Box\n"
+            "x = _Sized().size\n"
+        ),
+    }
+    # b reads a's shared; dunders and public classes are not listed.
+    assert unused_private_methods(sources) == ["a:6: _Box.left", "b:10: _Sized._spare"]
+
+
+def test_no_unused_private_methods():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_methods(sources) == []
