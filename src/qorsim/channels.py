@@ -48,13 +48,12 @@ class KrausChannel:
     as such an array; it is copied once. Channels compare by identity, so
     `==` is `is`.
 
-    Completeness (sum K^dag K = I, or <= I when heralded) is a soft
-    invariant: it is not enforced here so that verify_cptp can report on
-    defective sets, but every constructor in this module satisfies it.
+    Completeness (sum K^dag K = I) is a soft invariant: it is not enforced
+    here so that verify_cptp can report on defective sets, but every
+    constructor in this module satisfies it.
     """
 
     operators: np.ndarray
-    heralded: bool = False
 
     def __post_init__(self) -> None:
         try:
@@ -110,7 +109,6 @@ class CptpReport:
     choi_min_eigenvalue: float
     trace_preserving: bool
     completely_positive: bool
-    heralded: bool
     valid: bool
 
 
@@ -137,12 +135,6 @@ def verify_cptp(channel: KrausChannel) -> CptpReport:
     comp = completeness_operator(channel)
     residual = float(np.abs(comp - np.eye(channel.in_dim)).max())
     trace_preserving = residual <= COMPLETENESS_TOL
-    if channel.heralded:
-        # Trace-nonincreasing: I - sum K^dag K must be PSD.
-        defect_lo = float(np.linalg.eigvalsh(np.eye(channel.in_dim) - comp).min())
-        completeness_ok = defect_lo >= -COMPLETENESS_TOL
-    else:
-        completeness_ok = trace_preserving
     choi_lo = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
     completely_positive = choi_lo >= -CHOI_PSD_TOL
     return CptpReport(
@@ -150,25 +142,12 @@ def verify_cptp(channel: KrausChannel) -> CptpReport:
         choi_min_eigenvalue=choi_lo,
         trace_preserving=trace_preserving,
         completely_positive=completely_positive,
-        heralded=channel.heralded,
-        valid=completeness_ok and completely_positive,
+        valid=trace_preserving and completely_positive,
     )
 
 
-def _finish(out: np.ndarray, heralded: bool) -> DensityMatrix:
-    """Hermitise an operator-sum output and, for a heralded channel,
-    renormalise it; the common tail of apply_channel and apply_to_subsystem."""
-    out = (out + out.conj().T) / 2
-    if heralded:
-        tr = float(np.real(np.trace(out)))
-        if tr < 1e-14:
-            raise StateError("heralded channel annihilated the state")
-        out = out / tr
-    return DensityMatrix(out)
-
-
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Operator-sum action. Heralded channels renormalize the output.
+    """Operator-sum action.
 
     This keeps the per-operator sum of K rho K^dag rather than the
     superoperator of apply_to_subsystem: the test oracle for
@@ -180,7 +159,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         )
     k = channel.operators
     out = (k @ rho.matrix @ k.conj().swapaxes(1, 2)).sum(axis=0)
-    return _finish(out, channel.heralded)
+    return DensityMatrix((out + out.conj().T) / 2)
 
 
 def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
@@ -193,7 +172,7 @@ def compose(first: KrausChannel, then: KrausChannel) -> KrausChannel:
     ops = (then.operators[:, None] @ first.operators[None, :]).reshape(
         -1, then.out_dim, first.in_dim
     )
-    return KrausChannel(ops, heralded=first.heralded or then.heralded)
+    return KrausChannel(ops)
 
 
 def apply_to_subsystem(
@@ -224,7 +203,7 @@ def apply_to_subsystem(
     x = x.transpose(1, 4, 0, 2, 3, 5).reshape(d * d, -1)
     y = (s @ x).reshape(d, d, before, after, before, after)
     out = y.transpose(2, 0, 3, 4, 1, 5).reshape(rho.dim, rho.dim)
-    return _finish(out, channel.heralded)
+    return DensityMatrix((out + out.conj().T) / 2)
 
 
 # Qubit channel catalog.
@@ -332,4 +311,4 @@ def embed_qubit_channel(channel: KrausChannel) -> KrausChannel:
     ops = np.zeros((len(channel.operators), RAIL_DIM, RAIL_DIM), dtype=complex)
     ops[:, :2, :2] = channel.operators
     ops[0, VACUUM_INDEX, VACUUM_INDEX] = 1.0
-    return KrausChannel(ops, heralded=channel.heralded)
+    return KrausChannel(ops)

@@ -20,6 +20,7 @@ from .fiber import DEFAULT_FIBER_TYPES, FiberConfigError
 from .linalg import DimensionError, StateError
 from .planner import (
     ConfigError,
+    RouteConfig,
     build_chain,
     load_fiber_table,
     load_route,
@@ -50,7 +51,7 @@ def _spans_csv(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _load(args) -> tuple:
+def _load(args) -> RouteConfig:
     table = load_fiber_table(args.fibers) if args.fibers else None
     return load_route(args.route, table)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import __version__
 from .fiber import BANDS, DEFAULT_FIBER_TYPES, Band, FiberConfigError, FiberSpec, FiberSpan
@@ -54,8 +54,7 @@ SCHEMA_VERSION = 1
 SITE_KIND_ENDPOINT = "endpoint"
 SITE_KIND_ILA = "ila"
 
-# Engineering defaults; every key can be overridden per route ("defaults"
-# object in the route file) or per call (param_overrides).
+# Engineering defaults; a route file's "defaults" object overrides any key.
 DEFAULT_PARAMS: dict[str, float | bool] = {
     "sop_drift_rate": 5e4,                # rad/s polarization walk
     "sop_recalibration_interval": 1e-6,   # s between tracker resets
@@ -233,8 +232,16 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
 
     defaults = raw.get("defaults", {})
     _require(isinstance(defaults, dict), f"{path}: defaults must be an object")
+    # Known keys only: a boolean where the default is one, a finite number
+    # (kept as a float) elsewhere.
     params = dict(DEFAULT_PARAMS)
-    params.update(_checked_params(defaults, "defaults", f"{path}: "))
+    for key, val in defaults.items():
+        _require(key in DEFAULT_PARAMS, f"{path}: unknown defaults key {key!r}")
+        if isinstance(DEFAULT_PARAMS[key], bool):
+            _require(isinstance(val, bool), f"{path}: defaults {key!r} must be a boolean, got {val!r}")
+            params[key] = val
+        else:
+            params[key] = _number(val, f"{path}: defaults {key!r} must be a number, got {val!r}")
 
     return RouteConfig(
         name=name,
@@ -246,39 +253,11 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
     )
 
 
-def _checked_params(values: dict, what: str, where: str = "") -> dict[str, float | bool]:
-    """Route defaults or parameter overrides, type-checked against
-    DEFAULT_PARAMS: known keys only, a boolean where the default is one, a
-    finite number (returned as float) elsewhere. Raises ConfigError."""
-    out: dict[str, float | bool] = {}
-    for key, val in values.items():
-        _require(key in DEFAULT_PARAMS, f"{where}unknown {what} key {key!r}")
-        if isinstance(DEFAULT_PARAMS[key], bool):
-            _require(isinstance(val, bool), f"{where}{what} {key!r} must be a boolean, got {val!r}")
-            out[key] = val
-        else:
-            out[key] = _number(val, f"{where}{what} {key!r} must be a number, got {val!r}")
-    return out
-
-
-def _effective_params(
-    route: RouteConfig, param_overrides: dict[str, float | bool] | None
-) -> dict[str, float | bool]:
-    """The route's parameters with the checked overrides applied."""
-    params = dict(route.params)
-    params.update(_checked_params(param_overrides or {}, "parameter override"))
-    return params
-
-
-def build_chain(
-    route: RouteConfig,
-    technology: str = TECH_ENTANGLEMENT,
-    param_overrides: dict[str, float | bool] | None = None,
-) -> RepeaterChain:
+def build_chain(route: RouteConfig, technology: str = TECH_ENTANGLEMENT) -> RepeaterChain:
     """Spans from consecutive site gaps, one repeater node per interior hut."""
     if technology not in TECHNOLOGIES:
         raise ConfigError(f"unknown technology {technology!r}")
-    params = _effective_params(route, param_overrides)
+    params = route.params
 
     noise = params["coexistence_noise_prob"] if route.coexistence else 0.0
     try:
@@ -308,13 +287,10 @@ def build_chain(
             bsm_visibility_penalty=params["bsm_visibility_penalty"],
             detector_efficiency=params["detector_efficiency"],
         )
-        nodes = tuple(
-            replace(node, position_km=site.position_km) for site in route.sites[1:-1]
-        )
         cutoff = params["memory_cutoff"] or params["memory_coherence_time"]
         return RepeaterChain(
             spans=spans,
-            nodes=nodes,
+            nodes=(node,) * (len(route.sites) - 2),
             attempt_rate=params["attempt_rate"],
             memory_cutoff=cutoff,
         )
@@ -322,11 +298,8 @@ def build_chain(
         raise ConfigError(f"route {route.name!r}: {e}") from None
 
 
-def _config_hash(
-    route: RouteConfig, param_overrides: dict[str, float | bool] | None = None
-) -> str:
-    """SHA-256 of the route and the parameters a plan actually uses: the
-    route's defaults with ``param_overrides`` applied."""
+def _config_hash(route: RouteConfig) -> str:
+    """SHA-256 of the route and the parameters a plan uses."""
     canon = {
         "name": route.name,
         "sites": [
@@ -338,7 +311,7 @@ def _config_hash(
         "group_index": route.fiber.group_index,
         "quantum_band": route.quantum_band.name,
         "coexistence": route.coexistence,
-        "params": _effective_params(route, param_overrides),
+        "params": route.params,
     }
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -368,7 +341,6 @@ def run_plan(
     trials: int = 10000,
     seed: int = 42,
     workers: int = 1,
-    param_overrides: dict[str, float | bool] | None = None,
 ) -> dict | list[dict]:
     """Full feasibility report: verdict, spans, simulation, key rates.
 
@@ -388,9 +360,9 @@ def run_plan(
     # Every plan checks the run parameters by the Monte Carlo engine's
     # rules, so no report records a seed or trial count that engine could
     # not have used, and checks both technologies' requirements.
+    params = route.params
     try:
         _check_mc_args(trials, seed, workers)
-        params = _effective_params(route, param_overrides)
         one_way_spec = OneWayRepeaterSpec(
             loss_threshold_db=params["one_way_loss_threshold_db"],
             cryogenic_required=bool(params["one_way_cryogenic"]),
@@ -402,14 +374,14 @@ def run_plan(
         f"max_heralding_km must be positive, got {params['max_heralding_km']!r}",
     )
 
-    chain = build_chain(route, technologies[0], param_overrides)
+    chain = build_chain(route, technologies[0])
     attempts = span_attempts(chain)
     # Numpy integers are recorded as Python ints, so that the report
     # serialises.
     provenance = {
         "seed": int(seed),
         "trials": int(trials),
-        "config_hash": _config_hash(route, param_overrides),
+        "config_hash": _config_hash(route),
         "version": __version__,
     }
     reports = []

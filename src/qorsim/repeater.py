@@ -65,9 +65,15 @@ class MemorySpec:
     cryogenic_required: bool = False
 
     def __post_init__(self) -> None:
-        # Comparing against math.inf also rejects NaN.
-        if not 0 < self.coherence_time < math.inf:
-            raise StateError("coherence time outside (0, inf)")
+        # Comparing against math.inf also rejects NaN. A waiting span pair
+        # decays at the sum of two nodes' rates, so 2 / coherence_time must
+        # be finite too.
+        t = self.coherence_time
+        if not (0 < t < math.inf and 2.0 / t < math.inf):
+            raise StateError(
+                f"coherence_time {t!r} outside (0, inf), or so short that "
+                f"2 / coherence_time overflows"
+            )
         for name in ("write_efficiency", "read_efficiency"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -82,7 +88,6 @@ class QorsNode:
     bsm_success_prob: float = 0.5
     bsm_visibility_penalty: float = 0.0
     detector_efficiency: float = 0.8
-    position_km: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.bsm_success_prob <= 1.0:
@@ -91,8 +96,6 @@ class QorsNode:
             raise StateError("bsm_visibility_penalty must lie in [0, 1]")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise StateError("detector_efficiency must lie in (0, 1]")
-        if not -math.inf < self.position_km < math.inf:
-            raise StateError("position_km outside (-inf, inf)")
 
 
 @dataclass(frozen=True)
@@ -372,8 +375,9 @@ def _span_models(
     chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
 ) -> list[_SpanModel]:
     """Engine inputs per span, from ``attempts`` (span_attempts(chain) when
-    not given). Raises StateError if a heralded state is not Bell-diagonal;
-    the pre-ready memory decay cannot make it so."""
+    not given). Raises StateError if a heralded state is not Bell-diagonal,
+    which the pre-ready memory decay cannot make it, or if a success or
+    swap probability is 0."""
     attempts = _checked_attempts(chain, attempts)
     one_way = [photon_dwell_time(span) for span in chain.spans]
     # A swap's outcome crosses its span to the new frontier edge; the last
@@ -383,6 +387,16 @@ def _span_models(
     models = []
     for i, attempt in enumerate(attempts):
         left, right = _span_ends(chain, i)
+        swap_prob = left.bsm_success_prob * left.memory.read_efficiency**2 if left else 1.0
+        # Both engines divide by these; a product of valid factors can
+        # still underflow to 0.
+        if attempt.success_probability == 0.0:
+            raise StateError(f"span {i}'s success probability underflows to 0")
+        if swap_prob == 0.0:
+            raise StateError(
+                f"node {i - 1}'s swap probability, bsm_success_prob * "
+                f"read_efficiency**2, underflows to 0"
+            )
         left_rate = 1.0 / left.memory.coherence_time if left else 0.0
         right_rate = 1.0 / right.memory.coherence_time if right else 0.0
         # By ready time the left qubit has aged one one-way delay, the right
@@ -396,7 +410,7 @@ def _span_models(
                 right_decay_rate=right_rate,
                 front_rate=left_rate,
                 span_rate=left_rate + right_rate,
-                swap_prob=left.bsm_success_prob * left.memory.read_efficiency**2 if left else 1.0,
+                swap_prob=swap_prob,
                 visibility_penalty=left.bsm_visibility_penalty if left else 0.0,
                 notify_s=notify[i],
             )
@@ -805,9 +819,10 @@ def _run_trial_range(
     key = _stream_key(seed)
     times = np.empty(hi - lo)
     exponent = np.empty(hi - lo)
-    # A wait past the float range becomes inf, which simulate_chain_mc
-    # rejects; numpy need not warn on the way.
-    with np.errstate(over="ignore"):
+    # A wait past the float range becomes inf, and then a difference of
+    # two such waits NaN, which simulate_chain_mc rejects; numpy need not
+    # warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(lo, hi, MC_GROUP):
             stop = min(hi, start + MC_GROUP)
             out = slice(start - lo, stop - lo)
@@ -900,15 +915,16 @@ def simulate_chain_mc(
         times = np.concatenate([p[0] for p in parts])
         bells = np.concatenate([p[1] for p in parts], axis=1)
 
-    total = ((bells[0] + bells[1]) + bells[2]) + bells[3]
-    if bells.min() < -1e-12 or np.abs(total - 1.0).max() > 1e-10:
-        raise StateError("a delivered pair has invalid Bell weights")
     if not np.isfinite(times).all():
         wait = max(m.cycle_s / m.success_prob for m in models)
         raise StateError(
             f"a Monte Carlo latency overflows the float range; the mean span "
             f"wait is up to {wait:.3g} s"
         )
+    total = ((bells[0] + bells[1]) + bells[2]) + bells[3]
+    # Written so that NaN fails.
+    if not (bells.min() >= -1e-12 and np.abs(total - 1.0).max() <= 1e-10):
+        raise StateError("a delivered pair has invalid Bell weights")
     bell = bells.mean(axis=1)
     fid_se = float(bells[0].std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     # Latency statistics of the times scaled by 2**-e, with e the exponent
@@ -1013,6 +1029,10 @@ def _expected_wait(a: _GeomTime, b: _GeomTime, r_a: float, r_b: float):
     return tuple(float(np.dot(w, t)) for t in b.wait_terms(x, r_a, r_b))
 
 
+# A decay rate or a wait near the float range overflows, and products with
+# it turn NaN; simulate_chain_analytic rejects such a result, and numpy need
+# not warn on the way.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     """Expected-value model of the same protocol the Monte Carlo runs.
 
@@ -1022,6 +1042,7 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     herald below GEOM_EXACT_MIN_P; longer chains approximate intermediate
     frontier times by their means. The delivered pair is the Monte Carlo's
     lam * c + (1 - lam) / 4 with lam's expectation carried as one scalar.
+    A fidelity, rate or latency that is not finite raises StateError.
     """
     models = _span_models(chain)
     front = _GeomTime(models[0].success_prob, models[0].cycle_s)
@@ -1048,9 +1069,15 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         lam *= math.exp(-m.right_decay_rate * m.notify_s)
 
     bell = bell_decay(_folded_bell(models), lam)
+    fidelity, rate = float(bell[0]), 1.0 / mean_t
+    if not (math.isfinite(fidelity) and math.isfinite(rate) and math.isfinite(mean_t)):
+        raise StateError(
+            f"the analytic result is not finite (fidelity {fidelity!r}, latency "
+            f"{mean_t!r} s): a decay rate or a wait is beyond the float range"
+        )
     return EndToEndResult(
-        fidelity=float(bell[0]),
-        pair_rate_hz=1.0 / mean_t,
+        fidelity=fidelity,
+        pair_rate_hz=rate,
         mean_latency_s=mean_t,
         trials=0,
         fidelity_stderr=0.0,

@@ -143,7 +143,7 @@ def oracle_apply_to_subsystem(
         np.kron(np.kron(np.eye(before), op), np.eye(after))
         for op in channel.operators
     )
-    return apply_channel(KrausChannel(ops, heralded=channel.heralded), rho)
+    return apply_channel(KrausChannel(ops), rho)
 
 
 def oracle_span_attempt(span, detector_efficiency: float, write_efficiency: float):

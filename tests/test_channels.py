@@ -29,7 +29,6 @@ from qorsim.linalg import (
     DimensionError,
     StateError,
     fidelity,
-    maximally_mixed,
     phi_plus,
     random_density_matrix,
 )
@@ -122,12 +121,6 @@ class TestKrausChannelContainer:
             report = verify_cptp(KrausChannel(ops))
             assert report.completely_positive
 
-    def test_heralded_trace_nonincreasing(self):
-        c = KrausChannel((np.sqrt(0.3) * np.eye(2, dtype=complex),), heralded=True)
-        assert verify_cptp(c).valid
-        c_over = KrausChannel((np.sqrt(1.3) * np.eye(2, dtype=complex),), heralded=True)
-        assert not verify_cptp(c_over).valid
-
     def test_completeness_operator(self, rng):
         c = depolarizing_channel(0.4)
         assert np.max(np.abs(completeness_operator(c) - np.eye(2))) < 1e-12
@@ -160,25 +153,6 @@ class TestApplyAndCompose:
     def test_apply_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             apply_channel(depolarizing_channel(0.1), random_density_matrix(3, rng))
-
-    def test_heralded_apply_renormalizes(self):
-        c = KrausChannel((np.sqrt(0.3) * np.eye(2, dtype=complex),), heralded=True)
-        out = apply_channel(c, maximally_mixed(2))
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-12
-
-    def test_heralded_apply_rejects_zero_support(self):
-        kill = KrausChannel((np.zeros((2, 2), dtype=complex),), heralded=True)
-        with pytest.raises(StateError):
-            apply_channel(kill, maximally_mixed(2))
-
-    def test_compose_and_embed_keep_heralded(self):
-        kept = KrausChannel((np.sqrt(0.3) * np.eye(2, dtype=complex),), heralded=True)
-        plain = dephasing_channel(0.2)
-        assert compose(kept, plain).heralded
-        assert compose(plain, kept).heralded
-        assert not compose(plain, plain).heralded
-        assert embed_qubit_channel(kept).heralded
-        assert not embed_qubit_channel(plain).heralded
 
     def test_compose_matches_sequential_apply(self, rng):
         a = depolarizing_channel(0.2)
@@ -222,18 +196,14 @@ class TestApplyAndCompose:
         want = sum(k @ dm.matrix @ k.conj().T for k in ops)
         assert np.max(np.abs(got.matrix - want)) < 1e-12
 
-    @pytest.mark.parametrize("heralded", [False, True])
     @pytest.mark.parametrize(
         "dims",
         [[3, 2], [2, 3], [2, 2, 2], [2, 3, 2], [1, 3], [3, 1], [2, 1, 3]],
     )
-    def test_apply_to_subsystem_matches_oracle(self, rng, dims, heralded):
+    def test_apply_to_subsystem_matches_oracle(self, rng, dims):
         for index, d in enumerate(dims):
             for n in (1, 2, 4):
-                ops = _random_kraus_set(rng, d, d, n + 1)
-                # A heralded channel keeps part of a complete set, so its
-                # output has trace below 1 until it is renormalised.
-                channel = KrausChannel(ops[:n] if heralded else ops, heralded=heralded)
+                channel = KrausChannel(_random_kraus_set(rng, d, d, n + 1))
                 dm = random_density_matrix(int(np.prod(dims)), rng)
                 got = apply_to_subsystem(channel, dm, index, dims)
                 want = oracle_apply_to_subsystem(channel, dm, index, dims)
@@ -366,18 +336,14 @@ class TestRailChannels:
         out = apply_channel(loss_channel(0.5), rho)
         assert abs(out.matrix[0, 1] - 0.25) < 1e-12
 
-    @pytest.mark.parametrize("heralded", [False, True])
-    def test_embed_commutes_with_compose(self, rng, heralded):
+    def test_embed_commutes_with_compose(self, rng):
         # Exactly: the vacuum entry multiplies 1 by 1, and the photon block
         # gains only +0.0 terms from the vacuum index.
         for n_a, n_b in ((1, 1), (2, 4), (3, 2), (4, 4)):
-            ops_a = _random_kraus_set(rng, 2, 2, n_a + 1)
-            ops_b = _random_kraus_set(rng, 2, 2, n_b + 1)
-            a = KrausChannel(ops_a[:n_a] if heralded else ops_a, heralded=heralded)
-            b = KrausChannel(ops_b)
+            a = KrausChannel(_random_kraus_set(rng, 2, 2, n_a + 1))
+            b = KrausChannel(_random_kraus_set(rng, 2, 2, n_b + 1))
             once = embed_qubit_channel(compose(a, b))
             each = compose(embed_qubit_channel(a), embed_qubit_channel(b))
-            assert once.heralded == each.heralded == heralded
             np.testing.assert_array_equal(once.operators, each.operators)
 
     def test_embed_qubit_channel_blocks(self, rng):

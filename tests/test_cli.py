@@ -202,6 +202,72 @@ class TestLongSpans:
         assert _finite_json(out)["latency_s"] > 1e306
 
 
+def _one_error(capsys, command, route):
+    """The stderr of a command that must fail with exactly one error line."""
+    code, out, err = _run(capsys, command + ["--route", route])
+    assert code == 1 and out == "", command
+    assert err.startswith("error:") and len(err.splitlines()) == 1, (command, err)
+    return err
+
+
+# The commands that run an engine; Monte Carlo with few trials, since each
+# route below fails or gives up early.
+_ENGINE_COMMANDS = (
+    ["simulate", "--engine", "analytic"],
+    ["simulate", "--trials", "20"],
+    ["plan", "--trials", "20"],
+)
+
+
+class TestFloatRangeParameters:
+    # Every parameter below passes its own range check, but a rate, a
+    # probability or a wait formed from it leaves the float range. A numpy
+    # warning on the way fails the suite (pyproject's filterwarnings).
+    @pytest.mark.parametrize("cutoff", [{}, {"memory_cutoff": 1.0}], ids=["", "cutoff"])
+    def test_overflowing_decay_rate_is_rejected(self, capsys, tmp_path, cutoff):
+        route = write_route(tmp_path, [0.0, 20.0, 45.0],
+                            defaults={"memory_coherence_time": 1e-310, **cutoff})
+        for command in _ENGINE_COMMANDS:
+            assert "coherence_time 1e-310" in _one_error(capsys, command, route)
+
+    @pytest.mark.parametrize("defaults, message", [
+        ({"memory_read_efficiency": 1e-162}, "node 0's swap probability"),
+        ({"memory_write_efficiency": 1e-300, "mux_insertion_loss_db": 300.0},
+         "span 0's success probability"),
+    ], ids=["swap", "span"])
+    def test_zero_probability_is_an_error(self, capsys, tmp_path, defaults, message):
+        route = write_route(tmp_path, [0.0, 20.0, 45.0], defaults=defaults)
+        for command in _ENGINE_COMMANDS:
+            err = _one_error(capsys, command, route)
+            assert message in err and "underflows to 0" in err
+        # The span table needs neither probability.
+        code, out, err = _run(capsys, ["channel", "--route", route])
+        assert code == 0 and err == ""
+        _finite_json(out)
+
+    @pytest.mark.parametrize("positions, band, defaults", [
+        # A subnormal span success probability: the mean wait overflows.
+        ([0.0, 20.0, 45.0], "O", {"memory_write_efficiency": 1e-300,
+                                  "mux_insertion_loss_db": 200.0}),
+        # Decay rates of 2e307 /s: the analytic wait sums overflow to NaN.
+        ([0.0, 150.0, 300.0], "C", {"memory_coherence_time": 1e-307}),
+    ], ids=["subnormal-success", "c-band-fast-decay"])
+    def test_non_finite_result_is_an_error(self, capsys, tmp_path, positions, band, defaults):
+        route = write_route(tmp_path, positions, band=band, defaults=defaults)
+        for command in _ENGINE_COMMANDS:
+            _one_error(capsys, command, route)
+
+    def test_slow_attempts_fail_only_in_monte_carlo(self, capsys, tmp_path):
+        # 1e-305 attempts per second: the analytic mean latency still fits,
+        # some sampled latencies do not.
+        route = write_route(tmp_path, [0.0, 20.0, 45.0], defaults={"attempt_rate": 1e-305})
+        code, out, err = _run(capsys, ["simulate", "--engine", "analytic", "--route", route])
+        assert code == 0 and err == ""
+        assert _finite_json(out)["latency_s"] > 1e305
+        for command in _ENGINE_COMMANDS[1:]:
+            assert "float range" in _one_error(capsys, command, route)
+
+
 class TestSimulate:
     def test_analytic_engine(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 25.0, 50.0])

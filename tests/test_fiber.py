@@ -133,7 +133,6 @@ class TestSpanStack:
                                loss_channel(transmittance(span)))
             got = span_channel_stack(span).channel
             assert np.array_equal(got.operators, expected.operators), span
-            assert got.heralded is expected.heralded is False
 
     def test_overflowing_drift_angle_is_non_finite(self):
         # Each factor is finite, the product is inf: cos and sin give NaN.

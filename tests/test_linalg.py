@@ -8,7 +8,6 @@ from qorsim.linalg import (
     BELL_SIDE_OPS,
     PAULI_I,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     DensityMatrix,
     DimensionError,

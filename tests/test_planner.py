@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,9 +104,10 @@ class TestLoadRoute:
                      "must be a number")
 
     def test_rejects_number_for_bool(self, tmp_path):
-        self._reject(tmp_path,
-                     lambda r: r.update(defaults={"memory_cryogenic": 1}),
-                     "must be a boolean")
+        for bad in (1, 0.0, "true", None):
+            self._reject(tmp_path,
+                         lambda r: r.update(defaults={"memory_cryogenic": bad}),
+                         "'memory_cryogenic' must be a boolean")
 
     def test_rejects_string_for_number(self, tmp_path):
         self._reject(tmp_path,
@@ -117,6 +119,17 @@ class TestLoadRoute:
                      lambda r: r.update(defaults={"memory_cryogenic": "yes"}),
                      "'memory_cryogenic' must be a boolean")
 
+    def test_every_default_key_is_type_checked(self, tmp_path):
+        # load_route is the only type check: build_chain and run_plan read
+        # route.params as they find it.
+        for key, default in DEFAULT_PARAMS.items():
+            if isinstance(default, bool):
+                bad, want = 1, "must be a boolean"
+            else:
+                bad, want = "3", "must be a number"
+            self._reject(tmp_path, lambda r: r.update(defaults={key: bad}),
+                         re.escape(f"defaults {key!r} {want}, got {bad!r}"))
+
     def test_rejects_bool_or_nonfinite_position(self, tmp_path):
         # JSON true would otherwise read as 1 km.
         for bad in (True, float("inf"), float("nan")):
@@ -125,8 +138,11 @@ class TestLoadRoute:
 
     def test_rejects_nan_default(self, tmp_path):
         # A NaN cutoff would compare false against every wait and never bind.
-        self._reject(tmp_path, lambda r: r.update(defaults={"memory_cutoff": float("nan")}),
-                     "'memory_cutoff' must be a number, got nan")
+        # JSON writes the floats as NaN, Infinity and -Infinity; the integer
+        # has 400 digits, past the float range.
+        for bad in (float("nan"), float("inf"), float("-inf"), 10**399):
+            self._reject(tmp_path, lambda r: r.update(defaults={"memory_cutoff": bad}),
+                         re.escape(f"'memory_cutoff' must be a number, got {bad!r}"))
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -208,7 +224,7 @@ class TestBuildChain:
         rc = load_route(write_route(tmp_path, [0.0, 20.0, 45.0, 80.0]))
         chain = build_chain(rc)
         assert [s.length_km for s in chain.spans] == [20.0, 25.0, 35.0]
-        assert [n.position_km for n in chain.nodes] == [20.0, 45.0]
+        assert len(chain.nodes) == 2
         assert chain.attempt_rate == DEFAULT_PARAMS["attempt_rate"]
 
     def test_coexistence_off_zeroes_noise(self, tmp_path):
@@ -225,36 +241,36 @@ class TestBuildChain:
                                      filename="r2.json"))
         assert build_chain(rc2).memory_cutoff == 0.01
 
-    def test_overrides_apply_and_validate(self, tmp_path):
-        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
-        chain = build_chain(rc, param_overrides={"bsm_success_prob": 0.4})
-        assert chain.nodes[0].bsm_success_prob == 0.4
-        with pytest.raises(ConfigError, match="unknown parameter override"):
-            build_chain(rc, param_overrides={"warp": 9.0})
+    def test_defaults_reach_every_node(self, tmp_path):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0, 75.0],
+                                    defaults={"bsm_success_prob": 0.4}))
+        chain = build_chain(rc)
+        assert [n.bsm_success_prob for n in chain.nodes] == [0.4, 0.4]
 
-    def test_override_types_checked(self, tmp_path):
+    def test_overrides_apply_and_validate(self, tmp_path):
+        # Callers that set parameters in code replace route.params; the
+        # chain reads them and runs the same range checks as on defaults.
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
-        with pytest.raises(ConfigError, match="'attempt_rate' must be a number"):
-            build_chain(rc, param_overrides={"attempt_rate": "fast"})
-        with pytest.raises(ConfigError, match="'attempt_rate' must be a number"):
-            build_chain(rc, param_overrides={"attempt_rate": False})
-        for bad in (1, 0.0, "true", None):
-            with pytest.raises(ConfigError, match="'memory_cryogenic' must be a boolean"):
-                build_chain(rc, param_overrides={"memory_cryogenic": bad})
-        with pytest.raises(ConfigError, match="must be a number"):
-            run_plan(rc, technology=TECH_ONE_WAY, trials=10,
-                     param_overrides={"one_way_loss_threshold_db": "3"})
+        chain = build_chain(replace(rc, params={**rc.params, "bsm_success_prob": 0.4}))
+        assert chain.nodes[0].bsm_success_prob == 0.4
+        assert rc.params["bsm_success_prob"] == DEFAULT_PARAMS["bsm_success_prob"]
+        for key, bad in (("bsm_success_prob", 1.5), ("detector_efficiency", 2.0)):
+            with pytest.raises(ConfigError, match=f"{key} must lie in"):
+                build_chain(replace(rc, params={**rc.params, key: bad}))
 
     def test_nonfinite_overrides_rejected(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
-        for bad in (float("nan"), float("inf"), float("-inf"), 10**400):
-            with pytest.raises(ConfigError, match="'attempt_rate' must be a number"):
-                build_chain(rc, param_overrides={"attempt_rate": bad})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="attempt rate outside"):
+                build_chain(replace(rc, params={**rc.params, "attempt_rate": bad}))
+            with pytest.raises(ConfigError, match=re.escape(f"coherence_time {bad!r} outside")):
+                build_chain(replace(rc, params={**rc.params, "memory_coherence_time": bad}))
 
     def test_bad_value_becomes_config_error(self, tmp_path):
-        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
-        with pytest.raises(ConfigError):
-            build_chain(rc, param_overrides={"detector_efficiency": 2.0})
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],
+                                    defaults={"detector_efficiency": 2.0}))
+        with pytest.raises(ConfigError, match="detector_efficiency"):
+            build_chain(rc)
 
     @pytest.mark.parametrize("bad", [{"bsm_success_prob": 0}, {"detector_efficiency": 5}])
     def test_node_parameters_checked_without_huts(self, tmp_path, bad):
@@ -349,21 +365,31 @@ class TestRunPlan:
         c = run_plan(rc2, technology=TECH_ONE_WAY, trials=10, seed=1)
         assert a["provenance"]["config_hash"] != c["provenance"]["config_hash"]
 
+    def test_config_hash_covers_params(self, tmp_path):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        base = _config_hash(rc)
+        # A default equal to the built-in value leaves the parameters, and
+        # so the hash, unchanged.
+        same = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],
+                                      defaults={"memory_coherence_time": 1},
+                                      filename="same.json"))
+        assert _config_hash(same) == base
+        longer = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],
+                                        defaults={"memory_coherence_time": 2},
+                                        filename="longer.json"))
+        assert _config_hash(longer) != base
+
     def test_config_hash_covers_overrides(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
         base = _config_hash(rc)
-        assert _config_hash(rc, {}) == base
-        # An override equal to the route's value leaves the effective
-        # parameters, and so the hash, unchanged.
-        assert _config_hash(rc, {"memory_coherence_time": 1}) == base
-        short = {"memory_coherence_time": 1e-3}
-        assert _config_hash(rc, short) != base
+        assert _config_hash(replace(rc, params=dict(rc.params))) == base
+        short = replace(rc, params={**rc.params, "memory_coherence_time": 1e-3})
+        assert _config_hash(short) != base
         a = run_plan(rc, technology=TECH_ENTANGLEMENT, trials=50, seed=1)
-        b = run_plan(rc, technology=TECH_ENTANGLEMENT, trials=50, seed=1,
-                     param_overrides=short)
+        b = run_plan(short, technology=TECH_ENTANGLEMENT, trials=50, seed=1)
         assert a["end_to_end"]["fidelity"] != b["end_to_end"]["fidelity"]
         assert a["provenance"]["config_hash"] == base
-        assert b["provenance"]["config_hash"] == _config_hash(rc, short)
+        assert b["provenance"]["config_hash"] == _config_hash(short)
 
     def test_both_computes_each_span_attempt_once(self, tmp_path, monkeypatch):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0, 75.0]))
@@ -380,11 +406,21 @@ class TestRunPlan:
         assert reports[0]["spans"] == reports[1]["spans"]
         assert reports[0]["spans"] == spans_table(build_chain(rc))
 
+    def test_defaults_flow_into_verdict(self, tmp_path):
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],
+                                    defaults={"max_heralding_km": 20.0}))
+        rep = run_plan(rc, technology=TECH_ENTANGLEMENT, trials=50, seed=1)
+        assert not rep["verdict"]["feasible"]
+
     def test_overrides_flow_into_verdict(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
-        rep = run_plan(rc, technology=TECH_ENTANGLEMENT, trials=50, seed=1,
-                       param_overrides={"max_heralding_km": 20.0})
+        assert run_plan(rc, technology=TECH_ENTANGLEMENT, trials=50, seed=1)["verdict"]["feasible"]
+        short = replace(rc, params={**rc.params, "max_heralding_km": 20.0})
+        rep = run_plan(short, technology=TECH_ENTANGLEMENT, trials=50, seed=1)
         assert not rep["verdict"]["feasible"]
+        with pytest.raises(ConfigError, match="max_heralding_km must be positive"):
+            run_plan(replace(rc, params={**rc.params, "max_heralding_km": -5.0}),
+                     technology=TECH_ENTANGLEMENT, trials=50, seed=1)
 
     @pytest.mark.parametrize("tech", [TECH_ONE_WAY, TECH_ENTANGLEMENT, "both"])
     @pytest.mark.parametrize("kw, message", [
@@ -415,10 +451,10 @@ class TestRunPlan:
             self, tmp_path, monkeypatch, tech, params, message):
         import qorsim.planner as planner
 
-        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0], defaults=params))
         monkeypatch.setattr(planner, "build_chain", lambda *a, **k: pytest.fail("plan ran"))
         with pytest.raises(ConfigError, match=message):
-            run_plan(rc, technology=tech, trials=10, param_overrides=params)
+            run_plan(rc, technology=tech, trials=10)
 
 
 # A key the corrupted report drops.

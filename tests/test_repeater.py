@@ -644,7 +644,6 @@ class TestChainValidation:
         (lambda x: MemorySpec(coherence_time=x), StateError),
         (lambda x: RepeaterChain(spans=(_span(),), attempt_rate=x), StateError),
         (lambda x: RepeaterChain(spans=(_span(),), memory_cutoff=x), StateError),
-        (lambda x: QorsNode(position_km=x), StateError),
         (lambda x: OneWayRepeaterSpec(loss_threshold_db=x), StateError),
         (lambda x: qec_max_span(x, 3.0), StateError),
         (lambda x: qec_max_span(0.35, x), StateError),
@@ -653,13 +652,32 @@ class TestChainValidation:
         "band-center", "fiber-attenuation", "fiber-group-index", "span-length",
         "span-drift-rate", "span-recalibration", "span-insertion-loss",
         "memory-coherence", "chain-attempt-rate", "chain-cutoff",
-        "node-position", "one-way-threshold", "qec-attenuation", "qec-threshold",
+        "one-way-threshold", "qec-attenuation", "qec-threshold",
         "qec-fixed-losses",
     ])
     def test_constructors_reject_non_finite(self, make, error, bad):
         # A NaN cutoff would otherwise run as if there were no cutoff.
         with pytest.raises(error, match="inf"):
             make(bad)
+
+    def test_decay_rate_must_stay_finite(self):
+        # A waiting span pair decays at two nodes' rates, 2 / coherence_time.
+        MemorySpec(coherence_time=1.2e-308)
+        for t in (1e-308, 1e-310, 5e-324):
+            with pytest.raises(StateError, match=re.escape(f"coherence_time {t!r} outside")):
+                MemorySpec(coherence_time=t)
+
+    def test_overflowing_decay_rate_fails_both_engines(self):
+        # A memory past MemorySpec's check decays at rate inf, and a zero
+        # wait (equal spans tie often) makes its decay exponent inf * 0.
+        memory = MemorySpec()
+        object.__setattr__(memory, "coherence_time", 1e-310)
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(QorsNode(memory=memory),),
+                              attempt_rate=1e6, memory_cutoff=1.0)
+        with pytest.raises(StateError, match="invalid Bell weights"):
+            simulate_chain_mc(chain, trials=200, seed=1)
+        with pytest.raises(StateError, match="analytic result is not finite"):
+            simulate_chain_analytic(chain)
 
     @pytest.mark.parametrize("penalty", [-0.1, 1.5, math.nan])
     def test_node_visibility_penalty_range(self, penalty):

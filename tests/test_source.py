@@ -176,3 +176,85 @@ def test_private_method_finder_sees_unused_and_reads_across_modules():
 def test_no_unused_private_methods():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_methods(sources) == []
+
+
+def unused_options(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of public top-level functions that no call in
+    ``callers`` passes, as "module.function(parameter)"; ``package`` maps
+    module names to source. A call names the function as a plain name or
+    as an attribute, of any object; it passes a parameter by keyword, or by
+    position when it has more positional arguments than precede it. A call
+    with *args passes every positional parameter and one with **kwargs
+    every parameter."""
+    options = []
+    for module, source in package.items():
+        for stmt in ast.parse(source).body:
+            if not isinstance(stmt, ast.FunctionDef) or stmt.name.startswith("_"):
+                continue
+            a = stmt.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            options += [(module, stmt.name, p.arg, i)
+                        for i, p in enumerate(positional) if i >= first]
+            options += [(module, stmt.name, p.arg, None)
+                        for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    passed = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            star = any(isinstance(arg, ast.Starred) for arg in node.args)
+            for _, fname, param, i in options:
+                if fname != name:
+                    continue
+                by_position = i is not None and (star or i < len(node.args))
+                by_keyword = any(k.arg in (param, None) for k in node.keywords)
+                if by_position or by_keyword:
+                    passed.add((fname, param))
+    return [f"{module}.{fname}({param})" for module, fname, param, _ in options
+            if (fname, param) not in passed]
+
+
+def test_option_finder_sees_unpassed_defaults():
+    package = {
+        "a": (
+            "def f(x, y=1, *, z=2):\n"
+            "    pass\n"
+            "def g(p=0, r=0):\n"
+            "    pass\n"
+            "def k(s=0, /, t=0):\n"
+            "    pass\n"
+            "def m(u=0):\n"
+            "    pass\n"
+            "def _h(q=0):\n"
+            "    pass\n"
+            "class C:\n"
+            "    def meth(self, w=0):\n"
+            "        pass\n"
+        ),
+    }
+    callers = [
+        "from a import f, k\nf(1, 2)\nk(**opts)\n",
+        "import a\na.g(r=3)\nb.m(*args)\n",
+    ]
+    assert unused_options(package, callers) == ["a.f(z)", "a.g(p)"]
+
+
+# Options kept although no product code passes them. AC3's test draws
+# rotations about sampled axes, and the console script calls main()
+# without argv.
+OPTIONS_ONLY_TESTS_SET = {
+    "channels.sop_rotation_channel(mode)",
+    "channels.sop_rotation_channel(axis)",
+    "cli.main(argv)",
+}
+
+
+def test_no_unused_options():
+    root = PACKAGE.parents[1]
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text() for d in ("src", "bench", "tools")
+               for p in sorted((root / d).rglob("*.py"))]
+    assert sorted(unused_options(package, callers)) == sorted(OPTIONS_ONLY_TESTS_SET)
