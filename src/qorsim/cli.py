@@ -41,16 +41,6 @@ def _write_out(text: str, out: str) -> None:
             fh.write(text + "\n")
 
 
-def _spans_csv(rows: list[dict]) -> str:
-    lines = ["index,length_km,transmittance,fidelity"]
-    for row in rows:
-        lines.append(
-            f"{row['index']},{row['length_km']:.6g},"
-            f"{row['transmittance']:.10g},{row['fidelity']:.10g}"
-        )
-    return "\n".join(lines)
-
-
 def _load(args) -> RouteConfig:
     table = load_fiber_table(args.fibers) if args.fibers else None
     return load_route(args.route, table)
@@ -65,11 +55,7 @@ def _cmd_plan(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    if args.format == "csv":
-        rows = report[0]["spans"] if isinstance(report, list) else report["spans"]
-        _write_out(_spans_csv(rows), args.out)
-    else:
-        _write_out(json.dumps(report, indent=2), args.out)
+    _write_out(json.dumps(report, indent=2), args.out)
     return 0
 
 
@@ -101,7 +87,13 @@ def _cmd_channel(args) -> int:
     chain = build_chain(route)
     rows = spans_table(chain)
     if args.format == "csv":
-        _write_out(_spans_csv(rows), args.out)
+        lines = ["index,length_km,transmittance,fidelity"]
+        for row in rows:
+            lines.append(
+                f"{row['index']},{row['length_km']:.6g},"
+                f"{row['transmittance']:.10g},{row['fidelity']:.10g}"
+            )
+        _write_out("\n".join(lines), args.out)
     else:
         _write_out(json.dumps(rows, indent=2), args.out)
     return 0
@@ -152,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--trials", type=int, default=10000)
     plan.add_argument("--seed", type=int, default=42)
     plan.add_argument("--workers", type=int, default=1)
-    plan.add_argument("--format", choices=("json", "csv"), default="json")
     plan.set_defaults(func=_cmd_plan)
 
     sim = subs.add_parser("simulate", help="entanglement chain simulation only")

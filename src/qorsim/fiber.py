@@ -129,16 +129,6 @@ def photon_dwell_time(span: FiberSpan) -> float:
     return span.length_km * 1e3 / velocity
 
 
-@dataclass(frozen=True)
-class SpanStack:
-    """The composed single-rail channel for one span plus its bookkeeping."""
-
-    channel: KrausChannel
-    transmittance: float
-    noise_probability: float
-    sop_theta: float
-
-
 # The span stack's operators are weights times fixed Pauli patterns. Qubit
 # operator 2j + i is the averaged rotation's Pauli j (I, X, Y, Z) times the
 # dephasing's Pauli i (I, Z). Rail operator 8k + 2j + i applies loss
@@ -155,8 +145,8 @@ _RAIL_PATTERN[2, :, VACUUM_INDEX, :2] = _QUBIT_PAULIS[:, 1]
 _RAIL_PATTERN = _RAIL_PATTERN.reshape(-1, RAIL_DIM, RAIL_DIM)
 
 
-def span_channel_stack(span: FiberSpan) -> SpanStack:
-    """Everything the fiber does to one flying polarization qubit.
+def span_channel_stack(span: FiberSpan) -> KrausChannel:
+    """The rail channel of everything the fiber does to a flying qubit.
 
     Composition order: residual dephasing, then the axis-averaged
     polarization rotation accumulated over one recalibration interval, then
@@ -178,9 +168,4 @@ def span_channel_stack(span: FiberSpan) -> SpanStack:
     rail = np.multiply.outer(np.sqrt([eta, 1.0 - eta, 1.0 - eta]), qubit)
     ops = rail.reshape(-1, 1, 1) * _RAIL_PATTERN
     ops[0, VACUUM_INDEX, VACUUM_INDEX] = 1.0
-    return SpanStack(
-        channel=KrausChannel(ops),
-        transmittance=eta,
-        noise_probability=span.coexistence_noise_prob,
-        sop_theta=theta,
-    )
+    return KrausChannel(ops)

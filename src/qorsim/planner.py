@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 from . import __version__
-from .fiber import BANDS, DEFAULT_FIBER_TYPES, Band, FiberConfigError, FiberSpec, FiberSpan
-from .linalg import StateError, bell_diagonal_weights
+from .fiber import BANDS, DEFAULT_FIBER_TYPES, Band, FiberConfigError, FiberSpec, FiberSpan, transmittance
+from .linalg import StateError
 from .qkd import (
     OneWayRepeaterSpec,
     TECH_ENTANGLEMENT,
@@ -95,6 +95,22 @@ class RouteConfig:
     quantum_band: Band
     coexistence: bool
     params: dict[str, float | bool]
+
+    def __post_init__(self) -> None:
+        # Every DEFAULT_PARAMS key and no other: a boolean where the default
+        # is one, a finite number (kept as a float) elsewhere.
+        for key in self.params:
+            _require(key in DEFAULT_PARAMS, f"unknown defaults key {key!r}")
+        params = {}
+        for key, default in DEFAULT_PARAMS.items():
+            _require(key in self.params, f"params missing key {key!r}")
+            val = self.params[key]
+            if isinstance(default, bool):
+                _require(isinstance(val, bool), f"defaults {key!r} must be a boolean, got {val!r}")
+                params[key] = val
+            else:
+                params[key] = _number(val, f"defaults {key!r} must be a number, got {val!r}")
+        object.__setattr__(self, "params", params)
 
     @property
     def length_km(self) -> float:
@@ -232,25 +248,17 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
 
     defaults = raw.get("defaults", {})
     _require(isinstance(defaults, dict), f"{path}: defaults must be an object")
-    # Known keys only: a boolean where the default is one, a finite number
-    # (kept as a float) elsewhere.
-    params = dict(DEFAULT_PARAMS)
-    for key, val in defaults.items():
-        _require(key in DEFAULT_PARAMS, f"{path}: unknown defaults key {key!r}")
-        if isinstance(DEFAULT_PARAMS[key], bool):
-            _require(isinstance(val, bool), f"{path}: defaults {key!r} must be a boolean, got {val!r}")
-            params[key] = val
-        else:
-            params[key] = _number(val, f"{path}: defaults {key!r} must be a number, got {val!r}")
-
-    return RouteConfig(
-        name=name,
-        sites=tuple(sites),
-        fiber=fiber,
-        quantum_band=band,
-        coexistence=coexistence,
-        params=params,
-    )
+    try:
+        return RouteConfig(
+            name=name,
+            sites=tuple(sites),
+            fiber=fiber,
+            quantum_band=band,
+            coexistence=coexistence,
+            params={**DEFAULT_PARAMS, **defaults},
+        )
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def build_chain(route: RouteConfig, technology: str = TECH_ENTANGLEMENT) -> RepeaterChain:
@@ -320,16 +328,16 @@ def _config_hash(route: RouteConfig) -> str:
 def spans_table(
     chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
 ) -> list[dict]:
-    """Per-span summary used by reports and the channel subcommand.
-    ``attempts`` (from span_attempts(chain)) saves recomputing them; a
-    count other than one per span raises DimensionError."""
+    """Per-span summary for reports and the channel subcommand; fidelity is
+    bell[0] of the span's attempt. ``attempts`` (span_attempts(chain)) saves
+    recomputing them; a count other than one per span raises DimensionError."""
     attempts = _checked_attempts(chain, attempts)
     return [
         {
             "index": i,
             "length_km": float(span.length_km),
-            "transmittance": float(attempt.transmittance),
-            "fidelity": float(bell_diagonal_weights(attempt.state)[0]),
+            "transmittance": transmittance(span),
+            "fidelity": float(attempt.bell[0]),
         }
         for i, (span, attempt) in enumerate(zip(chain.spans, attempts))
     ]

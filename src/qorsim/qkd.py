@@ -120,7 +120,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    technology: str
     feasible: bool
     violations: tuple[Violation, ...]
 
@@ -234,11 +233,7 @@ def assess_chain(
             )
         )
 
-    return FeasibilityVerdict(
-        technology=technology,
-        feasible=not violations,
-        violations=tuple(violations),
-    )
+    return FeasibilityVerdict(feasible=not violations, violations=tuple(violations))
 
 
 __all__ = [

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply_to_subsystem, depolarizing_channel
-from .fiber import FiberSpan, photon_dwell_time, span_channel_stack
+from .fiber import FiberSpan, photon_dwell_time, span_channel_stack, transmittance
 from .linalg import (
     BELL_KETS,
     BELL_SIDE_OPS,
@@ -126,17 +126,10 @@ class RepeaterChain:
 
 @dataclass(frozen=True)
 class SpanAttempt:
-    """Heralded span outcome: click probability and the conditional state."""
+    """Heralded span outcome: click probability and the heralded state's Bell weights."""
 
     success_probability: float
-    state: DensityMatrix
-    transmittance: float
-
-
-@dataclass(frozen=True)
-class SwapResult:
-    success_probability: float
-    state: DensityMatrix
+    bell: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -174,6 +167,24 @@ def _source_pair() -> DensityMatrix:
     return DensityMatrix(np.outer(vec, vec.conj()))
 
 
+# Largest off-diagonal Bell-basis element a heralded span state may have.
+BELL_DIAGONAL_TOL = 1e-12
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+
+
+def _bell_weights(state: np.ndarray) -> np.ndarray:
+    """Bell weights of a 4x4 span state, which the engines treat as
+    Bell-diagonal; raises StateError if any off-diagonal Bell-basis element
+    exceeds BELL_DIAGONAL_TOL (a channel that is not a Pauli mixture would)."""
+    m = bell_basis(state)
+    off = float(np.abs(m[_OFF_DIAGONAL]).max())
+    if off > BELL_DIAGONAL_TOL:
+        raise StateError(
+            f"span state is not Bell-diagonal: off-diagonal residual {off:.3e}"
+        )
+    return m.diagonal().real.copy()
+
+
 def span_entanglement_attempt(
     span: FiberSpan,
     detector_efficiency: float = 1.0,
@@ -182,17 +193,16 @@ def span_entanglement_attempt(
     """One heralded pair-generation attempt across a span.
 
     The source keeps one qubit (write efficiency of its memory), the other
-    flies through the span stack and must be detected on the far side. The
-    returned state is conditioned on the herald; background coincidences mix
-    in a maximally mixed component with weight noise / (signal + noise).
+    flies through the span stack and must be detected on the far side.
+    Background coincidences mix I/4 into the heralded state with weight
+    noise / (signal + noise). Returns its Bell weights, from _bell_weights.
     """
     if not 0.0 < detector_efficiency <= 1.0:
         raise StateError("detector efficiency must lie in (0, 1]")
-    stack = span_channel_stack(span)
     write = memory.write_efficiency if memory is not None else 1.0
-    p = write * detector_efficiency * stack.transmittance
+    p = write * detector_efficiency * transmittance(span)
 
-    rho = apply_to_subsystem(stack.channel, _source_pair(), 0, [3, 2])
+    rho = apply_to_subsystem(span_channel_stack(span), _source_pair(), 0, [3, 2])
     # Herald: project the rail onto its photon levels and renormalize.
     # Loss moves photon levels only to vacuum, so the photon block is the
     # survival times a state: dividing it out keeps full relative precision
@@ -203,15 +213,11 @@ def span_entanglement_attempt(
         raise StateError(f"span transmitted {survival:.3g} of its photons; cannot herald")
     conditional = sub / survival
 
-    noise = stack.noise_probability
+    noise = span.coexistence_noise_prob
     if noise > 0.0:
         w_noise = noise / (p + noise)
         conditional = (1.0 - w_noise) * conditional + w_noise * _MIXED_PAIR
-    return SpanAttempt(
-        success_probability=p,
-        state=DensityMatrix(conditional),
-        transmittance=stack.transmittance,
-    )
+    return SpanAttempt(success_probability=p, bell=_bell_weights(conditional))
 
 
 def memory_decay(
@@ -255,13 +261,12 @@ def _bell_measure(joint: np.ndarray, pre: int, outcomes) -> np.ndarray:
 
 def entanglement_swap(
     left: DensityMatrix, right: DensityMatrix, node: QorsNode
-) -> SwapResult:
+) -> DensityMatrix:
     """Connect two pairs meeting at a node into one longer pair.
 
     Interference visibility enters as a phase-flip on the node-side qubit of
     the left pair before the measurement. The returned state aggregates the
-    heralded outcomes after correction; success probability is the node's
-    BSM efficiency (memory readout is accounted by the chain engines).
+    heralded outcomes after correction, given that the swap succeeds.
     """
     if left.dim != 4 or right.dim != 4:
         raise DimensionError("entanglement swap needs two two-qubit states")
@@ -270,10 +275,7 @@ def entanglement_swap(
     if penalty > 0.0:
         z = np.kron(np.kron(np.eye(2), np.diag([1.0, -1.0])), np.eye(4))
         joint = (1.0 - penalty) * joint + penalty * (z @ joint @ z)
-    out = _bell_measure(joint, 2, _HERALDED_OUTCOMES)
-    return SwapResult(
-        success_probability=node.bsm_success_prob, state=DensityMatrix(out)
-    )
+    return DensityMatrix(_bell_measure(joint, 2, _HERALDED_OUTCOMES))
 
 
 def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
@@ -285,35 +287,18 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 
 
 # Chain engines. Every span state the span stack produces is diagonal in
-# the Bell basis, and memory decay (depolarizing), the visibility penalty
-# (dephasing) and the odd-parity swap keep it so. Both engines therefore
-# carry a pair as its four Bell weights (index bit 0: X part, bit 1: Z part
-# of the one-sided Pauli that maps Phi+ to the Bell state), whose algebra is
-# in qorsim.linalg. Decay is affine toward I/4, dephasing fixes I/4, and the
-# swap is bilinear with I/4 absorbing, so a delivered pair is
-# lam * c + (1 - lam) / 4: c, from _folded_bell, folds the ready states
-# through each node's dephasing and swap, and lam is the survival weight of
-# all the decay on the way. Monte Carlo draws lam per trial; the analytic
-# engine takes its expectation.
+# the Bell basis, as span_entanglement_attempt checks, and memory decay
+# (depolarizing), the visibility penalty (dephasing) and the odd-parity swap
+# keep it so. Both engines carry a pair as its four Bell weights (index bit
+# 0: X part, bit 1: Z part of the one-sided Pauli that maps Phi+ to the Bell
+# state), whose algebra is in qorsim.linalg. Decay is affine toward I/4,
+# dephasing fixes I/4, and the swap is bilinear with I/4 absorbing, so a
+# delivered pair is lam * c + (1 - lam) / 4: c, from _folded_bell, folds the
+# ready states through each node's dephasing and swap, and lam is the
+# survival weight of all the decay on the way. Monte Carlo draws lam per
+# trial; the analytic engine takes its expectation.
 # _span_models turns the protocol conventions into each merge's numbers,
 # and both engines read only those models, never the chain's nodes.
-
-# Largest off-diagonal Bell-basis element a span state may have.
-BELL_DIAGONAL_TOL = 1e-12
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
-
-
-def _bell_weights(state: DensityMatrix) -> np.ndarray:
-    """Bell weights of a state the engines treat as Bell-diagonal; raises
-    StateError if any off-diagonal Bell-basis element exceeds
-    BELL_DIAGONAL_TOL (a channel that is not a Pauli mixture would)."""
-    m = bell_basis(state.matrix)
-    off = float(np.abs(m[_OFF_DIAGONAL]).max())
-    if off > BELL_DIAGONAL_TOL:
-        raise StateError(
-            f"span state is not Bell-diagonal: off-diagonal residual {off:.3e}"
-        )
-    return m.diagonal().real.copy()
 
 
 @dataclass(frozen=True)
@@ -375,9 +360,7 @@ def _span_models(
     chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
 ) -> list[_SpanModel]:
     """Engine inputs per span, from ``attempts`` (span_attempts(chain) when
-    not given). Raises StateError if a heralded state is not Bell-diagonal,
-    which the pre-ready memory decay cannot make it, or if a success or
-    swap probability is 0."""
+    not given). Raises StateError if a success or swap probability is 0."""
     attempts = _checked_attempts(chain, attempts)
     one_way = [photon_dwell_time(span) for span in chain.spans]
     # A swap's outcome crosses its span to the new frontier edge; the last
@@ -406,7 +389,7 @@ def _span_models(
             _SpanModel(
                 success_prob=attempt.success_probability,
                 cycle_s=1.0 / chain.attempt_rate + 2.0 * one_way[i],
-                ready_bell=bell_decay(_bell_weights(attempt.state), lam),
+                ready_bell=bell_decay(attempt.bell, lam),
                 right_decay_rate=right_rate,
                 front_rate=left_rate,
                 span_rate=left_rate + right_rate,
@@ -888,8 +871,9 @@ def simulate_chain_mc(
     StateError, and so do more than 2**32 trials, a trial that would draw
     2**32 uniforms, trials or workers that are not positive integers, and
     a seed that is not a non-negative integer (_check_mc_args, which
-    run_plan applies to every plan). ``attempts`` (from
-    span_attempts(chain)) saves recomputing the span stacks.
+    run_plan applies to every plan), and so does a heralded span state
+    that is not Bell-diagonal, which span_attempts(chain) checks;
+    ``attempts``, its result, saves computing the span stacks again.
     """
     _check_mc_args(trials, seed, workers)
     models = _span_models(chain, attempts)

@@ -176,7 +176,7 @@ def test_ac5_swap_closed_form_from_brute_force():
                 oracle_swap(werner_matrix(f1), werner_matrix(f2)))
             worst_oracle = max(worst_oracle, abs(brute - want))
             got = fidelity(
-                entanglement_swap(werner_state(f1), werner_state(f2), node).state,
+                entanglement_swap(werner_state(f1), werner_state(f2), node),
                 phi_plus(),
             )
             worst_impl = max(worst_impl, abs(got - want))

@@ -213,7 +213,7 @@ class TestApplyAndCompose:
     def test_apply_span_stack_matches_oracle(self, rng, index, dims):
         span = FiberSpan(length_km=40.0, dephasing_p=0.05, sop_drift_rate=0.4,
                          sop_recalibration_interval=1.0)
-        channel = span_channel_stack(span).channel
+        channel = span_channel_stack(span)
         assert len(channel.operators) == 24
         for _ in range(5):
             dm = random_density_matrix(int(np.prod(dims)), rng)

@@ -146,15 +146,6 @@ class TestPlan:
         assert [r["technology"] for r in reports] == ["entanglement",
                                                       "one_way"]
 
-    def test_csv_span_table(self, capsys, tmp_path):
-        route = write_route(tmp_path, [0.0, 20.0, 40.0])
-        code, out, _ = _run(capsys, ["plan", "--route", route,
-                                     "--tech", "oneway", "--format", "csv"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "index,length_km,transmittance,fidelity"
-        assert len(lines) == 3
-
     def test_out_writes_file(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 20.0, 40.0])
         target = tmp_path / "report.json"
@@ -370,6 +361,13 @@ class TestErrorHandling:
         route = write_route(tmp_path, [0.0, 10.0])
         with pytest.raises(SystemExit) as exc:
             main(["plan", "--route", route, "--tech", "pigeon"])
+        assert exc.value.code == 2
+
+    def test_plan_has_no_format_flag(self, capsys, tmp_path):
+        # The span table's CSV is `channel --format csv`.
+        route = write_route(tmp_path, [0.0, 10.0])
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--route", route, "--format", "csv"])
         assert exc.value.code == 2
 
     def test_missing_subcommand_is_usage_error(self, capsys):

@@ -131,7 +131,7 @@ class TestSpanStack:
             qubit = compose(dephasing_channel(p), sop_rotation_channel(omega, dt))
             expected = compose(embed_qubit_channel(qubit),
                                loss_channel(transmittance(span)))
-            got = span_channel_stack(span).channel
+            got = span_channel_stack(span)
             assert np.array_equal(got.operators, expected.operators), span
 
     def test_overflowing_drift_angle_is_non_finite(self):
@@ -147,7 +147,7 @@ class TestSpanStack:
                     build()
 
     def test_stack_is_cptp(self):
-        report = verify_cptp(span_channel_stack(self._span()).channel)
+        report = verify_cptp(span_channel_stack(self._span()))
         assert report.valid and report.trace_preserving
 
     def test_stack_survival_equals_transmittance(self):
@@ -155,29 +155,22 @@ class TestSpanStack:
         stack = span_channel_stack(span)
         rho = np.zeros((3, 3), dtype=complex)
         rho[0, 0] = 1.0
-        out = apply_channel(stack.channel, DensityMatrix(rho))
+        out = apply_channel(stack, DensityMatrix(rho))
         survive = float(np.real(out.matrix[0, 0] + out.matrix[1, 1]))
         assert abs(survive - transmittance(span)) < 1e-12
-        assert abs(stack.transmittance - transmittance(span)) < 1e-15
 
     def test_stack_vacuum_absorbing(self):
         stack = span_channel_stack(self._span())
         vac = np.zeros((3, 3), dtype=complex)
         vac[2, 2] = 1.0
-        out = apply_channel(stack.channel, DensityMatrix(vac))
+        out = apply_channel(stack, DensityMatrix(vac))
         assert abs(out.matrix[2, 2].real - 1.0) < 1e-12
-
-    def test_stack_bookkeeping_fields(self):
-        span = self._span()
-        stack = span_channel_stack(span)
-        assert stack.noise_probability == span.coexistence_noise_prob
-        assert abs(stack.sop_theta - 5e4 * 1e-6) < 1e-15
 
     def test_clean_span_is_pure_loss(self):
         span = FiberSpan(length_km=10.0, quantum_band=C_BAND)
         stack = span_channel_stack(span)
         eta = transmittance(span)
         vec = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        out = apply_channel(stack.channel, DensityMatrix(np.outer(vec, vec)))
+        out = apply_channel(stack, DensityMatrix(np.outer(vec, vec)))
         # no dephasing, no rotation: coherence scales exactly with eta
         assert abs(out.matrix[0, 1] - eta / 2) < 1e-12

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qorsim.repeater as repeater
-from qorsim.linalg import DimensionError
+from qorsim.linalg import DensityMatrix, DimensionError
 from qorsim.planner import (
     DEFAULT_PARAMS,
     ConfigError,
@@ -120,8 +120,8 @@ class TestLoadRoute:
                      "'memory_cryogenic' must be a boolean")
 
     def test_every_default_key_is_type_checked(self, tmp_path):
-        # load_route is the only type check: build_chain and run_plan read
-        # route.params as they find it.
+        # RouteConfig checks its params when it is built, so build_chain and
+        # run_plan read route.params as they find it.
         for key, default in DEFAULT_PARAMS.items():
             if isinstance(default, bool):
                 bad, want = 1, "must be a boolean"
@@ -143,6 +143,25 @@ class TestLoadRoute:
         for bad in (float("nan"), float("inf"), float("-inf"), 10**399):
             self._reject(tmp_path, lambda r: r.update(defaults={"memory_cutoff": bad}),
                          re.escape(f"'memory_cutoff' must be a number, got {bad!r}"))
+
+    def test_replaced_params_are_checked(self, tmp_path):
+        # A route whose params are replaced in code is checked as a route
+        # file's defaults are, by key.
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        for params, match in [
+            ({**rc.params, "attempt_rate": "fast"}, "'attempt_rate' must be a number, got 'fast'"),
+            ({**rc.params, "attempt_rate": 10**400}, "'attempt_rate' must be a number"),
+            ({}, "params missing key 'sop_drift_rate'"),
+            ({**rc.params, "bogus": 1}, "unknown defaults key 'bogus'"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(match)):
+                replace(rc, params=params)
+        # A valid integer is kept as the float a route file gives.
+        fast = replace(rc, params={**rc.params, "attempt_rate": 2_000_000})
+        assert type(fast.params["attempt_rate"]) is float
+        from_file = load_route(write_route(tmp_path, [0.0, 25.0, 50.0], filename="fast.json",
+                                           defaults={"attempt_rate": 2_000_000}))
+        assert _config_hash(fast) == _config_hash(from_file)
 
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -260,11 +279,11 @@ class TestBuildChain:
 
     def test_nonfinite_overrides_rejected(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        # RouteConfig rejects them by key before any chain is built.
         for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ConfigError, match="attempt rate outside"):
-                build_chain(replace(rc, params={**rc.params, "attempt_rate": bad}))
-            with pytest.raises(ConfigError, match=re.escape(f"coherence_time {bad!r} outside")):
-                build_chain(replace(rc, params={**rc.params, "memory_coherence_time": bad}))
+            for key in ("attempt_rate", "memory_coherence_time"):
+                with pytest.raises(ConfigError, match=re.escape(f"{key!r} must be a number, got {bad!r}")):
+                    build_chain(replace(rc, params={**rc.params, key: bad}))
 
     def test_bad_value_becomes_config_error(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],
@@ -405,6 +424,21 @@ class TestRunPlan:
         assert len(calls) == 3
         assert reports[0]["spans"] == reports[1]["spans"]
         assert reports[0]["spans"] == spans_table(build_chain(rc))
+
+    def test_plan_builds_no_dense_pair_state(self, tmp_path, monkeypatch):
+        # Span attempts hand on Bell weights: no 4x4 DensityMatrix is built
+        # on a plan's path, only the 6-level rail states of the attempts.
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        dims = []
+        validate = DensityMatrix.__post_init__
+
+        def counted(state):
+            dims.append(np.shape(state.matrix)[0])
+            validate(state)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        run_plan(rc, technology="both", trials=100, seed=1)
+        assert dims and set(dims) == {6}
 
     def test_defaults_flow_into_verdict(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],

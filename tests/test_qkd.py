@@ -165,7 +165,6 @@ class TestAssessChain:
                            coexistence=True)
         assert rep.feasible
         assert rep.violations == ()
-        assert rep.technology == TECH_ENTANGLEMENT
 
     def test_r1_requires_coexistence(self):
         rep = assess_chain(_chain([25.0, 25.0]), TECH_ENTANGLEMENT,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qorsim.channels import compose, embed_qubit_channel, loss_channel, sop_rotation_channel
 from qorsim.fiber import (
     C_BAND,
     O_BAND,
@@ -41,7 +42,7 @@ from qorsim.linalg import (
     werner_state,
 )
 from qorsim.planner import spans_table
-from qorsim.qkd import OneWayRepeaterSpec, _qber, qber_from_state, qec_max_span
+from qorsim.qkd import OneWayRepeaterSpec, qec_max_span
 from qorsim.repeater import (
     BELL_DIAGONAL_TOL,
     MC_GROUP,
@@ -50,7 +51,6 @@ from qorsim.repeater import (
     MemorySpec,
     QorsNode,
     RepeaterChain,
-    SpanAttempt,
     _bell_weights,
     _expected_wait,
     _folded_bell,
@@ -137,21 +137,20 @@ class TestSpanAttempt:
     def test_clean_span_delivers_phi_plus(self):
         span = FiberSpan(length_km=25.0, quantum_band=C_BAND)
         out = span_entanglement_attempt(span)
-        assert abs(fidelity(out.state, phi_plus()) - 1.0) < 1e-12
+        assert abs(out.bell[0] - 1.0) < 1e-12
 
     def test_dephasing_moves_weight_to_phase_flip(self):
         p = 0.05
         span = FiberSpan(length_km=10.0, quantum_band=C_BAND, dephasing_p=p)
         out = span_entanglement_attempt(span)
-        w = bell_diagonal_weights(out.state)
-        assert np.max(np.abs(w - np.array([1 - p, 0.0, p, 0.0]))) < 1e-12
+        assert np.max(np.abs(out.bell - np.array([1 - p, 0.0, p, 0.0]))) < 1e-12
 
     def test_sop_fidelity_closed_form(self):
         theta = 0.3
         span = FiberSpan(length_km=10.0, quantum_band=C_BAND,
                          sop_drift_rate=theta, sop_recalibration_interval=1.0)
         out = span_entanglement_attempt(span)
-        assert abs(fidelity(out.state, phi_plus()) - np.cos(theta / 2) ** 2) < 1e-12
+        assert abs(out.bell[0] - np.cos(theta / 2) ** 2) < 1e-12
 
     def test_background_noise_mixing(self):
         noise = 1e-3
@@ -161,12 +160,12 @@ class TestSpanAttempt:
         p = out.success_probability
         w_noise = noise / (p + noise)
         want = (1 - w_noise) * 1.0 + w_noise * 0.25
-        assert abs(fidelity(out.state, phi_plus()) - want) < 1e-12
+        assert abs(out.bell[0] - want) < 1e-12
 
     def test_heralding_excludes_vacuum(self):
         out = span_entanglement_attempt(_span(length=60.0))
-        assert abs(np.trace(out.state.matrix) - 1.0) < 1e-12
-        assert out.state.dim == 4
+        assert out.bell.shape == (4,)
+        assert abs(out.bell.sum() - 1.0) < 1e-12
 
     def test_detector_efficiency_bounds(self):
         with pytest.raises(StateError):
@@ -176,16 +175,19 @@ class TestSpanAttempt:
         for span, det, write, got in _random_span_attempts():
             p, state = oracle_span_attempt(span, det, write)
             assert abs(got.success_probability - p) < 1e-14
-            assert np.max(np.abs(got.state.matrix - state)) < 1e-14
+            # Rebuilt from its weights, the attempt's state is the oracle's,
+            # off-diagonal Bell-basis elements included.
+            assert np.max(np.abs(bell_diagonal_state(got.bell).matrix - state)) < 1e-14
 
-    def test_reports_read_the_engines_projection(self):
-        # The span table's fidelity and the QBER of a state are the numbers
-        # the engines' Bell weights give, to the last bit.
+    def test_reports_read_the_engines_weights(self):
+        # The span table's fidelity and the engines' ready weights (a one-span
+        # chain has no pre-ready decay) come from the attempt's one array.
         for span, _, _, got in _random_span_attempts():
-            bell = _bell_weights(got.state)
-            (row,) = spans_table(RepeaterChain(spans=(span,), attempt_rate=1e6), (got,))
-            assert row["fidelity"] == bell[0]
-            assert qber_from_state(got.state) == _qber(bell)
+            chain = RepeaterChain(spans=(span,), attempt_rate=1e6)
+            (row,) = spans_table(chain, (got,))
+            (model,) = _span_models(chain, (got,))
+            assert row["fidelity"] == got.bell[0]
+            assert np.array_equal(model.ready_bell, got.bell)
 
     def test_heralds_whatever_arrives(self):
         # 450 km of O band passes about 1e-16 of the photons.
@@ -195,7 +197,7 @@ class TestSpanAttempt:
         )
         p, state = oracle_span_attempt(span, 0.8, 0.9)
         assert 0.0 < got.success_probability == pytest.approx(p, rel=1e-12)
-        assert np.max(np.abs(got.state.matrix - state)) < 1e-12
+        assert np.max(np.abs(bell_diagonal_state(got.bell).matrix - state)) < 1e-12
         with pytest.raises(StateError, match="cannot herald"):
             span_entanglement_attempt(FiberSpan(length_km=9500.0))
 
@@ -247,7 +249,7 @@ class TestEntanglementSwap:
         for _ in range(15):
             wa, wb = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
             a, b = bell_diagonal_state(wa), bell_diagonal_state(wb)
-            got = entanglement_swap(a, b, node).state.matrix
+            got = entanglement_swap(a, b, node).matrix
             want = oracle_swap(a.matrix, b.matrix, outcomes=(1, 3))
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -256,7 +258,7 @@ class TestEntanglementSwap:
         for _ in range(10):
             a = random_density_matrix(4, rng)
             b = random_density_matrix(4, rng)
-            got = entanglement_swap(a, b, node).state.matrix
+            got = entanglement_swap(a, b, node).matrix
             want = oracle_swap(a.matrix, b.matrix, outcomes=(1, 3))
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -266,14 +268,14 @@ class TestEntanglementSwap:
             for f2 in np.linspace(0.25, 1.0, 6):
                 out = entanglement_swap(werner_state(f1), werner_state(f2), node)
                 want = f1 * f2 + (1 - f1) * (1 - f2) / 3
-                assert abs(fidelity(out.state, phi_plus()) - want) < 1e-10
+                assert abs(fidelity(out, phi_plus()) - want) < 1e-10
 
     def test_bell_weights_xor_convolve(self, rng):
         node = _node()
         for _ in range(10):
             wa, wb = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
             out = entanglement_swap(bell_diagonal_state(wa), bell_diagonal_state(wb), node)
-            got = bell_diagonal_weights(out.state)
+            got = bell_diagonal_weights(out)
             want = np.zeros(4)
             for i in range(4):
                 for j in range(4):
@@ -282,11 +284,7 @@ class TestEntanglementSwap:
 
     def test_visibility_penalty_dephases(self):
         out = entanglement_swap(phi_plus(), phi_plus(), _node(penalty=0.13))
-        assert abs(fidelity(out.state, phi_plus()) - 0.87) < 1e-12
-
-    def test_success_probability_reported(self):
-        out = entanglement_swap(phi_plus(), phi_plus(), _node(bsm=0.43))
-        assert out.success_probability == 0.43
+        assert abs(fidelity(out, phi_plus()) - 0.87) < 1e-12
 
     def test_dimension_checks(self, rng):
         with pytest.raises(DimensionError):
@@ -962,22 +960,24 @@ class TestMonteCarloEngine:
 
 
 def _dense_inputs(chain):
-    """oracle_chain_trial's span and node tuples for a chain, with the
-    pre-ready memory decay applied by the oracle's own depolarizer."""
+    """oracle_chain_trial's span and node tuples for a chain: each span's
+    success probability from span_entanglement_attempt, its heralded state
+    from oracle_span_attempt, and the pre-ready memory decay applied by the
+    oracle's own depolarizer."""
     n = len(chain.spans)
     spans = []
     for i, span in enumerate(chain.spans):
         left = chain.nodes[i - 1] if i > 0 else None
         right = chain.nodes[i] if i < n - 1 else None
+        det = left.detector_efficiency if left else 1.0
         attempt = span_entanglement_attempt(
-            span,
-            detector_efficiency=left.detector_efficiency if left else 1.0,
-            memory=right.memory if right else None,
+            span, detector_efficiency=det, memory=right.memory if right else None
         )
+        _, rho = oracle_span_attempt(span, det, right.memory.write_efficiency if right else 1.0)
         one_way = photon_dwell_time(span)
         left_rate = 1.0 / left.memory.coherence_time if left else 0.0
         right_rate = 1.0 / right.memory.coherence_time if right else 0.0
-        rho = oracle_depolarize(attempt.state.matrix, 0, math.exp(-left_rate * one_way))
+        rho = oracle_depolarize(rho, 0, math.exp(-left_rate * one_way))
         rho = oracle_depolarize(rho, 1, math.exp(-right_rate * 2.0 * one_way))
         spans.append((attempt.success_probability, 1.0 / chain.attempt_rate + 2.0 * one_way,
                       one_way, rho, right_rate))
@@ -1153,19 +1153,27 @@ class TestBellEngineAgainstDenseOracle:
             free, _ = _run_trial_range(_span_models(loose), loose, seed, lo, hi)
             assert np.any(free != times)
 
-    def test_non_bell_diagonal_span_state_rejected(self):
-        chain = RepeaterChain(spans=(_span(),), attempt_rate=1e6)
-        skewed = SpanAttempt(
-            success_probability=0.1,
-            state=pure_state(ket(0, 4)),   # |00>: Phi+/Phi- coherence 0.5
-            transmittance=0.1,
+    def test_non_bell_diagonal_span_state_rejected(self, monkeypatch):
+        import qorsim.repeater as repeater
+
+        # A rotation about one sampled axis is not a Pauli mixture: it
+        # carries Phi+ into a superposition of Bell states.
+        rotation = sop_rotation_channel(0.5, 1.0, mode="sampled", axis=[1.0, 2.0, 3.0])
+        monkeypatch.setattr(
+            repeater, "span_channel_stack",
+            lambda span: compose(embed_qubit_channel(rotation), loss_channel(transmittance(span))),
         )
+        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
         with pytest.raises(StateError, match="not Bell-diagonal"):
-            _span_models(chain, (skewed,))
+            span_entanglement_attempt(_span())
         with pytest.raises(StateError, match="not Bell-diagonal"):
-            simulate_chain_mc(chain, trials=10, attempts=(skewed,))
+            simulate_chain_mc(chain, trials=10)
+
+    def test_attempt_count_must_match_spans(self):
+        chain = RepeaterChain(spans=(_span(),), attempt_rate=1e6)
+        attempt = span_entanglement_attempt(_span())
         with pytest.raises(DimensionError):
-            _span_models(chain, (skewed, skewed))
+            _span_models(chain, (attempt, attempt))
 
     @pytest.mark.parametrize("scale, rejected", [(0.5, False), (2.0, True)])
     def test_bell_diagonal_tolerance_boundary(self, scale, rejected):
@@ -1173,15 +1181,12 @@ class TestBellEngineAgainstDenseOracle:
         # basis: the rounding of the basis change is far below it.
         bell = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
         bell[0, 1] = bell[1, 0] = scale * BELL_DIAGONAL_TOL
-        state = DensityMatrix(BELL_KETS.T @ bell @ BELL_KETS.conj())
-        chain = RepeaterChain(spans=(_span(),), attempt_rate=1e6)
-        attempt = SpanAttempt(success_probability=0.1, state=state, transmittance=0.1)
+        state = BELL_KETS.T @ bell @ BELL_KETS.conj()
         if rejected:
             with pytest.raises(StateError, match="not Bell-diagonal"):
-                _span_models(chain, (attempt,))
+                _bell_weights(state)
         else:
-            (model,) = _span_models(chain, (attempt,))
-            assert np.allclose(model.ready_bell, [0.7, 0.1, 0.1, 0.1], rtol=0.0, atol=1e-15)
+            assert np.allclose(_bell_weights(state), [0.7, 0.1, 0.1, 0.1], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("n_spans", [2, 3, 4, 5, 6])
     def test_closed_form_fold_matches_per_node_fold(self, n_spans):

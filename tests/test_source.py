@@ -258,3 +258,71 @@ def test_no_unused_options():
     callers = [p.read_text() for d in ("src", "bench", "tools")
                for p in sorted((root / d).rglob("*.py"))]
     assert sorted(unused_options(package, callers)) == sorted(OPTIONS_ONLY_TESTS_SET)
+
+
+def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of the dataclasses in ``package`` (module name to source)
+    that no source in ``readers`` reads as an attribute, as
+    "module.Class.field". A class is a dataclass when a decorator named
+    dataclass, called or not, marks it; its fields are the names it
+    annotates in its body. A load of an attribute of that name on any
+    object counts as a read; a store, or a name in a string, does not."""
+    fields = []
+    for module, source in package.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in marks):
+                continue
+            fields += [(module, cls.name, f.target.id) for f in cls.body
+                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{cls}.{name}" for module, cls, name in fields if name not in read]
+
+
+def test_field_finder_sees_unread_fields():
+    package = {
+        "a": (
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Result:\n"
+            "    value: float\n"
+            "    echo: str\n"
+            "    def __post_init__(self):\n"
+            "        object.__setattr__(self, 'echo', self.value)\n"
+            "@dataclasses.dataclass\n"
+            "class _Box:\n"
+            "    size: int = 0\n"
+            "    label: str = ''\n"
+            "class Plain:\n"
+            "    hint: int\n"
+        ),
+    }
+    readers = [
+        package["a"],
+        "def f(box, r):\n    box.label = 'x'\n    return box.size\n",
+    ]
+    # echo is set through a string and label only stored; Plain is no dataclass.
+    assert unread_fields(package, readers) == ["a.Result.echo", "a._Box.label"]
+
+
+# Fields kept although no product code reads them: verify_cptp reports
+# and never raises, so its report is its whole output.
+FIELDS_ONLY_TESTS_READ = {
+    "channels.CptpReport.completeness_residual",
+    "channels.CptpReport.choi_min_eigenvalue",
+    "channels.CptpReport.trace_preserving",
+    "channels.CptpReport.completely_positive",
+    "channels.CptpReport.valid",
+}
+
+
+def test_no_unread_fields():
+    root = PACKAGE.parents[1]
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for d in ("src", "bench", "tools")
+               for p in sorted((root / d).rglob("*.py"))]
+    assert sorted(unread_fields(package, readers)) == sorted(FIELDS_ONLY_TESTS_READ)
