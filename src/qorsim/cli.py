@@ -172,10 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FiberConfigError, StateError, DimensionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ConfigError, FiberConfigError, StateError, DimensionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

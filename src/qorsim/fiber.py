@@ -106,6 +106,12 @@ class FiberSpan:
         for drift in (self.sop_drift_rate, self.sop_recalibration_interval):
             if not 0 <= drift < math.inf:
                 raise FiberConfigError("SOP drift parameters outside [0, inf)")
+        rate, interval = self.sop_drift_rate, self.sop_recalibration_interval
+        if not rate * interval < math.inf:
+            raise FiberConfigError(
+                f"SOP drift angle sop_drift_rate * sop_recalibration_interval "
+                f"overflows: {rate!r} * {interval!r}"
+            )
         if not 0.0 <= self.dephasing_p <= 1.0:
             raise FiberConfigError("dephasing probability outside [0, 1]")
         if not 0.0 <= self.coexistence_noise_prob < 1.0:
@@ -161,8 +167,7 @@ def span_channel_stack(span: FiberSpan) -> KrausChannel:
     eta = transmittance(span)
     theta = span.sop_drift_rate * span.sop_recalibration_interval
     p = span.dephasing_p
-    # np.cos, not math.cos: a drift interval that overflows to inf gives
-    # NaN weights, which KrausChannel rejects as non-finite.
+    # FiberSpan keeps theta finite, so every weight is.
     s = np.sin(theta / 2) / np.sqrt(3.0)
     qubit = np.multiply.outer([np.cos(theta / 2), s, s, s], np.sqrt([1.0 - p, p]))
     rail = np.multiply.outer(np.sqrt([eta, 1.0 - eta, 1.0 - eta]), qubit)

@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import __version__
@@ -94,11 +96,13 @@ class RouteConfig:
     fiber: FiberSpec
     quantum_band: Band
     coexistence: bool
-    params: dict[str, float | bool]
+    params: Mapping[str, float | bool]
 
     def __post_init__(self) -> None:
         # Every DEFAULT_PARAMS key and no other: a boolean where the default
-        # is one, a finite number (kept as a float) elsewhere.
+        # is one, a finite number (kept as a float) elsewhere. Kept
+        # read-only, so that no change skips the check; dataclasses.replace
+        # checks a new mapping.
         for key in self.params:
             _require(key in DEFAULT_PARAMS, f"unknown defaults key {key!r}")
         params = {}
@@ -110,7 +114,7 @@ class RouteConfig:
                 params[key] = val
             else:
                 params[key] = _number(val, f"defaults {key!r} must be a number, got {val!r}")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", types.MappingProxyType(params))
 
     @property
     def length_km(self) -> float:
@@ -319,7 +323,7 @@ def _config_hash(route: RouteConfig) -> str:
         "group_index": route.fiber.group_index,
         "quantum_band": route.quantum_band.name,
         "coexistence": route.coexistence,
-        "params": route.params,
+        "params": dict(route.params),
     }
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -297,8 +297,8 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 # ready states through each node's dephasing and swap, and lam is the
 # survival weight of all the decay on the way. Monte Carlo draws lam per
 # trial; the analytic engine takes its expectation.
-# _span_models turns the protocol conventions into each merge's numbers,
-# and both engines read only those models, never the chain's nodes.
+# _span_models turns the protocol conventions into each span's ready time
+# and merge numbers; the engines read only those, never the chain's nodes.
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,7 @@ class _SpanModel:
     merge at the node on the span's left; span 0 has none, and the engines
     read them only from span 1 on."""
 
-    success_prob: float
-    cycle_s: float
+    ready: _GeomTime              # ready time of one generation, on the attempt cycle
     ready_bell: np.ndarray        # Bell weights at ready time, pre-ready decay folded in
     right_decay_rate: float       # 1/coherence at the right holder, 0 if ideal
     front_rate: float             # decay of the frontier's node-side qubit: node 1/coherence
@@ -387,8 +386,8 @@ def _span_models(
         lam = math.exp(-(left_rate * one_way[i] + right_rate * 2.0 * one_way[i]))
         models.append(
             _SpanModel(
-                success_prob=attempt.success_probability,
-                cycle_s=1.0 / chain.attempt_rate + 2.0 * one_way[i],
+                ready=_GeomTime(attempt.success_probability,
+                                1.0 / chain.attempt_rate + 2.0 * one_way[i]),
                 ready_bell=bell_decay(attempt.bell, lam),
                 right_decay_rate=right_rate,
                 front_rate=left_rate,
@@ -536,8 +535,9 @@ class _TrialStream:
 
 def _attempt_times(u: np.ndarray, log_fail, cycle, t0: np.ndarray) -> np.ndarray:
     """Ready times t0 + (floor(log1p(-u) / log_fail) + 1) * cycle of spans
-    generated from t0, for uniforms u, with log_fail = log1p(-p): scalars,
-    or columns against the rows of u. Writes over u."""
+    generated from t0, for uniforms u, with log_fail = _GeomTime.log_q
+    (-inf at p = 1: t0 + cycle for every u): scalars, or columns against
+    the rows of u. Writes over u."""
     # Through two buffers in turn: numpy is slow when one array of one
     # element, as in a pass late in a run, is both input and output of an
     # operation.
@@ -566,13 +566,13 @@ class _BlockRun:
     back to level 1 with the frames below restarted, and the next pass
     takes it on. So a pass costs a few vector steps per level however the
     trials' depths differ, and each trial reads its draws in the order of
-    the depth-first recursion: one per span generation, turned into a
-    geometric attempt count by inversion (none when success is certain),
-    and one per swap. The first node's step takes all of them in one stream
-    call; a trial whose spans race gives its swap draw back and draws it
-    again after the race. The work budget counts the span generations of
-    the whole group. Per-frame state is one 1-D array per level, indexed by
-    trial.
+    the depth-first recursion: one per span generation, turned into an
+    attempt count by inverting the span model's ready time (at success 1,
+    the first attempt whatever the draw), and one per swap. The first
+    node's step takes all three in one stream call; a trial whose spans
+    race gives its swap draw back and draws it again after the race. The
+    work budget counts the span generations of the whole group. Per-frame
+    state is one 1-D array per level, indexed by trial.
 
     A pass carries each trial's decay exponent up the levels, for the
     trials that swap: at each node the frontier's wait there times the
@@ -585,27 +585,23 @@ class _BlockRun:
     def __init__(
         self,
         models: list[_SpanModel],
-        chain: RepeaterChain,
+        cutoff: float,
         stream: _TrialStream,
         ready: np.ndarray,
         exponent: np.ndarray,
     ):
         self._models = models
-        self._cutoff = chain.memory_cutoff
+        self._cutoff = cutoff
         self._stream = stream
         self._ready = ready
         self._exponent = exponent
-        self._log_fail = [math.log1p(-m.success_prob) if m.success_prob < 1.0 else 0.0
-                          for m in models]
         # A draw z decides a swap by z < q * 2**53, exactly u < q for its
         # uniform u = z * 2**-53; for an integer z that is z < ceil(q * 2**53).
         self._swap_below = [np.uint64(math.ceil(m.swap_prob * 2.0**53)) for m in models]
-        # The first node's step generates spans 0 and 1 together, one row
-        # per span whose success is not certain: their failure logs and
-        # cycles as columns.
-        first = [i for i, m in enumerate(models[:2]) if m.success_prob < 1.0]
-        self._first_fail = np.array([self._log_fail[i] for i in first])[:, None]
-        self._first_cycle = np.array([models[i].cycle_s for i in first])[:, None]
+        # The first node's step generates spans 0 and 1 together: their
+        # failure logs and cycles as columns.
+        self._first_fail = np.array([[m.ready.log_q] for m in models[:2]])
+        self._first_cycle = np.array([[m.ready.cycle] for m in models[:2]])
         # Without a cutoff, building spans 0..l takes a build of 0..l-1 and
         # one generation of span l per swap attempt, 1/q attempts on average.
         self._need = 1.0
@@ -648,8 +644,8 @@ class _BlockRun:
         """Count span generations against the work budget."""
         self._spent += generations
         if self._spent > self._budget:
-            cycle = max(m.cycle_s for m in self._models)
-            wait = max(m.cycle_s / m.success_prob for m in self._models)
+            cycle = max(m.ready.cycle for m in self._models)
+            wait = max(m.ready.mean for m in self._models)
             raise StateError(
                 f"Monte Carlo gave up after {self._spent} span generations "
                 f"for {len(self._ready)} trials, more than {MC_WORK_FACTOR} times "
@@ -662,10 +658,8 @@ class _BlockRun:
     def _gen_span(self, i: int, t0: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Ready times of span i for trials ``idx``, generating from t0."""
         self._spend(len(idx))
-        m = self._models[i]
-        if m.success_prob >= 1.0:
-            return t0 + m.cycle_s
-        return _attempt_times(self._stream.uniforms(idx), self._log_fail[i], m.cycle_s, t0)
+        ready = self._models[i].ready
+        return _attempt_times(self._stream.uniforms(idx), ready.log_q, ready.cycle, t0)
 
     def _first_node(
         self, todo: np.ndarray
@@ -679,11 +673,9 @@ class _BlockRun:
             return todo, self._gen_span(0, t0, todo), None, 0.0
         self._spend(len(todo))
         self._spend(len(todo))
-        draws = self._stream.draws(todo, len(self._first_fail) + 1)
-        rows = iter(_attempt_times(draws[:-1] * 2.0**-53, self._first_fail,
-                                   self._first_cycle, t0))
-        t_f, t_s = (next(rows) if m.success_prob < 1.0 else t0 + m.cycle_s
-                    for m in self._models[:2])
+        draws = self._stream.draws(todo, 3)
+        t_f, t_s = _attempt_times(draws[:-1] * 2.0**-53, self._first_fail,
+                                  self._first_cycle, t0)
         swap = draws[-1]
         # Cutoff race at node 0: only the side that expired restarts, from
         # expiry, until the two are within the cutoff. A racing trial reads
@@ -792,7 +784,7 @@ def _folded_bell(models: list[_SpanModel]) -> np.ndarray:
 
 
 def _run_trial_range(
-    models: list[_SpanModel], chain: RepeaterChain, seed: int, lo: int, hi: int
+    models: list[_SpanModel], cutoff: float, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trials lo..hi-1, MC_GROUP at a time: ready times and delivered Bell
     weights, shape (4, hi - lo), each weight one contiguous row. A trial's
@@ -810,7 +802,7 @@ def _run_trial_range(
             stop = min(hi, start + MC_GROUP)
             out = slice(start - lo, stop - lo)
             stream = _TrialStream(key, start, stop - start)
-            _BlockRun(models, chain, stream, times[out], exponent[out]).run()
+            _BlockRun(models, cutoff, stream, times[out], exponent[out]).run()
     # bell_decay row by row, written in place: broadcasting c[:, None]
     # against lam builds (4, trials) temporaries and takes several times
     # longer for the same per-element arithmetic.
@@ -859,11 +851,12 @@ def simulate_chain_mc(
     a pass batches them: the step at the first node takes a trial's span
     and swap draws in one stream call. So each trial depends only on
     (seed, i); workers take contiguous index ranges, and results are
-    byte-identical for any worker count. A trial samples only times and one
-    decay exponent, the waits at its swaps times the span models' rates,
-    kept for the pass in which every swap succeeds; its delivered pair is
-    lam * c + (1 - lam) / 4 in Bell weights, with c from _folded_bell,
-    shared with the analytic engine, and lam = exp(-exponent). Every
+    byte-identical for any worker count. A trial samples only times, a
+    span generation's from one draw and the ready time the analytic engine
+    reads too, and one decay exponent, the waits at its swaps times the
+    span models' rates, kept for the pass in which every swap succeeds; its
+    delivered pair is lam * c + (1 - lam) / 4 in Bell weights, with c from
+    _folded_bell, also shared, and lam = exp(-exponent). Every
     delivered weight vector is checked (weights >= -1e-12, sum 1 within
     1e-10), and the result's ``bell`` is their mean, each weight summed
     pairwise. A group of trials that needs more than MC_WORK_FACTOR times
@@ -878,7 +871,7 @@ def simulate_chain_mc(
     _check_mc_args(trials, seed, workers)
     models = _span_models(chain, attempts)
     if workers == 1 or trials < 4 * workers:
-        times, bells = _run_trial_range(models, chain, seed, 0, trials)
+        times, bells = _run_trial_range(models, chain.memory_cutoff, seed, 0, trials)
     else:
         # Imported here: the pool's modules take a noticeable share of the
         # cold start, and a single-worker run does not need them.
@@ -890,7 +883,7 @@ def simulate_chain_mc(
                 pool.map(
                     _run_trial_range,
                     [models] * workers,
-                    [chain] * workers,
+                    [chain.memory_cutoff] * workers,
                     [seed] * workers,
                     bounds[:-1],
                     bounds[1:],
@@ -900,7 +893,7 @@ def simulate_chain_mc(
         bells = np.concatenate([p[1] for p in parts], axis=1)
 
     if not np.isfinite(times).all():
-        wait = max(m.cycle_s / m.success_prob for m in models)
+        wait = max(m.ready.mean for m in models)
         raise StateError(
             f"a Monte Carlo latency overflows the float range; the mean span "
             f"wait is up to {wait:.3g} s"
@@ -1029,17 +1022,16 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     A fidelity, rate or latency that is not finite raises StateError.
     """
     models = _span_models(chain)
-    front = _GeomTime(models[0].success_prob, models[0].cycle_s)
+    front = models[0].ready
     lam = 1.0
     mean_t = front.mean
     for m in models[1:]:
-        span = _GeomTime(m.success_prob, m.cycle_s)
         # Frontier right qubit decays while waiting for the span, the span's
         # two stored qubits decay together while waiting for the frontier.
-        if front.p >= span.p:
-            e_front, e_span, e_round = _expected_wait(front, span, m.front_rate, m.span_rate)
+        if front.p >= m.ready.p:
+            e_front, e_span, e_round = _expected_wait(front, m.ready, m.front_rate, m.span_rate)
         else:
-            e_span, e_front, e_round = _expected_wait(span, front, m.span_rate, m.front_rate)
+            e_span, e_front, e_round = _expected_wait(m.ready, front, m.span_rate, m.front_rate)
         # Only one side waits, so E[f(A) g(B)] = f(EA, 1) + f(1, EB) - f(1, 1)
         # for the two affine decay factors: the pair survives e_front + e_span - 1.
         lam *= e_front + e_span - 1.0

@@ -231,8 +231,7 @@ def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):
 
     def gen_span(i, t0):
         p, cycle = spans[i][0], spans[i][1]
-        k = int(rng.geometric(p)) if p < 1.0 else 1
-        return t0 + k * cycle
+        return t0 + int(rng.geometric(p)) * cycle
 
     def build(i, t0):
         if i == 1:

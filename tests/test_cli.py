@@ -248,6 +248,15 @@ class TestFloatRangeParameters:
         for command in _ENGINE_COMMANDS:
             _one_error(capsys, command, route)
 
+    def test_overflowing_drift_angle_is_rejected(self, capsys, tmp_path):
+        # Each factor is finite; their product, the span's drift angle, is not.
+        route = write_route(tmp_path, [0.0, 20.0, 45.0], defaults={
+            "sop_drift_rate": 1e9, "sop_recalibration_interval": 1e300})
+        for command in (["channel"], *_ENGINE_COMMANDS):
+            err = _one_error(capsys, command, route)
+            assert err.startswith("error: route 'test-route': SOP drift angle")
+            assert "sop_drift_rate * sop_recalibration_interval" in err
+
     def test_slow_attempts_fail_only_in_monte_carlo(self, capsys, tmp_path):
         # 1e-305 attempts per second: the analytic mean latency still fits,
         # some sampled latencies do not.

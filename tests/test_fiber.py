@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,16 +136,21 @@ class TestSpanStack:
             assert np.array_equal(got.operators, expected.operators), span
 
     def test_overflowing_drift_angle_is_non_finite(self):
-        # Each factor is finite, the product is inf: cos and sin give NaN.
-        span = FiberSpan(length_km=1.0, sop_drift_rate=1e200,
-                         sop_recalibration_interval=1e200)
+        # Each factor is finite, the product is inf: cos and sin give NaN,
+        # which the rotation channel rejects. A span rejects the product
+        # itself, so its stack never computes them.
         with np.errstate(invalid="ignore"):
-            for build in (lambda: sop_rotation_channel(1e200, 1e200),
-                          lambda: span_channel_stack(span)):
-                with pytest.raises(
-                    StateError, match="^Kraus operator 0 contains non-finite entries$"
-                ):
-                    build()
+            with pytest.raises(
+                StateError, match="^Kraus operator 0 contains non-finite entries$"
+            ):
+                sop_rotation_channel(1e200, 1e200)
+        with pytest.raises(FiberConfigError, match=re.escape(
+                "sop_drift_rate * sop_recalibration_interval overflows: 1e+200 * 1e+200")):
+            FiberSpan(length_km=1.0, sop_drift_rate=1e200, sop_recalibration_interval=1e200)
+        # A finite angle near the top of the float range still builds a
+        # trace-preserving stack.
+        span = FiberSpan(length_km=1.0, sop_drift_rate=1e108, sop_recalibration_interval=1e200)
+        assert verify_cptp(span_channel_stack(span)).valid
 
     def test_stack_is_cptp(self):
         report = verify_cptp(span_channel_stack(self._span()))

@@ -163,6 +163,21 @@ class TestLoadRoute:
                                            defaults={"attempt_rate": 2_000_000}))
         assert _config_hash(fast) == _config_hash(from_file)
 
+    def test_params_are_read_only(self, tmp_path):
+        # Changed in place, params would skip the check that replace runs;
+        # the assignment itself fails and the route keeps its value.
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        with pytest.raises(TypeError):
+            rc.params["attempt_rate"] = "fast"
+        assert rc.params["attempt_rate"] == 1e6
+        assert run_plan(rc, "both", trials=20)[0]["route"]["name"] == rc.name
+        with pytest.raises(ConfigError, match="'attempt_rate' must be a number, got 'fast'"):
+            replace(rc, params={**rc.params, "attempt_rate": "fast"})
+        slow = replace(rc, params={**rc.params, "attempt_rate": 5e5})
+        assert slow.params["attempt_rate"] == 5e5 and rc.params["attempt_rate"] == 1e6
+        with pytest.raises(TypeError):
+            slow.params["attempt_rate"] = 1e6
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -236,6 +251,22 @@ class TestLoadFiberTable:
         path.write_text(json.dumps({"BAD": {"group_index": 1.4}}))
         with pytest.raises(ConfigError, match="attenuation_db_per_km"):
             load_fiber_table(str(path))
+
+    def test_rejects_unnamed_fiber_type(self, tmp_path):
+        path = tmp_path / "fibers.json"
+        path.write_text(json.dumps({"": {"attenuation_db_per_km": {"O": 0.35}}}))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: fiber '': fiber type needs a name")):
+            load_fiber_table(str(path))
+
+    def test_route_band_missing_from_table(self, tmp_path):
+        fibers = tmp_path / "fibers.json"
+        fibers.write_text(json.dumps({"CUSTOM": {"attenuation_db_per_km": {"C": 0.2}}}))
+        table = load_fiber_table(str(fibers))
+        path = write_route(tmp_path, [0.0, 10.0], fiber_type="CUSTOM", band="O")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: fiber type CUSTOM has no attenuation entry for band O")):
+            load_route(path, fiber_table=table)
 
 
 class TestBuildChain:

@@ -739,7 +739,7 @@ class TestMonteCarloEngine:
                               attempt_rate=1e6, memory_cutoff=0.05)
         for trials, seed in ((3000, 5), (1, 6), (777, 7)):
             res = simulate_chain_mc(chain, trials=trials, seed=seed)
-            times, _ = _run_trial_range(_span_models(chain), chain, seed, 0, trials)
+            times, _ = _run_trial_range(_span_models(chain), chain.memory_cutoff, seed, 0, trials)
             mean_t = float(times.mean())
             t_se = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
             assert res.mean_latency_s == mean_t
@@ -750,11 +750,11 @@ class TestMonteCarloEngine:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         models = _span_models(chain)
-        short_t, short_b = _run_trial_range(models, chain, 5, 0, 2148)
-        long_t, long_b = _run_trial_range(models, chain, 5, 0, 4133)
+        short_t, short_b = _run_trial_range(models, chain.memory_cutoff, 5, 0, 2148)
+        long_t, long_b = _run_trial_range(models, chain.memory_cutoff, 5, 0, 4133)
         assert np.array_equal(short_t, long_t[:2148])
         assert np.array_equal(short_b, long_b[:, :2148])
-        tail_t, _ = _run_trial_range(models, chain, 5, 2018, 2148)
+        tail_t, _ = _run_trial_range(models, chain.memory_cutoff, 5, 2018, 2148)
         assert np.array_equal(tail_t, short_t[2018:])
 
     def test_grouped_runs_do_not_change_results(self):
@@ -763,11 +763,12 @@ class TestMonteCarloEngine:
         models = _span_models(chain)
         group = MC_GROUP
         hi = 2 * group + 37
-        whole_t, whole_b = _run_trial_range(models, chain, 5, 0, hi)
+        whole_t, whole_b = _run_trial_range(models, chain.memory_cutoff, 5, 0, hi)
         # Cut on group boundaries and between them, so the parts' groups
         # start at other trials than the whole run's.
         cuts = [0, 1000, 6144, group, group + 2059, 2 * group, hi]
-        parts = [_run_trial_range(models, chain, 5, a, b) for a, b in zip(cuts, cuts[1:])]
+        parts = [_run_trial_range(models, chain.memory_cutoff, 5, a, b)
+                 for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(whole_t, np.concatenate([t for t, _ in parts]))
         assert np.array_equal(whole_b, np.concatenate([b for _, b in parts], axis=1))
 
@@ -778,8 +779,8 @@ class TestMonteCarloEngine:
                               attempt_rate=1e6, memory_cutoff=0.05)
         models = _span_models(chain)
         lo, hi = 1948, MC_GROUP + 100
-        want_t, want_b = _run_trial_range(models, chain, 5, lo, hi)
-        got_t, got_b = _run_trial_range(models, chain, 5, np.int64(lo), np.int64(hi))
+        want_t, want_b = _run_trial_range(models, chain.memory_cutoff, 5, lo, hi)
+        got_t, got_b = _run_trial_range(models, chain.memory_cutoff, 5, np.int64(lo), np.int64(hi))
         assert np.array_equal(want_t, got_t)
         assert np.array_equal(want_b, got_b)
 
@@ -796,7 +797,7 @@ class TestMonteCarloEngine:
             models = _span_models(chain)
             tracemalloc.start()
             try:
-                _run_trial_range(models, chain, 3, 0, trials)
+                _run_trial_range(models, chain.memory_cutoff, 3, 0, trials)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -848,7 +849,7 @@ class TestMonteCarloEngine:
         monkeypatch.setattr(_TrialStream, "draws", counted)
         models = _span_models(chain)
         seed, trials = 8, 10000
-        _run_trial_range(models, chain, seed, 0, trials)
+        _run_trial_range(models, chain.memory_cutoff, seed, 0, trials)
         q = models[1].swap_prob
         swaps = []
         for i in range(trials):
@@ -868,7 +869,7 @@ class TestMonteCarloEngine:
         models = _span_models(chain)
         tracemalloc.start()
         try:
-            _run_trial_range(models, chain, 3, 0, 8)
+            _run_trial_range(models, chain.memory_cutoff, 3, 0, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -925,7 +926,7 @@ class TestMonteCarloEngine:
                               attempt_rate=1e6, memory_cutoff=0.05)
         res = simulate_chain_mc(chain, trials=5000, seed=4)
         assert res.bell[0] == res.fidelity
-        _, bells = _run_trial_range(_span_models(chain), chain, 4, 0, 5000)
+        _, bells = _run_trial_range(_span_models(chain), chain.memory_cutoff, 4, 0, 5000)
         for g in range(4):
             assert abs(res.bell[g] - math.fsum(bells[g]) / 5000) < 1e-15
 
@@ -1000,7 +1001,9 @@ class _OracleTrial:
         return u
 
     def geometric(self, p):
-        return 1 + math.floor(np.log1p(-self.random()) / math.log1p(-p))
+        # One draw per generation; success 1 takes the first attempt.
+        u = self.random()
+        return 1 if p == 1.0 else 1 + math.floor(np.log1p(-u) / math.log1p(-p))
 
 
 class TestTrialStream:
@@ -1141,7 +1144,7 @@ class TestBellEngineAgainstDenseOracle:
         seed = 11
         lo = 2048 - trials // 2
         hi = lo + trials
-        times, bells = _run_trial_range(_span_models(chain), chain, seed, lo, hi)
+        times, bells = _run_trial_range(_span_models(chain), chain.memory_cutoff, seed, lo, hi)
         spans, nodes = _dense_inputs(chain)
         for i in range(lo, hi):
             t, rho = oracle_chain_trial(spans, nodes, cutoff, _OracleTrial(seed, i))
@@ -1150,7 +1153,7 @@ class TestBellEngineAgainstDenseOracle:
             assert np.max(np.abs(want - bells[:, i - lo])) < 1e-12
         if cutoff < 1.0:
             loose = dataclasses.replace(chain, memory_cutoff=1.0)
-            free, _ = _run_trial_range(_span_models(loose), loose, seed, lo, hi)
+            free, _ = _run_trial_range(_span_models(loose), loose.memory_cutoff, seed, lo, hi)
             assert np.any(free != times)
 
     def test_non_bell_diagonal_span_state_rejected(self, monkeypatch):
@@ -1203,7 +1206,7 @@ class TestBellEngineAgainstDenseOracle:
             front_rate = 1.0 / left.memory.coherence_time if left else 0.0
             right_rate = 1.0 / nodes[i].memory.coherence_time if i < n_spans - 1 else 0.0
             models.append(_SpanModel(
-                success_prob=0.1, cycle_s=1e-5,
+                ready=_GeomTime(0.1, 1e-5),
                 ready_bell=rng.dirichlet([20.0, 1.0, 1.0, 1.0]),
                 right_decay_rate=right_rate, front_rate=front_rate,
                 span_rate=front_rate + right_rate, swap_prob=0.5,
@@ -1227,7 +1230,7 @@ class TestBellEngineAgainstDenseOracle:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
         monkeypatch.setattr(
             repeater, "_run_trial_range",
-            lambda models, chain, seed, lo, hi: (
+            lambda models, cutoff, seed, lo, hi: (
                 np.ones(hi - lo), np.tile([[1.1], [-0.1], [0.0], [0.0]], hi - lo)),
         )
         with pytest.raises(StateError, match="invalid Bell weights"):
@@ -1251,7 +1254,7 @@ class TestBellEngineAgainstDenseOracle:
         good = [0.7, 0.1, 0.1, 0.1]
         monkeypatch.setattr(
             repeater, "_run_trial_range",
-            lambda models, chain, seed, lo, hi: (np.ones(3), np.array([good, row, good]).T),
+            lambda models, cutoff, seed, lo, hi: (np.ones(3), np.array([good, row, good]).T),
         )
         if valid:
             simulate_chain_mc(chain, trials=3)
@@ -1310,13 +1313,13 @@ class TestAnalyticEngine:
         )
         models = _span_models(chain)
         one_way = [photon_dwell_time(span) for span in chain.spans]
-        assert models[1].success_prob > models[0].success_prob
+        assert models[1].ready.p > models[0].ready.p
         # The engine's model with each merge as a double sum over atoms.
-        front, bell = _grid(models[0].success_prob, models[0].cycle_s), models[0].ready_bell
+        front, bell = _grid(models[0].ready.p, models[0].ready.cycle), models[0].ready_bell
         for i, (m, node) in enumerate(zip(models[1:], chain.nodes)):
             r_front = 1.0 / node.memory.coherence_time
             e_front, e_span, e_max = _brute_wait(
-                front, _grid(m.success_prob, m.cycle_s), r_front, r_front + m.right_decay_rate
+                front, _grid(m.ready.p, m.ready.cycle), r_front, r_front + m.right_decay_rate
             )
             # Exactly one side waits, so the expected merged pair is
             # f(EA, 1) + f(1, EB) - f(1, 1) for the decay factors' means.
