@@ -107,7 +107,7 @@ class FiberSpan:
             if not 0 <= drift < math.inf:
                 raise FiberConfigError("SOP drift parameters outside [0, inf)")
         rate, interval = self.sop_drift_rate, self.sop_recalibration_interval
-        if not rate * interval < math.inf:
+        if not float(rate) * float(interval) < math.inf:
             raise FiberConfigError(
                 f"SOP drift angle sop_drift_rate * sop_recalibration_interval "
                 f"overflows: {rate!r} * {interval!r}"

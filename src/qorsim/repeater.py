@@ -43,7 +43,6 @@ from .linalg import (
     bell_convolve,
     bell_decay,
     bell_dephase,
-    bell_diagonal_state,
 )
 
 # The analytic engine sums over the attempt grid of one side of a merge,
@@ -69,7 +68,7 @@ class MemorySpec:
         # decays at the sum of two nodes' rates, so 2 / coherence_time must
         # be finite too.
         t = self.coherence_time
-        if not (0 < t < math.inf and 2.0 / t < math.inf):
+        if not (0 < t < math.inf and 2.0 / float(t) < math.inf):
             raise StateError(
                 f"coherence_time {t!r} outside (0, inf), or so short that "
                 f"2 / coherence_time overflows"
@@ -145,11 +144,6 @@ class EndToEndResult:
     rate_stderr: float
     bell: np.ndarray
     engine: str
-
-    @property
-    def mean_state(self) -> DensityMatrix:
-        """The Bell-diagonal state with weights ``bell``."""
-        return bell_diagonal_state(self.bell)
 
 
 # I/4, the two-qubit state that background coincidences herald.
@@ -602,11 +596,7 @@ class _BlockRun:
         # failure logs and cycles as columns.
         self._first_fail = np.array([[m.ready.log_q] for m in models[:2]])
         self._first_cycle = np.array([[m.ready.cycle] for m in models[:2]])
-        # Without a cutoff, building spans 0..l takes a build of 0..l-1 and
-        # one generation of span l per swap attempt, 1/q attempts on average.
-        self._need = 1.0
-        for m in models[1:]:
-            self._need = (self._need + 1.0) / m.swap_prob
+        self._need = _generations_per_trial(models)
         trials, levels = len(ready), len(models) + 1
         self._budget = MC_WORK_FACTOR * self._need * trials
         self._spent = 0
@@ -774,6 +764,16 @@ class _BlockRun:
         return up[won], t_won + m.notify_s, t_won, exponent
 
 
+def _generations_per_trial(models: list[_SpanModel]) -> float:
+    """Span generations a trial needs on average without a cutoff: building
+    spans 0..l takes a build of 0..l-1 and one generation of span l per swap
+    attempt, 1/q attempts on average."""
+    need = 1.0
+    for m in models[1:]:
+        need = (need + 1.0) / float(m.swap_prob)
+    return need
+
+
 def _folded_bell(models: list[_SpanModel]) -> np.ndarray:
     """Bell weights of the delivered pair had nothing waited: the ready
     states folded through each node's dephasing and swap."""
@@ -786,10 +786,10 @@ def _folded_bell(models: list[_SpanModel]) -> np.ndarray:
 def _run_trial_range(
     models: list[_SpanModel], cutoff: float, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trials lo..hi-1, MC_GROUP at a time: ready times and delivered Bell
-    weights, shape (4, hi - lo), each weight one contiguous row. A trial's
-    pair is _folded_bell's c decayed by lam = exp(-exponent), its own
-    exponent alone, so no trial's value depends on another's."""
+    """Trials lo..hi-1, MC_GROUP at a time: their ready times and the decay
+    exponents of their delivered pairs. A trial's pair is _folded_bell's c
+    decayed by lam = exp(-exponent), its own exponent alone, so no trial's
+    value depends on another's."""
     lo, hi = int(lo), int(hi)
     key = _stream_key(seed)
     times = np.empty(hi - lo)
@@ -803,16 +803,7 @@ def _run_trial_range(
             out = slice(start - lo, stop - lo)
             stream = _TrialStream(key, start, stop - start)
             _BlockRun(models, cutoff, stream, times[out], exponent[out]).run()
-    # bell_decay row by row, written in place: broadcasting c[:, None]
-    # against lam builds (4, trials) temporaries and takes several times
-    # longer for the same per-element arithmetic.
-    lam = np.exp(-exponent)
-    rest = (1.0 - lam) / 4.0
-    bells = np.empty((4, hi - lo))
-    for row, ck in zip(bells, _folded_bell(models)):
-        np.multiply(lam, ck, out=row)
-        row += rest
-    return times, bells
+    return times, exponent
 
 
 def _is_integer(x) -> bool:
@@ -856,13 +847,14 @@ def simulate_chain_mc(
     reads too, and one decay exponent, the waits at its swaps times the
     span models' rates, kept for the pass in which every swap succeeds; its
     delivered pair is lam * c + (1 - lam) / 4 in Bell weights, with c from
-    _folded_bell, also shared, and lam = exp(-exponent). Every
-    delivered weight vector is checked (weights >= -1e-12, sum 1 within
-    1e-10), and the result's ``bell`` is their mean, each weight summed
-    pairwise. A group of trials that needs more than MC_WORK_FACTOR times
-    the span generations the chain needs without a cutoff raises
-    StateError, and so do more than 2**32 trials, a trial that would draw
-    2**32 uniforms, trials or workers that are not positive integers, and
+    _folded_bell, also shared, and lam = exp(-exponent). Every lam must lie
+    in [0, 1] and _end_to_end checks c, so every delivered pair is a valid
+    mix of c and I/4; ``bell`` is c decayed by lam's mean. A chain whose
+    trials need 2**32 or more span generations on average without a cutoff,
+    more than a stream gives, raises StateError before the first draw. A
+    group of trials that needs more than MC_WORK_FACTOR times that count
+    raises StateError, and so do more than 2**32 trials, a trial that would
+    draw 2**32 uniforms, trials or workers that are not positive integers, and
     a seed that is not a non-negative integer (_check_mc_args, which
     run_plan applies to every plan), and so does a heralded span state
     that is not Bell-diagonal, which span_attempts(chain) checks;
@@ -870,8 +862,16 @@ def simulate_chain_mc(
     """
     _check_mc_args(trials, seed, workers)
     models = _span_models(chain, attempts)
+    need = _generations_per_trial(models)
+    if not need < _COUNTER_STRIDE:
+        raise StateError(
+            f"Monte Carlo cannot finish: a trial needs {need:.3g} span "
+            f"generations on average, and its stream gives at most "
+            f"{_COUNTER_STRIDE - 1} draws; a swap probability, "
+            f"bsm_success_prob * read_efficiency**2, is too small"
+        )
     if workers == 1 or trials < 4 * workers:
-        times, bells = _run_trial_range(models, chain.memory_cutoff, seed, 0, trials)
+        times, exponent = _run_trial_range(models, chain.memory_cutoff, seed, 0, trials)
     else:
         # Imported here: the pool's modules take a noticeable share of the
         # cold start, and a single-worker run does not need them.
@@ -890,7 +890,7 @@ def simulate_chain_mc(
                 )
             )
         times = np.concatenate([p[0] for p in parts])
-        bells = np.concatenate([p[1] for p in parts], axis=1)
+        exponent = np.concatenate([p[1] for p in parts])
 
     if not np.isfinite(times).all():
         wait = max(m.ready.mean for m in models)
@@ -898,12 +898,11 @@ def simulate_chain_mc(
             f"a Monte Carlo latency overflows the float range; the mean span "
             f"wait is up to {wait:.3g} s"
         )
-    total = ((bells[0] + bells[1]) + bells[2]) + bells[3]
+    lam = np.exp(-exponent)
     # Written so that NaN fails.
-    if not (bells.min() >= -1e-12 and np.abs(total - 1.0).max() <= 1e-10):
+    if not (lam.min() >= 0.0 and lam.max() <= 1.0):
         raise StateError("a delivered pair has invalid Bell weights")
-    bell = bells.mean(axis=1)
-    fid_se = float(bells[0].std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    lam_se = float(lam.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     # Latency statistics of the times scaled by 2**-e, with e the exponent
     # of the largest time. Near the heralding floor the waits reach 1e306 s,
     # whose sum, squares and squared mean overflow; a power-of-two scale
@@ -912,17 +911,31 @@ def simulate_chain_mc(
     scaled = np.ldexp(times, -e)
     mean_s = float(scaled.mean())
     se_s = float(scaled.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    mean_t = math.ldexp(mean_s, e)
+    return _end_to_end(models, float(lam.mean()), lam_se, math.ldexp(mean_s, e),
+                       math.ldexp(se_s / mean_s**2, -e), trials, "mc")
+
+
+def _end_to_end(models: list[_SpanModel], lam: float, lam_se: float, mean_t: float,
+                rate_se: float, trials: int, engine: str) -> EndToEndResult:
+    """Both engines' result: the pair lam * c + (1 - lam) / 4, c from
+    _folded_bell and lam the mean survival weight (standard error lam_se),
+    delivered every mean_t seconds on average. Raises StateError unless c's
+    weights are >= -1e-12 and sum to 1 within 1e-10, and the result is finite."""
+    c = _folded_bell(models)
+    # Written so that NaN fails.
+    if not (c.min() >= -1e-12 and abs(((c[0] + c[1]) + c[2]) + c[3] - 1.0) <= 1e-10):
+        raise StateError("a delivered pair has invalid Bell weights")
+    bell = bell_decay(c, lam)
+    fidelity, rate = float(bell[0]), 1.0 / mean_t
+    if not (math.isfinite(fidelity) and math.isfinite(rate) and math.isfinite(mean_t)):
+        raise StateError(
+            f"the {engine} result is not finite (fidelity {fidelity!r}, latency "
+            f"{mean_t!r} s): a decay rate or a wait is beyond the float range"
+        )
     return EndToEndResult(
-        fidelity=float(bell[0]),
-        pair_rate_hz=1.0 / mean_t,
-        mean_latency_s=mean_t,
-        trials=trials,
-        fidelity_stderr=fid_se,
-        rate_stderr=math.ldexp(se_s / mean_s**2, -e),
-        bell=bell,
-        engine="mc",
-    )
+        fidelity=fidelity, pair_rate_hz=rate, mean_latency_s=mean_t, trials=trials,
+        fidelity_stderr=abs(float(c[0]) - 0.25) * lam_se, rate_stderr=rate_se,
+        bell=bell, engine=engine)
 
 
 # Analytic engine: exact Bell-diagonal algebra for the states, exact
@@ -1044,20 +1057,4 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         # is an end station, which does not decay, so its factor is 1.
         lam *= math.exp(-m.right_decay_rate * m.notify_s)
 
-    bell = bell_decay(_folded_bell(models), lam)
-    fidelity, rate = float(bell[0]), 1.0 / mean_t
-    if not (math.isfinite(fidelity) and math.isfinite(rate) and math.isfinite(mean_t)):
-        raise StateError(
-            f"the analytic result is not finite (fidelity {fidelity!r}, latency "
-            f"{mean_t!r} s): a decay rate or a wait is beyond the float range"
-        )
-    return EndToEndResult(
-        fidelity=fidelity,
-        pair_rate_hz=rate,
-        mean_latency_s=mean_t,
-        trials=0,
-        fidelity_stderr=0.0,
-        rate_stderr=0.0,
-        bell=bell,
-        engine="analytic",
-    )
+    return _end_to_end(models, lam, 0.0, mean_t, 0.0, 0, "analytic")

@@ -20,16 +20,19 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _fresh_interpreter(probe: str) -> str:
-    """Stdout of ``python -c probe`` in a fresh interpreter that imports
-    qorsim from this checkout, so modules the test suite loaded do not
-    count."""
+def _python(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports qorsim from this
+    checkout, so modules the test suite loaded do not count."""
     src_dir = os.path.dirname(os.path.dirname(qorsim.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def _fresh_interpreter(probe: str) -> str:
+    """Stdout of ``python -c probe`` in a fresh interpreter."""
+    return _python(["-c", probe], check=True).stdout
 
 
 class TestRuntimeImports:
@@ -247,6 +250,24 @@ class TestFloatRangeParameters:
         route = write_route(tmp_path, positions, band=band, defaults=defaults)
         for command in _ENGINE_COMMANDS:
             _one_error(capsys, command, route)
+
+    @pytest.mark.parametrize("defaults", [
+        {"memory_read_efficiency": 1e-12}, {"bsm_success_prob": 1e-300},
+    ], ids=["read-efficiency", "bsm"])
+    def test_hopeless_swap_fails_before_the_first_draw(self, tmp_path, defaults):
+        # Swap probabilities of 5e-25 and 8e-301: a trial needs more span
+        # generations than its stream has draws, so Monte Carlo fails at
+        # once rather than run until killed. The analytic engine answers.
+        route = write_route(tmp_path, [0.0, 20.0, 45.0], defaults=defaults)
+        proc = _python(["-m", "qorsim.cli", "plan", "--trials", "20", "--route", route],
+                       timeout=20)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        assert "Monte Carlo cannot finish" in proc.stderr
+        proc = _python(["-m", "qorsim.cli", "simulate", "--engine", "analytic",
+                        "--route", route], timeout=20)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert 0.0 < _finite_json(proc.stdout)["pair_rate_hz"] < 1e-20
 
     def test_overflowing_drift_angle_is_rejected(self, capsys, tmp_path):
         # Each factor is finite; their product, the span's drift angle, is not.

@@ -147,6 +147,11 @@ class TestSpanStack:
         with pytest.raises(FiberConfigError, match=re.escape(
                 "sop_drift_rate * sop_recalibration_interval overflows: 1e+200 * 1e+200")):
             FiberSpan(length_km=1.0, sop_drift_rate=1e200, sop_recalibration_interval=1e200)
+        # Numpy scalars too: the product is formed in Python floats, so
+        # numpy does not warn before the check raises.
+        with pytest.raises(FiberConfigError, match="sop_recalibration_interval overflows"):
+            FiberSpan(length_km=1.0, sop_drift_rate=np.float64(1e200),
+                      sop_recalibration_interval=np.float64(1e200))
         # A finite angle near the top of the float range still builds a
         # trace-preserving stack.
         span = FiberSpan(length_km=1.0, sop_drift_rate=1e108, sop_recalibration_interval=1e200)

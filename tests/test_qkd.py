@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qorsim.fiber import C_BAND, O_BAND, FiberSpan, transmittance
 from qorsim.linalg import (
     StateError,
+    bell_diagonal_state,
     bell_diagonal_weights,
     bell_state,
     fidelity,
@@ -110,7 +111,7 @@ class TestBbm92:
         res = simulate_chain_analytic(chain)
         m = key_metrics_from_result(res)
         assert m.sifted_rate_hz == pytest.approx(res.pair_rate_hz / 2.0)
-        assert abs(m.qber - qber_from_state(res.mean_state)) < 1e-12
+        assert abs(m.qber - qber_from_state(bell_diagonal_state(res.bell))) < 1e-12
         assert m.secure
 
 

@@ -661,7 +661,9 @@ class TestChainValidation:
     def test_decay_rate_must_stay_finite(self):
         # A waiting span pair decays at two nodes' rates, 2 / coherence_time.
         MemorySpec(coherence_time=1.2e-308)
-        for t in (1e-308, 1e-310, 5e-324):
+        # Numpy scalars too: the quotient is formed in Python floats, so
+        # numpy does not warn before the check raises.
+        for t in (1e-308, 1e-310, 5e-324, np.float64(1e-310), np.float64(5e-324)):
             with pytest.raises(StateError, match=re.escape(f"coherence_time {t!r} outside")):
                 MemorySpec(coherence_time=t)
 
@@ -729,7 +731,6 @@ class TestMonteCarloEngine:
             assert a.mean_latency_s == other.mean_latency_s
             assert a.rate_stderr == other.rate_stderr
             assert np.array_equal(a.bell, other.bell)
-            assert np.array_equal(a.mean_state.matrix, other.mean_state.matrix)
 
     def test_latency_statistics_are_the_plain_formulas(self):
         # The engine scales times by a power of two so that waits near the
@@ -750,10 +751,10 @@ class TestMonteCarloEngine:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         models = _span_models(chain)
-        short_t, short_b = _run_trial_range(models, chain.memory_cutoff, 5, 0, 2148)
-        long_t, long_b = _run_trial_range(models, chain.memory_cutoff, 5, 0, 4133)
+        short_t, short_x = _run_trial_range(models, chain.memory_cutoff, 5, 0, 2148)
+        long_t, long_x = _run_trial_range(models, chain.memory_cutoff, 5, 0, 4133)
         assert np.array_equal(short_t, long_t[:2148])
-        assert np.array_equal(short_b, long_b[:, :2148])
+        assert np.array_equal(short_x, long_x[:2148])
         tail_t, _ = _run_trial_range(models, chain.memory_cutoff, 5, 2018, 2148)
         assert np.array_equal(tail_t, short_t[2018:])
 
@@ -763,14 +764,14 @@ class TestMonteCarloEngine:
         models = _span_models(chain)
         group = MC_GROUP
         hi = 2 * group + 37
-        whole_t, whole_b = _run_trial_range(models, chain.memory_cutoff, 5, 0, hi)
+        whole_t, whole_x = _run_trial_range(models, chain.memory_cutoff, 5, 0, hi)
         # Cut on group boundaries and between them, so the parts' groups
         # start at other trials than the whole run's.
         cuts = [0, 1000, 6144, group, group + 2059, 2 * group, hi]
         parts = [_run_trial_range(models, chain.memory_cutoff, 5, a, b)
                  for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(whole_t, np.concatenate([t for t, _ in parts]))
-        assert np.array_equal(whole_b, np.concatenate([b for _, b in parts], axis=1))
+        assert np.array_equal(whole_x, np.concatenate([x for _, x in parts]))
 
     def test_numpy_integer_bounds(self):
         # Worker ranges come from np.linspace; the groups and the stream's
@@ -779,10 +780,10 @@ class TestMonteCarloEngine:
                               attempt_rate=1e6, memory_cutoff=0.05)
         models = _span_models(chain)
         lo, hi = 1948, MC_GROUP + 100
-        want_t, want_b = _run_trial_range(models, chain.memory_cutoff, 5, lo, hi)
-        got_t, got_b = _run_trial_range(models, chain.memory_cutoff, 5, np.int64(lo), np.int64(hi))
+        want_t, want_x = _run_trial_range(models, chain.memory_cutoff, 5, lo, hi)
+        got_t, got_x = _run_trial_range(models, chain.memory_cutoff, 5, np.int64(lo), np.int64(hi))
         assert np.array_equal(want_t, got_t)
-        assert np.array_equal(want_b, got_b)
+        assert np.array_equal(want_x, got_x)
 
     def test_group_memory_is_its_per_trial_arrays(self):
         # The stream holds one 8-byte state per trial, and the decay one
@@ -804,10 +805,10 @@ class TestMonteCarloEngine:
 
         for n_spans in (2, 5):
             assert peak(n_spans, MC_GROUP) < MC_GROUP * 24 * 8
-        # A longer run peaks when it forms the delivered weights. Per trial:
-        # the ready time and the decay exponent (2), lam (1), the four
-        # weights and the closed form's temporaries (9).
-        assert peak(2, 3 * MC_GROUP) < 3 * MC_GROUP * 16 * 8
+        # A longer run keeps two words per trial, the ready time and the
+        # decay exponent, plus one group's working set at a time: about 6
+        # words per trial over three groups.
+        assert peak(2, 3 * MC_GROUP) < 3 * MC_GROUP * 7 * 8
 
     def test_work_budget_stops_a_starved_cutoff(self, tmp_path):
         from qorsim.planner import build_chain, load_route
@@ -886,9 +887,9 @@ class TestMonteCarloEngine:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         res = simulate_chain_mc(chain, trials=50, seed=9)
-        # The dense state is built on request from the mean Bell weights.
-        assert isinstance(res.mean_state, DensityMatrix)
-        assert np.max(np.abs(bell_diagonal_weights(res.mean_state) - res.bell)) < 1e-15
+        # The mean Bell weights make a valid dense state.
+        state = bell_diagonal_state(res.bell)
+        assert np.max(np.abs(bell_diagonal_weights(state) - res.bell)) < 1e-15
         assert isinstance(res, EndToEndResult)
         assert res.trials == 50
         assert res.fidelity_stderr > 0.0
@@ -922,13 +923,23 @@ class TestMonteCarloEngine:
             simulate_chain_mc(chain, trials=2**32 + 1)
 
     def test_bell_is_the_pairwise_mean_of_each_weight(self):
-        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.01),),
-                              attempt_rate=1e6, memory_cutoff=0.05)
-        res = simulate_chain_mc(chain, trials=5000, seed=4)
-        assert res.bell[0] == res.fidelity
-        _, bells = _run_trial_range(_span_models(chain), chain.memory_cutoff, 4, 0, 5000)
-        for g in range(4):
-            assert abs(res.bell[g] - math.fsum(bells[g]) / 5000) < 1e-15
+        # The result decays c by lam's mean; it is the mean of the trials'
+        # delivered pairs, and its fidelity's standard error theirs. The
+        # spans wait 1-1.4 ms on average: a 50 ms cutoff rarely binds,
+        # a 1 ms one often does.
+        trials = 5000
+        for n_spans, cutoff in ((1, 0.05), (2, 0.05), (3, 0.05), (5, 0.05), (2, 1e-3)):
+            chain = RepeaterChain(spans=(_span(),) * n_spans, nodes=(_node(0.01),) * (n_spans - 1),
+                                  attempt_rate=1e6, memory_cutoff=cutoff)
+            res = simulate_chain_mc(chain, trials=trials, seed=4)
+            assert res.bell[0] == res.fidelity
+            models = _span_models(chain)
+            _, exponent = _run_trial_range(models, chain.memory_cutoff, 4, 0, trials)
+            bells = bell_decay(_folded_bell(models)[:, None], np.exp(-exponent))
+            for g in range(4):
+                assert abs(res.bell[g] - math.fsum(bells[g]) / trials) < 1e-15
+            se = bells[0].std(ddof=1) / math.sqrt(trials)
+            assert abs(res.fidelity_stderr - se) <= 1e-12 * se
 
     def test_one_trial_plan_raises_no_warnings(self, tmp_path):
         # The stream's uint64 arithmetic wraps by design; it must do so on
@@ -1144,7 +1155,9 @@ class TestBellEngineAgainstDenseOracle:
         seed = 11
         lo = 2048 - trials // 2
         hi = lo + trials
-        times, bells = _run_trial_range(_span_models(chain), chain.memory_cutoff, seed, lo, hi)
+        models = _span_models(chain)
+        times, exponent = _run_trial_range(models, chain.memory_cutoff, seed, lo, hi)
+        bells = bell_decay(_folded_bell(models)[:, None], np.exp(-exponent))
         spans, nodes = _dense_inputs(chain)
         for i in range(lo, hi):
             t, rho = oracle_chain_trial(spans, nodes, cutoff, _OracleTrial(seed, i))
@@ -1227,14 +1240,23 @@ class TestBellEngineAgainstDenseOracle:
     def test_invalid_delivered_weights_rejected(self, monkeypatch):
         import qorsim.repeater as repeater
 
+        # A delivered pair is lam * c + (1 - lam) / 4: it is invalid when c
+        # is, for both engines, or when a trial's lam leaves [0, 1].
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
-        monkeypatch.setattr(
-            repeater, "_run_trial_range",
-            lambda models, cutoff, seed, lo, hi: (
-                np.ones(hi - lo), np.tile([[1.1], [-0.1], [0.0], [0.0]], hi - lo)),
-        )
-        with pytest.raises(StateError, match="invalid Bell weights"):
-            simulate_chain_mc(chain, trials=5)
+        engines = (lambda: simulate_chain_mc(chain, trials=5),
+                   lambda: simulate_chain_analytic(chain))
+        with monkeypatch.context() as patch:
+            patch.setattr(repeater, "_folded_bell", lambda models: np.array([1.1, -0.1, 0.0, 0.0]))
+            for engine in engines:
+                with pytest.raises(StateError, match="invalid Bell weights"):
+                    engine()
+        for exponent in (-1e-9, math.nan):
+            monkeypatch.setattr(
+                repeater, "_run_trial_range",
+                lambda models, cutoff, seed, lo, hi: (np.ones(hi - lo), np.full(hi - lo, exponent)),
+            )
+            with pytest.raises(StateError, match="invalid Bell weights"):
+                simulate_chain_mc(chain, trials=5)
 
     @pytest.mark.parametrize(
         "row, valid",
@@ -1250,17 +1272,18 @@ class TestBellEngineAgainstDenseOracle:
     def test_delivered_weight_check_boundaries(self, monkeypatch, row, valid):
         import qorsim.repeater as repeater
 
+        # The weights are c, which both engines check once; every trial's
+        # pair mixes c with I/4.
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
-        good = [0.7, 0.1, 0.1, 0.1]
-        monkeypatch.setattr(
-            repeater, "_run_trial_range",
-            lambda models, cutoff, seed, lo, hi: (np.ones(3), np.array([good, row, good]).T),
-        )
-        if valid:
-            simulate_chain_mc(chain, trials=3)
-        else:
-            with pytest.raises(StateError, match="invalid Bell weights"):
-                simulate_chain_mc(chain, trials=3)
+        monkeypatch.setattr(repeater, "_folded_bell", lambda models: np.array(row))
+        engines = (lambda: simulate_chain_mc(chain, trials=3),
+                   lambda: simulate_chain_analytic(chain))
+        for engine in engines:
+            if valid:
+                engine()
+            else:
+                with pytest.raises(StateError, match="invalid Bell weights"):
+                    engine()
 
 
 class TestAnalyticEngine:
@@ -1357,4 +1380,4 @@ class TestAnalyticEngine:
         chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(0.05),),
                               attempt_rate=1e6, memory_cutoff=0.05)
         res = simulate_chain_analytic(chain)
-        assert abs(fidelity(res.mean_state, phi_plus()) - res.fidelity) < 1e-10
+        assert abs(fidelity(bell_diagonal_state(res.bell), phi_plus()) - res.fidelity) < 1e-10

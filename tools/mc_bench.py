@@ -7,11 +7,13 @@ Imports qorsim from ``--src`` (default: this checkout's ``src``), so the
 same script times another checkout too. Each chain is the planner's
 default parameters on an O-band route with 25 km spans; each Monte Carlo
 run is one ``simulate_chain_mc`` call with seed 42 and workers=1, after one
-untimed warm-up call. The analytic part times ``simulate_chain_analytic``
-on the same chains and on a 102 km + 17 km chain, whose long span heralds
-just above the engine's GEOM_EXACT_MIN_P, and the time its calls spend in
-``span_attempts`` (the span channel stacks), so the part never reads larger
-than the whole. Each value is the median over ``--runs`` runs.
+untimed warm-up call; one more untimed call under ``tracemalloc`` gives
+the run's traced peak bytes per trial. The analytic part times
+``simulate_chain_analytic`` on the same chains and on a 102 km + 17 km
+chain, whose long span heralds just above the engine's GEOM_EXACT_MIN_P,
+and the time its calls spend in ``span_attempts`` (the span channel
+stacks), so the part never reads larger than the whole. Each value is the
+median over ``--runs`` runs.
 
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
 (analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,10 +82,17 @@ def mc_us_per_trial(runs: int) -> dict:
                 t = time.perf_counter()
                 simulate_chain_mc(chain, trials=trials, seed=SEED)
                 samples.append((time.perf_counter() - t) * 1e6 / trials)
+            tracemalloc.start()
+            try:
+                simulate_chain_mc(chain, trials=trials, seed=SEED)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             out[f"{spans}_spans"] = {
                 "trials": trials,
                 "median_us": round(statistics.median(samples), 2),
                 "samples_us": [round(s, 2) for s in samples],
+                "peak_bytes_per_trial": round(peak / trials, 1),
             }
     return out
 
