@@ -23,19 +23,15 @@ class Band:
     """Transmission window, e.g. O (1310 nm) or C (1550 nm)."""
 
     name: str
-    center_nm: float
 
     def __post_init__(self) -> None:
         if not self.name:
             raise FiberConfigError("band needs a name")
-        # Range checks compare against math.inf so that NaN fails them too.
-        if not 0 < self.center_nm < math.inf:
-            raise FiberConfigError("band center wavelength outside (0, inf)")
 
 
-O_BAND = Band("O", 1310.0)
-C_BAND = Band("C", 1550.0)
-L_BAND = Band("L", 1590.0)
+O_BAND = Band("O")
+C_BAND = Band("C")
+L_BAND = Band("L")
 
 BANDS = {b.name: b for b in (O_BAND, C_BAND, L_BAND)}
 
@@ -53,6 +49,7 @@ class FiberSpec:
             raise FiberConfigError("fiber type needs a name")
         if not self.attenuation_db_per_km:
             raise FiberConfigError("fiber spec needs at least one band entry")
+        # Range checks compare against math.inf so that NaN fails them too.
         for band, att in self.attenuation_db_per_km.items():
             if not 0 < att < math.inf:
                 raise FiberConfigError(

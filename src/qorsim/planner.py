@@ -99,6 +99,37 @@ class RouteConfig:
     params: Mapping[str, float | bool]
 
     def __post_init__(self) -> None:
+        # A route file's rules, here so that dataclasses.replace checks a
+        # route built in code as load_route checks a file. Positions are
+        # kept as floats, as params are.
+        _require(isinstance(self.name, str) and self.name, "route name must be a nonempty string")
+        _require(len(self.sites) >= 2, "sites must be a list of at least two entries")
+        sites = []
+        for i, site in enumerate(self.sites):
+            _require(isinstance(site.name, str) and site.name, f"sites[{i}].name must be a nonempty string")
+            msg = f"sites[{i}].position_km must be a nonnegative number, got {site.position_km!r}"
+            pos = _number(site.position_km, msg)
+            _require(pos >= 0, msg)
+            _require(
+                site.kind in (SITE_KIND_ENDPOINT, SITE_KIND_ILA),
+                f"sites[{i}].kind must be '{SITE_KIND_ENDPOINT}' or '{SITE_KIND_ILA}'",
+            )
+            sites.append(Site(site.name, pos, site.kind))
+        for i in range(1, len(sites)):
+            _require(
+                sites[i].position_km > sites[i - 1].position_km,
+                f"sites[{i}] position {sites[i].position_km} does not increase "
+                f"past {sites[i - 1].position_km}",
+            )
+        _require(sites[0].kind == SITE_KIND_ENDPOINT, "first site must be an endpoint")
+        _require(sites[-1].kind == SITE_KIND_ENDPOINT, "last site must be an endpoint")
+        for i, site in enumerate(sites[1:-1], start=1):
+            _require(
+                site.kind == SITE_KIND_ILA,
+                f"sites[{i}] is an interior site and must be kind '{SITE_KIND_ILA}'",
+            )
+        object.__setattr__(self, "sites", tuple(sites))
+        _require(isinstance(self.coexistence, bool), "coexistence must be a boolean")
         # Every DEFAULT_PARAMS key and no other: a boolean where the default
         # is one, a finite number (kept as a float) elsewhere. Kept
         # read-only, so that no change skips the check; dataclasses.replace
@@ -193,42 +224,12 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
     for key in raw:
         _require(key in known, f"{path}: unknown route key {key!r}")
 
-    name = raw.get("name", "route")
-    _require(isinstance(name, str) and name, f"{path}: route name must be a nonempty string")
-
+    # Sites that are not a list become none, which RouteConfig rejects.
     raw_sites = raw.get("sites")
-    _require(
-        isinstance(raw_sites, list) and len(raw_sites) >= 2,
-        f"{path}: sites must be a list of at least two entries",
-    )
     sites = []
-    for i, entry in enumerate(raw_sites):
+    for i, entry in enumerate(raw_sites if isinstance(raw_sites, list) else []):
         _require(isinstance(entry, dict), f"{path}: sites[{i}] must be an object")
-        sname = entry.get("name", f"site{i}")
-        pos = entry.get("position_km")
-        kind = entry.get("kind")
-        _require(isinstance(sname, str) and sname, f"{path}: sites[{i}].name must be a nonempty string")
-        msg = f"{path}: sites[{i}].position_km must be a nonnegative number, got {pos!r}"
-        pos = _number(pos, msg)
-        _require(pos >= 0, msg)
-        _require(
-            kind in (SITE_KIND_ENDPOINT, SITE_KIND_ILA),
-            f"{path}: sites[{i}].kind must be '{SITE_KIND_ENDPOINT}' or '{SITE_KIND_ILA}'",
-        )
-        sites.append(Site(sname, pos, kind))
-    for i in range(1, len(sites)):
-        _require(
-            sites[i].position_km > sites[i - 1].position_km,
-            f"{path}: sites[{i}] position {sites[i].position_km} does not increase "
-            f"past {sites[i - 1].position_km}",
-        )
-    _require(sites[0].kind == SITE_KIND_ENDPOINT, f"{path}: first site must be an endpoint")
-    _require(sites[-1].kind == SITE_KIND_ENDPOINT, f"{path}: last site must be an endpoint")
-    for i, s in enumerate(sites[1:-1], start=1):
-        _require(
-            s.kind == SITE_KIND_ILA,
-            f"{path}: sites[{i}] is an interior site and must be kind '{SITE_KIND_ILA}'",
-        )
+        sites.append(Site(entry.get("name", f"site{i}"), entry.get("position_km"), entry.get("kind")))
 
     fiber_type = raw.get("fiber_type", "NDSF")
     _require(
@@ -247,18 +248,15 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
     except FiberConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
 
-    coexistence = raw.get("coexistence", True)
-    _require(isinstance(coexistence, bool), f"{path}: coexistence must be a boolean")
-
     defaults = raw.get("defaults", {})
     _require(isinstance(defaults, dict), f"{path}: defaults must be an object")
     try:
         return RouteConfig(
-            name=name,
+            name=raw.get("name", "route"),
             sites=tuple(sites),
             fiber=fiber,
             quantum_band=band,
-            coexistence=coexistence,
+            coexistence=raw.get("coexistence", True),
             params={**DEFAULT_PARAMS, **defaults},
         )
     except ConfigError as e:

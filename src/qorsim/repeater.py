@@ -413,56 +413,33 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-# numpy's SeedSequence (O'Neill's seed_seq design) with its default pool of
-# four 32-bit words: the hash and mix constants and the shift.
-_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
-_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
-_SEED_POOL = 4
-_MASK32 = 0xFFFFFFFF
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array z: three
+    xor-shift/multiply rounds. Returns z."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _MIX_1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX_2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _stream_key(seed: int) -> np.uint64:
-    """The run's SplitMix64 key: np.random.SeedSequence(seed)
-    .generate_state(1, np.uint64)[0], computed in integer arithmetic so
-    that a run does not import numpy.random."""
+    """The run's SplitMix64 key: the seed's 64-bit words, low word first,
+    folded from state 0 as key <- _mix(key + (w + 1) * gamma) (mod 2**64).
+    A seed below 2**64 gets SplitMix64 output number seed + 1, a bijection,
+    so distinct seeds there get distinct keys."""
     seed = int(seed)
-    words = []
+    key = np.zeros(1, dtype=np.uint64)
     while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
+        key += (np.array([seed % 2**64], dtype=np.uint64) + np.uint64(1)) * _GOLDEN_GAMMA
+        _mix(key)
+        seed >>= 64
         if not seed:
-            break
-    hash_const = _SEED_INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _SEED_MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (_SEED_MIX_L * x - _SEED_MIX_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_SEED_POOL)]
-    for src in range(_SEED_POOL):
-        for dst in range(_SEED_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_SEED_POOL:]:
-        for dst in range(_SEED_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # Two output words from the pool, low word first.
-    hash_const = _SEED_INIT_B
-    out = []
-    for value in pool[:2]:
-        value ^= hash_const
-        hash_const = hash_const * _SEED_MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        out.append(value ^ value >> 16)
-    return np.uint64(out[0] | out[1] << 32)
+            return key[0]
 
 
 @functools.cache
@@ -506,14 +483,7 @@ class _TrialStream:
             )
         z = self._state[idx] + _weyl_steps(k)
         self._state[idx] = z[-1]
-        t = z >> np.uint64(30)
-        z ^= t
-        z *= _MIX_1
-        np.right_shift(z, np.uint64(27), out=t)
-        z ^= t
-        z *= _MIX_2
-        np.right_shift(z, np.uint64(31), out=t)
-        z ^= t
+        _mix(z)
         z >>= np.uint64(11)
         return z
 
@@ -837,7 +807,7 @@ def simulate_chain_mc(
     Trials run in groups of up to MC_GROUP consecutive indices, all trials
     of a group through the protocol at once. Draw j of trial i is a pure
     function of (seed, i, j), SplitMix64 output (i << 32) + j + 1 under a
-    key from the seed's SeedSequence, and each trial holds only its
+    key folded from the seed by the same mix, and each trial holds only its
     8-byte stream state. A trial reads its draws in protocol order, however
     a pass batches them: the step at the first node takes a trial's span
     and swap draws in one stream call. So each trial depends only on

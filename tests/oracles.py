@@ -10,8 +10,7 @@ operators from the channel catalog and the span's transmittance from
 by node with qorsim.linalg's Bell-weight steps. The catalog channels and
 these helpers are checked against closed forms on their own.
 ``oracle_splitmix_uniform`` recomputes the Monte Carlo engine's draws one
-at a time in Python integers; it shares only the key derivation from the
-seed, numpy's ``SeedSequence``.
+at a time in Python integers, key derivation from the seed included.
 
 The Gaussian section at the end derives photon loss from a beam-splitter
 Hamiltonian instead: quadratic Hamiltonians, symplectic transforms via
@@ -202,15 +201,21 @@ def oracle_splitmix64(key: int, n: int) -> int:
 
 
 @functools.cache
-def _oracle_key(seed: int) -> int:
-    return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+def oracle_key(seed: int) -> int:
+    """The Monte Carlo key of ``seed``: its 64-bit words, low word first,
+    folded from state 0, each word w taking the key to SplitMix64 output
+    number w + 1 started at the key."""
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = oracle_splitmix64(key, ((seed >> shift) & _MASK64) + 1)
+    return key
 
 
 def oracle_splitmix_uniform(seed: int, i: int, j: int) -> float:
     """Draw j of Monte Carlo trial i: the top 53 bits of SplitMix64 output
-    (i << 32) + j + 1, under the key SeedSequence(seed) generates, as a
-    float in [0, 1)."""
-    return (oracle_splitmix64(_oracle_key(seed), (i << 32) + j + 1) >> 11) / 2.0**53
+    (i << 32) + j + 1, under the key oracle_key(seed), as a float in
+    [0, 1)."""
+    return (oracle_splitmix64(oracle_key(seed), (i << 32) + j + 1) >> 11) / 2.0**53
 
 
 def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):

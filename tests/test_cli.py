@@ -1,15 +1,20 @@
 """Command-line entry points, output formats, and error paths."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qorsim
 from qorsim import __version__
 from qorsim.cli import main
+from qorsim.fiber import BANDS
+from qorsim.planner import validate_report
 
 from conftest import write_route
 
@@ -63,8 +68,9 @@ class TestRuntimeImports:
         assert out.strip() == "0"
 
     def test_plan_loads_no_numpy_random(self, tmp_path):
-        # The Monte Carlo key is SeedSequence's hash in integer arithmetic,
-        # so a plan that runs Monte Carlo never imports numpy.random.
+        # The Monte Carlo key is folded from the seed by the stream's own
+        # SplitMix64 mix, so a plan that runs Monte Carlo never imports
+        # numpy.random.
         route = write_route(tmp_path, [0.0, 20.0, 40.0])
         out = _fresh_interpreter(
             "import sys; from qorsim import planner; "
@@ -410,3 +416,73 @@ class TestErrorHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+def _floats(lo, hi, exclude_min=False, exclude_max=False):
+    """Finite floats from lo to hi, with the boundary values drawn often."""
+    edges = [math.nextafter(lo, hi) if exclude_min else lo,
+             math.nextafter(hi, lo) if exclude_max else hi]
+    return st.sampled_from(edges) | st.floats(lo, hi, exclude_min=exclude_min,
+                                              exclude_max=exclude_max, allow_nan=False)
+
+
+_BIG = sys.float_info.max
+# Each defaults key over the values its own range check accepts.
+_DEFAULTS_DOMAINS = {
+    "sop_drift_rate": _floats(0.0, _BIG),
+    "sop_recalibration_interval": _floats(0.0, _BIG),
+    "dephasing_p": _floats(0.0, 1.0),
+    "coexistence_noise_prob": _floats(0.0, 1.0, exclude_max=True),
+    "mux_insertion_loss_db": _floats(0.0, _BIG),
+    "attempt_rate": _floats(0.0, _BIG, exclude_min=True),
+    "memory_coherence_time": _floats(0.0, _BIG, exclude_min=True),
+    "memory_write_efficiency": _floats(0.0, 1.0, exclude_min=True),
+    "memory_read_efficiency": _floats(0.0, 1.0, exclude_min=True),
+    "memory_cryogenic": st.booleans(),
+    "memory_cutoff": _floats(0.0, _BIG),
+    "bsm_success_prob": _floats(0.0, 1.0, exclude_min=True),
+    "bsm_visibility_penalty": _floats(0.0, 1.0),
+    "detector_efficiency": _floats(0.0, 1.0, exclude_min=True),
+    "max_heralding_km": _floats(0.0, _BIG, exclude_min=True),
+    "one_way_loss_threshold_db": _floats(0.0, _BIG, exclude_min=True),
+    "one_way_cryogenic": st.booleans(),
+}
+
+
+class TestRouteFuzz:
+    """Every route file gives each command that runs no Monte Carlo finite
+    output, or one error line and exit code 1, in bounded time: no
+    traceback, no NaN or Infinity, and no numpy RuntimeWarning (pyproject's
+    filterwarnings turns one into a failure). Monte Carlo ``plan`` stays
+    out: its work budget can still take long to stop a hopeless run; a
+    5-span C-band route with detector_efficiency 1e-6 ran plan --trials 20
+    for more than 5 s."""
+
+    COMMANDS = (["channel"], ["simulate", "--engine", "analytic"], ["plan", "--tech", "oneway"])
+    # Wall time a command may take; each takes a few milliseconds.
+    COMMAND_S = 2.0
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        positions=st.lists(_floats(0.0, 3000.0), min_size=2, max_size=5, unique=True).map(sorted),
+        band=st.sampled_from(sorted(BANDS)),
+        coexistence=st.booleans(),
+        defaults=st.fixed_dictionaries({}, optional=_DEFAULTS_DOMAINS),
+    )
+    def test_answer_or_one_error_line(self, capsys, tmp_path, positions, band, coexistence,
+                                      defaults):
+        route = write_route(tmp_path, positions, band=band, coexistence=coexistence,
+                            defaults=defaults)
+        for command in self.COMMANDS:
+            start = time.perf_counter()
+            code, out, err = _run(capsys, command + ["--route", route])
+            assert time.perf_counter() - start < self.COMMAND_S, command
+            if code == 0:
+                assert err == "", command
+                answer = _finite_json(out)
+                if command[0] == "plan":
+                    validate_report(answer)
+            else:
+                assert code == 1 and out == "", command
+                assert err.startswith("error:") and len(err.splitlines()) == 1, (command, err)

@@ -163,6 +163,23 @@ class TestLoadRoute:
                                            defaults={"attempt_rate": 2_000_000}))
         assert _config_hash(fast) == _config_hash(from_file)
 
+    def test_replaced_sites_are_checked(self, tmp_path):
+        # A route whose sites, name or coexistence flag are replaced in code
+        # is checked as a route file's are.
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        s0, _, s2 = rc.sites
+        for change, match in [
+            ({"sites": (s0, s0, s2)}, "sites[1] position 0.0 does not increase past 0.0"),
+            ({"sites": (s0,)}, "sites must be a list of at least two entries"),
+            ({"coexistence": "yes"}, "coexistence must be a boolean"),
+            ({"name": 5}, "route name must be a nonempty string"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(match)):
+                replace(rc, **change)
+        # A valid integer position is kept as the float a route file gives.
+        moved = replace(rc, sites=(replace(s0, position_km=0), s2))
+        assert type(moved.sites[0].position_km) is float
+
     def test_params_are_read_only(self, tmp_path):
         # Changed in place, params would skip the check that replace runs;
         # the assignment itself fails and the route keeps its value.

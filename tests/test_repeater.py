@@ -16,7 +16,6 @@ from qorsim.channels import compose, embed_qubit_channel, loss_channel, sop_rota
 from qorsim.fiber import (
     C_BAND,
     O_BAND,
-    Band,
     FiberConfigError,
     FiberSpan,
     FiberSpec,
@@ -74,6 +73,7 @@ from oracles import (
     oracle_chain_trial,
     oracle_delivered_bells,
     oracle_depolarize,
+    oracle_key,
     oracle_span_attempt,
     oracle_splitmix64,
     oracle_splitmix_uniform,
@@ -632,7 +632,6 @@ class TestChainValidation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("make, error", [
-        (lambda x: Band("X", x), FiberConfigError),
         (lambda x: FiberSpec("T", {"O": x}), FiberConfigError),
         (lambda x: FiberSpec("T", {"O": 0.35}, group_index=x), FiberConfigError),
         (lambda x: FiberSpan(x), FiberConfigError),
@@ -647,7 +646,7 @@ class TestChainValidation:
         (lambda x: qec_max_span(0.35, x), StateError),
         (lambda x: qec_max_span(0.35, 3.0, x), StateError),
     ], ids=[
-        "band-center", "fiber-attenuation", "fiber-group-index", "span-length",
+        "fiber-attenuation", "fiber-group-index", "span-length",
         "span-drift-rate", "span-recalibration", "span-insertion-loss",
         "memory-coherence", "chain-attempt-rate", "chain-cutoff",
         "one-way-threshold", "qec-attenuation", "qec-threshold",
@@ -1086,15 +1085,21 @@ class TestTrialStream:
         0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 2**200 + 3,
         np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1),
     ])
-    def test_key_is_seed_sequence_word(self, seed):
-        want = np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
+    def test_key_is_the_oracle_fold(self, seed):
         got = _stream_key(seed)
-        assert type(got) is np.uint64 and got == want
+        assert type(got) is np.uint64 and got == oracle_key(int(seed))
 
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=2**300))
-    def test_key_matches_seed_sequence(self, seed):
-        assert _stream_key(seed) == np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    def test_key_matches_the_oracle(self, seed):
+        assert _stream_key(seed) == oracle_key(seed)
+
+    def test_small_seeds_give_distinct_keys(self):
+        # Below 2**64 the key is SplitMix64 output number seed + 1 from
+        # state 0, a bijection of the counter.
+        keys = {int(_stream_key(seed)) for seed in range(2**16 + 1)}
+        assert len(keys) == 2**16 + 1
+        assert int(_stream_key(0)) == oracle_splitmix64(0, 1)
 
     def test_draw_count_guard(self):
         # A call draws at most once per trial, so the call count bounds every

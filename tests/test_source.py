@@ -266,7 +266,9 @@ def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
     "module.Class.field". A class is a dataclass when a decorator named
     dataclass, called or not, marks it; its fields are the names it
     annotates in its body. A load of an attribute of that name on any
-    object counts as a read; a store, or a name in a string, does not."""
+    object counts as a read, except inside the defining class's own
+    __post_init__, where a check of the field is no use of it; a store, or
+    a name in a string, does not."""
     fields = []
     for module, source in package.items():
         for cls in ast.walk(ast.parse(source)):
@@ -277,9 +279,19 @@ def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
                 continue
             fields += [(module, cls.name, f.target.id) for f in cls.body
                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
-    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return [f"{module}.{cls}.{name}" for module, cls, name in fields if name not in read]
+    # Attribute name to the classes whose __post_init__ reads it, None
+    # standing for a read anywhere else.
+    read = {}
+    for source in readers:
+        tree = ast.parse(source)
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                 for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.setdefault(node.attr, set()).add(owner.get(id(node)))
+    return [f"{module}.{cls}.{name}" for module, cls, name in fields
+            if read.get(name, set()) <= {cls}]
 
 
 def test_field_finder_sees_unread_fields():
@@ -291,22 +303,28 @@ def test_field_finder_sees_unread_fields():
             "class Result:\n"
             "    value: float\n"
             "    echo: str\n"
+            "    unit: str\n"
             "    def __post_init__(self):\n"
             "        object.__setattr__(self, 'echo', self.value)\n"
             "@dataclasses.dataclass\n"
             "class _Box:\n"
             "    size: int = 0\n"
             "    label: str = ''\n"
+            "    result: Result = None\n"
+            "    def __post_init__(self):\n"
+            "        assert self.result.unit\n"
             "class Plain:\n"
             "    hint: int\n"
         ),
     }
     readers = [
         package["a"],
-        "def f(box, r):\n    box.label = 'x'\n    return box.size\n",
+        "def f(box, r):\n    box.label = 'x'\n    return box.size + r.value\n",
     ]
-    # echo is set through a string and label only stored; Plain is no dataclass.
-    assert unread_fields(package, readers) == ["a.Result.echo", "a._Box.label"]
+    # echo is set through a string and label only stored; result is read
+    # only in its own class's __post_init__, and unit in another's, which
+    # counts; Plain is no dataclass.
+    assert unread_fields(package, readers) == ["a.Result.echo", "a._Box.label", "a._Box.result"]
 
 
 # Fields kept although no product code reads them: verify_cptp reports
