@@ -208,10 +208,6 @@ def apply_to_subsystem(
 
 # Qubit channel catalog.
 
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
-
-
 def depolarizing_channel(p: float) -> KrausChannel:
     """Isotropic qubit noise: keeps the state with weight 1 - p, scrambles
     with weight p. Entanglement fidelity with a Bell pair is 1 - 3p/4."""
@@ -279,11 +275,6 @@ def sop_rotation_channel(
         )
         return KrausChannel(ops)
     raise StateError(f"unknown sop mode {mode!r}")
-
-
-def averaged_rotation_fidelity(theta: float) -> float:
-    """Bell-pair fidelity after an axis-averaged rotation by theta."""
-    return float(np.cos(theta / 2) ** 2)
 
 
 # Single-rail optical channels (3 levels, vacuum last).

@@ -177,15 +177,6 @@ BELL_KETS = np.stack(
 )
 
 
-def ket(index: int, dim: int) -> np.ndarray:
-    """Computational basis column vector |index> in the given dimension."""
-    if not 0 <= index < dim:
-        raise DimensionError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def pure_state(vec: np.ndarray) -> DensityMatrix:
     """Density operator |v><v| of a normalized state vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
@@ -196,26 +187,11 @@ def pure_state(vec: np.ndarray) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-
-
 def bell_state(index: int) -> DensityMatrix:
     """Bell pair by index: 0 Phi+, 1 Psi+, 2 Phi-, 3 Psi-."""
     if not 0 <= index < 4:
         raise DimensionError("Bell index must be 0..3")
     return pure_state(BELL_KETS[index])
-
-
-def phi_plus() -> DensityMatrix:
-    return bell_state(0)
-
-
-def werner_state(f: float) -> DensityMatrix:
-    """Werner state with Phi+ fidelity f, valid for f in [0, 1]."""
-    if not 0.0 <= f <= 1.0:
-        raise StateError(f"Werner fidelity {f} outside [0, 1]")
-    return bell_diagonal_state([f] + [(1.0 - f) / 3.0] * 3)
 
 
 # Bell-weight algebra: weights in BELL_KETS order, one vector or a stack.
@@ -258,17 +234,3 @@ def bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     summed over g in order."""
     terms = a[..., :, None] * b[..., _XOR]
     return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random state: normalized G G^dag with Gaussian G."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m))

@@ -12,7 +12,7 @@ A route file is JSON:
         {"name": "ILA1", "position_km": 80.0, "kind": "ila"},
         {"name": "B",    "position_km": 160.0, "kind": "endpoint"}
       ],
-      "defaults": { ... engineering overrides, see DEFAULT_PARAMS ... }
+      "defaults": { ... route keys, see PARAMS ... }
     }
 
 Sites must be listed in order of strictly increasing position; the first
@@ -56,26 +56,29 @@ SCHEMA_VERSION = 1
 SITE_KIND_ENDPOINT = "endpoint"
 SITE_KIND_ILA = "ila"
 
-# Engineering defaults; a route file's "defaults" object overrides any key.
-DEFAULT_PARAMS: dict[str, float | bool] = {
-    "sop_drift_rate": 5e4,                # rad/s polarization walk
-    "sop_recalibration_interval": 1e-6,   # s between tracker resets
-    "dephasing_p": 1e-3,
-    "coexistence_noise_prob": 1e-5,
-    "mux_insertion_loss_db": 1.0,
-    "attempt_rate": 1e6,
-    "memory_coherence_time": 1.0,
-    "memory_write_efficiency": 0.9,
-    "memory_read_efficiency": 0.9,
-    "memory_cryogenic": False,
-    "memory_cutoff": 0.0,                 # 0 means: use the coherence time
-    "bsm_success_prob": 0.5,
-    "bsm_visibility_penalty": 0.0,
-    "detector_efficiency": 0.8,
-    "max_heralding_km": 100.0,
-    "one_way_loss_threshold_db": 3.0,
-    "one_way_cryogenic": False,
+# Route keys: default, domain (an interval, or "bool"), unit ("1" a
+# fraction, "-" a flag) and meaning. A route file's "defaults" object
+# overrides any default; RouteConfig checks every value against its domain.
+PARAMS: dict[str, tuple[float | bool, str, str, str]] = {
+    "sop_drift_rate": (5e4, "[0, inf)", "rad/s", "polarization walk between tracker resets"),
+    "sop_recalibration_interval": (1e-6, "[0, inf)", "s", "time between polarization tracker resets"),
+    "dephasing_p": (1e-3, "[0, 1]", "1", "residual phase-flip probability of a span"),
+    "coexistence_noise_prob": (1e-5, "[0, 1)", "1", "noise weight of classical traffic, with coexistence"),
+    "mux_insertion_loss_db": (1.0, "[0, inf)", "dB", "add/drop filter and connector loss of a span"),
+    "attempt_rate": (1e6, "(0, inf)", "1/s", "pair-source attempts per second"),
+    "memory_coherence_time": (1.0, "(0, inf)", "s", "time constant of memory depolarization"),
+    "memory_write_efficiency": (0.9, "(0, 1]", "1", "chance that a memory stores a photon"),
+    "memory_read_efficiency": (0.9, "(0, 1]", "1", "chance that a memory gives its qubit back"),
+    "memory_cryogenic": (False, "bool", "-", "memories need cryogenic cooling"),
+    "memory_cutoff": (0.0, "[0, inf)", "s", "longest wait of a ready pair; 0 means the coherence time"),
+    "bsm_success_prob": (0.5, "(0, 1]", "1", "success ceiling of a node's Bell-state measurement"),
+    "bsm_visibility_penalty": (0.0, "[0, 1]", "1", "phase-flip weight of imperfect interference at a swap"),
+    "detector_efficiency": (0.8, "(0, 1]", "1", "single-photon detector efficiency"),
+    "max_heralding_km": (100.0, "(0, inf)", "km", "longest span a heralded attempt may cover"),
+    "one_way_loss_threshold_db": (3.0, "(0, inf)", "dB", "largest span loss one-way repeaters tolerate"),
+    "one_way_cryogenic": (False, "bool", "-", "one-way repeater hardware needs cryogenic cooling"),
 }
+DEFAULT_PARAMS: dict[str, float | bool] = {key: row[0] for key, row in PARAMS.items()}
 
 
 class ConfigError(ValueError):
@@ -130,21 +133,24 @@ class RouteConfig:
             )
         object.__setattr__(self, "sites", tuple(sites))
         _require(isinstance(self.coexistence, bool), "coexistence must be a boolean")
-        # Every DEFAULT_PARAMS key and no other: a boolean where the default
-        # is one, a finite number (kept as a float) elsewhere. Kept
+        # Every PARAMS key and no other, each in its domain: a boolean, or
+        # a finite number (kept as a float) in the domain's interval. Kept
         # read-only, so that no change skips the check; dataclasses.replace
         # checks a new mapping.
         for key in self.params:
-            _require(key in DEFAULT_PARAMS, f"unknown defaults key {key!r}")
+            _require(key in PARAMS, f"unknown defaults key {key!r}")
         params = {}
-        for key, default in DEFAULT_PARAMS.items():
+        for key, (_, domain, _, _) in PARAMS.items():
             _require(key in self.params, f"params missing key {key!r}")
             val = self.params[key]
-            if isinstance(default, bool):
+            if domain == "bool":
                 _require(isinstance(val, bool), f"defaults {key!r} must be a boolean, got {val!r}")
                 params[key] = val
             else:
-                params[key] = _number(val, f"defaults {key!r} must be a number, got {val!r}")
+                num = params[key] = _number(val, f"defaults {key!r} must be a number, got {val!r}")
+                lo, hi, lo_open, hi_open = _interval(domain)
+                inside = (lo < num if lo_open else lo <= num) and (num < hi if hi_open else num <= hi)
+                _require(inside, f"defaults {key!r} must lie in {domain}, got {val!r}")
         object.__setattr__(self, "params", types.MappingProxyType(params))
 
     @property
@@ -155,6 +161,12 @@ class RouteConfig:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _interval(domain: str) -> tuple[float, float, bool, bool]:
+    """(lo, hi, lo_open, hi_open) of an interval written as "(0, 1]"."""
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    return lo, hi, domain[0] == "(", domain[-1] == ")"
 
 
 def _number(val, message: str) -> float:
@@ -357,9 +369,9 @@ def run_plan(
     technology "both" returns [entanglement report, one_way report]; the
     two share one chain and one set of span attempts. One-way transport is
     assessed against its loss budget only; its end_to_end and qkd sections
-    are null. Trials, seed and workers that simulate_chain_mc would reject,
-    and a one-way loss threshold or heralding reach that is not positive,
-    raise ConfigError for every technology, before any of them runs.
+    are null. Trials, seed and workers that simulate_chain_mc would reject
+    raise ConfigError for every technology, before any of them runs; the
+    route's keys were checked when it was built.
     """
     if technology == "both":
         technologies = TECHNOLOGIES
@@ -369,20 +381,13 @@ def run_plan(
         raise ConfigError(f"unknown technology {technology!r}")
     # Every plan checks the run parameters by the Monte Carlo engine's
     # rules, so no report records a seed or trial count that engine could
-    # not have used, and checks both technologies' requirements.
-    params = route.params
+    # not have used.
     try:
         _check_mc_args(trials, seed, workers)
-        one_way_spec = OneWayRepeaterSpec(
-            loss_threshold_db=params["one_way_loss_threshold_db"],
-            cryogenic_required=bool(params["one_way_cryogenic"]),
-        )
     except StateError as e:
         raise ConfigError(str(e)) from None
-    _require(
-        params["max_heralding_km"] > 0,
-        f"max_heralding_km must be positive, got {params['max_heralding_km']!r}",
-    )
+    params = route.params
+    one_way_spec = OneWayRepeaterSpec(params["one_way_loss_threshold_db"], params["one_way_cryogenic"])
 
     chain = build_chain(route, technologies[0])
     attempts = span_attempts(chain)

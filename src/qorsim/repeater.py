@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -844,11 +845,13 @@ def simulate_chain_mc(
         times, exponent = _run_trial_range(models, chain.memory_cutoff, seed, 0, trials)
     else:
         # Imported here: the pool's modules take a noticeable share of the
-        # cold start, and a single-worker run does not need them.
+        # cold start, and a single-worker run does not need them. The pool
+        # starts all its processes at once, so it has at most one per CPU;
+        # the workers' index ranges queue for them.
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(
                 pool.map(
                     _run_trial_range,

@@ -11,6 +11,10 @@ by node with qorsim.linalg's Bell-weight steps. The catalog channels and
 these helpers are checked against closed forms on their own.
 ``oracle_splitmix_uniform`` recomputes the Monte Carlo engine's draws one
 at a time in Python integers, key derivation from the seed included.
+The test-only constructors (``ket``, ``phi_plus``, ``werner_state``, the
+random states, ``identity_channel`` and others) are no oracles: they build
+inputs, and ``phi_plus`` and ``werner_state`` use qorsim.linalg's Bell
+states.
 
 The Gaussian section at the end derives photon loss from a beam-splitter
 Hamiltonian instead: quadratic Hamiltonians, symplectic transforms via
@@ -45,6 +49,8 @@ from qorsim.linalg import (
     bell_convolve,
     bell_decay,
     bell_dephase,
+    bell_diagonal_state,
+    bell_state,
 )
 
 _I2 = np.eye(2, dtype=complex)
@@ -329,6 +335,57 @@ def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
         left = bell_dephase(bell_decay(b, lam_f), node.bsm_visibility_penalty)
         b = bell_convolve(left, bell_decay(models[j + 1].ready_bell, lam_s))
     return b
+
+
+# Test-only constructors, kept with the oracles because no module of the
+# package uses them: basis kets, fixed and random states, the identity
+# channel and a closed-form rotation fidelity.
+
+def ket(index: int, dim: int) -> np.ndarray:
+    """Computational basis column vector |index> in the given dimension."""
+    if not 0 <= index < dim:
+        raise DimensionError(f"basis index {index} out of range for dim {dim}")
+    v = np.zeros(dim, dtype=complex)
+    v[index] = 1.0
+    return v
+
+
+def maximally_mixed(dim: int) -> DensityMatrix:
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
+
+
+def phi_plus() -> DensityMatrix:
+    return bell_state(0)
+
+
+def werner_state(f: float) -> DensityMatrix:
+    """Werner state with Phi+ fidelity f, valid for f in [0, 1]."""
+    if not 0.0 <= f <= 1.0:
+        raise StateError(f"Werner fidelity {f} outside [0, 1]")
+    return bell_diagonal_state([f] + [(1.0 - f) / 3.0] * 3)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Full-rank random state: normalized G G^dag with Gaussian G."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m))
+
+
+def identity_channel(dim: int) -> KrausChannel:
+    return KrausChannel((np.eye(dim, dtype=complex),))
+
+
+def averaged_rotation_fidelity(theta: float) -> float:
+    """Bell-pair fidelity after an axis-averaged rotation by theta."""
+    return float(np.cos(theta / 2) ** 2)
 
 
 # Gaussian layer: quadratic bosonic Hamiltonians act as symplectic

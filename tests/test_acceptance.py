@@ -15,14 +15,13 @@ from qorsim.channels import (
     dephasing_channel,
     depolarizing_channel,
     embed_qubit_channel,
-    identity_channel,
     loss_channel,
     sop_rotation_channel,
     verify_cptp,
     RAIL_DIM,
 )
 from qorsim.cli import main
-from qorsim.linalg import fidelity, phi_plus, pure_state, werner_state
+from qorsim.linalg import fidelity, pure_state
 from qorsim.planner import build_chain, load_route, run_plan
 from qorsim.qkd import TECH_ENTANGLEMENT, R_SPAN_REACH, qec_max_span
 from qorsim.repeater import (
@@ -39,10 +38,13 @@ from oracles import (
     GaussianHamiltonian,
     beamsplitter_to_kraus,
     gaussian_evolve,
+    identity_channel,
     oracle_swap,
+    phi_plus,
     phi_plus_fidelity,
     symplectic_form,
     werner_matrix,
+    werner_state,
 )
 
 

@@ -9,14 +9,12 @@ from qorsim.channels import (
     KrausChannel,
     apply_channel,
     apply_to_subsystem,
-    averaged_rotation_fidelity,
     choi_matrix,
     completeness_operator,
     compose,
     dephasing_channel,
     depolarizing_channel,
     embed_qubit_channel,
-    identity_channel,
     loss_channel,
     rotation_unitary,
     sop_rotation_channel,
@@ -29,17 +27,19 @@ from qorsim.linalg import (
     DimensionError,
     StateError,
     fidelity,
-    phi_plus,
-    random_density_matrix,
 )
 
 from oracles import (
     GaussianHamiltonian,
     SymplecticTransform,
+    averaged_rotation_fidelity,
     beamsplitter_to_kraus,
     gaussian_evolve,
+    identity_channel,
     mode_transmittance,
     oracle_apply_to_subsystem,
+    phi_plus,
+    random_density_matrix,
     symplectic_form,
 )
 

@@ -14,7 +14,7 @@ import qorsim
 from qorsim import __version__
 from qorsim.cli import main
 from qorsim.fiber import BANDS
-from qorsim.planner import validate_report
+from qorsim.planner import PARAMS, _interval, validate_report
 
 from conftest import write_route
 
@@ -427,26 +427,38 @@ def _floats(lo, hi, exclude_min=False, exclude_max=False):
 
 
 _BIG = sys.float_info.max
-# Each defaults key over the values its own range check accepts.
-_DEFAULTS_DOMAINS = {
-    "sop_drift_rate": _floats(0.0, _BIG),
-    "sop_recalibration_interval": _floats(0.0, _BIG),
-    "dephasing_p": _floats(0.0, 1.0),
-    "coexistence_noise_prob": _floats(0.0, 1.0, exclude_max=True),
-    "mux_insertion_loss_db": _floats(0.0, _BIG),
-    "attempt_rate": _floats(0.0, _BIG, exclude_min=True),
-    "memory_coherence_time": _floats(0.0, _BIG, exclude_min=True),
-    "memory_write_efficiency": _floats(0.0, 1.0, exclude_min=True),
-    "memory_read_efficiency": _floats(0.0, 1.0, exclude_min=True),
-    "memory_cryogenic": st.booleans(),
-    "memory_cutoff": _floats(0.0, _BIG),
-    "bsm_success_prob": _floats(0.0, 1.0, exclude_min=True),
-    "bsm_visibility_penalty": _floats(0.0, 1.0),
-    "detector_efficiency": _floats(0.0, 1.0, exclude_min=True),
-    "max_heralding_km": _floats(0.0, _BIG, exclude_min=True),
-    "one_way_loss_threshold_db": _floats(0.0, _BIG, exclude_min=True),
-    "one_way_cryogenic": st.booleans(),
-}
+
+
+def _domain_values(domain: str):
+    """The values a PARAMS domain holds: booleans, or finite floats in its
+    interval."""
+    if domain == "bool":
+        return st.booleans()
+    lo, hi, lo_open, hi_open = _interval(domain)
+    return _floats(lo, min(hi, _BIG), exclude_min=lo_open, exclude_max=hi_open and hi < _BIG)
+
+
+class TestRouteKeyDomains:
+    """A route key outside its domain is one error line naming the file,
+    the key, the domain and the value, whether or not the plan reads the
+    key (coexistence_noise_prob with coexistence off)."""
+
+    @pytest.mark.parametrize("key, bad, coexistence", [
+        ("memory_coherence_time", -1.0, True),
+        ("dephasing_p", 1.5, True),
+        ("attempt_rate", 0, True),
+        ("detector_efficiency", 2.0, True),
+        ("max_heralding_km", -5.0, True),
+        ("one_way_loss_threshold_db", 0.0, True),
+        ("coexistence_noise_prob", 1.0, True),
+        ("coexistence_noise_prob", 1.0, False),
+    ])
+    def test_one_error_line_names_the_key(self, capsys, tmp_path, key, bad, coexistence):
+        route = write_route(tmp_path, [0.0, 20.0, 45.0], coexistence=coexistence,
+                            defaults={key: bad})
+        code, out, err = _run(capsys, ["plan", "--tech", "oneway", "--route", route])
+        assert (code, out) == (1, "")
+        assert err == f"error: {route}: defaults {key!r} must lie in {PARAMS[key][1]}, got {bad!r}\n"
 
 
 class TestRouteFuzz:
@@ -468,7 +480,8 @@ class TestRouteFuzz:
         positions=st.lists(_floats(0.0, 3000.0), min_size=2, max_size=5, unique=True).map(sorted),
         band=st.sampled_from(sorted(BANDS)),
         coexistence=st.booleans(),
-        defaults=st.fixed_dictionaries({}, optional=_DEFAULTS_DOMAINS),
+        defaults=st.fixed_dictionaries(
+            {}, optional={key: _domain_values(row[1]) for key, row in PARAMS.items()}),
     )
     def test_answer_or_one_error_line(self, capsys, tmp_path, positions, band, coexistence,
                                       defaults):

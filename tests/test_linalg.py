@@ -17,14 +17,17 @@ from qorsim.linalg import (
     bell_diagonal_weights,
     bell_state,
     fidelity,
+    partial_trace,
+    pure_state,
+    tensor,
+)
+
+from oracles import (
     ket,
     maximally_mixed,
-    partial_trace,
     phi_plus,
-    pure_state,
     random_density_matrix,
     random_unitary,
-    tensor,
     werner_state,
 )
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import qorsim.repeater as repeater
 from qorsim.linalg import DensityMatrix, DimensionError
 from qorsim.planner import (
     DEFAULT_PARAMS,
+    PARAMS,
     ConfigError,
     _config_hash,
     build_chain,
@@ -212,6 +214,20 @@ class TestLoadRoute:
             load_route(str(tmp_path / "nope.json"))
 
 
+class TestRouteKeyTable:
+    def test_readme_table_is_params(self):
+        # README's route-key table, row by row: key, default as a route
+        # file writes it, domain, unit and meaning.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme[readme.index("| key | default | domain | unit | meaning |"):]
+        lines = table.split("\n\n")[0].splitlines()[2:]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+        written = [(key.strip("`"), json.loads(default), domain, unit, meaning)
+                   for key, default, domain, unit, meaning in rows]
+        assert written == [(key, *row) for key, row in PARAMS.items()]
+        assert [type(row[1]) for row in written] == [type(row[0]) for row in PARAMS.values()]
+
+
 class TestLoadFiberTable:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "fibers.json"
@@ -316,14 +332,15 @@ class TestBuildChain:
 
     def test_overrides_apply_and_validate(self, tmp_path):
         # Callers that set parameters in code replace route.params; the
-        # chain reads them and runs the same range checks as on defaults.
+        # chain reads them, and replace runs the same range checks as a
+        # route file's defaults get.
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
         chain = build_chain(replace(rc, params={**rc.params, "bsm_success_prob": 0.4}))
         assert chain.nodes[0].bsm_success_prob == 0.4
         assert rc.params["bsm_success_prob"] == DEFAULT_PARAMS["bsm_success_prob"]
         for key, bad in (("bsm_success_prob", 1.5), ("detector_efficiency", 2.0)):
-            with pytest.raises(ConfigError, match=f"{key} must lie in"):
-                build_chain(replace(rc, params={**rc.params, key: bad}))
+            with pytest.raises(ConfigError, match=re.escape(f"defaults '{key}' must lie in (0, 1], got {bad}")):
+                replace(rc, params={**rc.params, key: bad})
 
     def test_nonfinite_overrides_rejected(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
@@ -334,16 +351,17 @@ class TestBuildChain:
                     build_chain(replace(rc, params={**rc.params, key: bad}))
 
     def test_bad_value_becomes_config_error(self, tmp_path):
-        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],
-                                    defaults={"detector_efficiency": 2.0}))
-        with pytest.raises(ConfigError, match="detector_efficiency"):
-            build_chain(rc)
+        path = write_route(tmp_path, [0.0, 25.0, 50.0], defaults={"detector_efficiency": 2.0})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: defaults 'detector_efficiency' must lie in (0, 1], got 2.0")):
+            load_route(path)
 
     @pytest.mark.parametrize("bad", [{"bsm_success_prob": 0}, {"detector_efficiency": 5}])
     def test_node_parameters_checked_without_huts(self, tmp_path, bad):
-        rc = load_route(write_route(tmp_path, [0.0, 25.0], defaults=bad))
-        with pytest.raises(ConfigError, match=next(iter(bad))):
-            build_chain(rc)
+        # A route without huts builds no node, yet its node keys are checked.
+        (key, val), = bad.items()
+        with pytest.raises(ConfigError, match=re.escape(f"defaults '{key}' must lie in (0, 1], got {val}")):
+            load_route(write_route(tmp_path, [0.0, 25.0], defaults=bad))
 
     def test_unknown_technology(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0]))
@@ -500,9 +518,9 @@ class TestRunPlan:
         short = replace(rc, params={**rc.params, "max_heralding_km": 20.0})
         rep = run_plan(short, technology=TECH_ENTANGLEMENT, trials=50, seed=1)
         assert not rep["verdict"]["feasible"]
-        with pytest.raises(ConfigError, match="max_heralding_km must be positive"):
-            run_plan(replace(rc, params={**rc.params, "max_heralding_km": -5.0}),
-                     technology=TECH_ENTANGLEMENT, trials=50, seed=1)
+        with pytest.raises(ConfigError, match=re.escape(
+                "defaults 'max_heralding_km' must lie in (0, inf), got -5.0")):
+            replace(rc, params={**rc.params, "max_heralding_km": -5.0})
 
     @pytest.mark.parametrize("tech", [TECH_ONE_WAY, TECH_ENTANGLEMENT, "both"])
     @pytest.mark.parametrize("kw, message", [
@@ -526,17 +544,19 @@ class TestRunPlan:
 
     @pytest.mark.parametrize("tech", [TECH_ONE_WAY, TECH_ENTANGLEMENT])
     @pytest.mark.parametrize("params, message", [
-        ({"one_way_loss_threshold_db": 0}, "loss threshold outside"),
-        ({"max_heralding_km": -5}, "max_heralding_km must be positive"),
+        ({"one_way_loss_threshold_db": 0}, "'one_way_loss_threshold_db' must lie in (0, inf), got 0"),
+        ({"max_heralding_km": -5}, "'max_heralding_km' must lie in (0, inf), got -5"),
     ], ids=["loss-threshold", "heralding-reach"])
     def test_requirement_parameters_checked_for_every_technology(
             self, tmp_path, monkeypatch, tech, params, message):
+        # Each technology reads only one of the two keys; the route is
+        # refused when it is loaded, before a plan of either.
         import qorsim.planner as planner
 
-        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0], defaults=params))
+        path = write_route(tmp_path, [0.0, 25.0, 50.0], defaults=params)
         monkeypatch.setattr(planner, "build_chain", lambda *a, **k: pytest.fail("plan ran"))
-        with pytest.raises(ConfigError, match=message):
-            run_plan(rc, technology=tech, trials=10)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_plan(load_route(path), technology=tech, trials=10)
 
 
 # A key the corrupted report drops.

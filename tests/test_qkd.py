@@ -11,9 +11,6 @@ from qorsim.linalg import (
     bell_diagonal_weights,
     bell_state,
     fidelity,
-    phi_plus,
-    random_density_matrix,
-    werner_state,
 )
 from qorsim.qkd import (
     R_COEXISTENCE,
@@ -32,7 +29,7 @@ from qorsim.qkd import (
 )
 from qorsim.repeater import MemorySpec, QorsNode, RepeaterChain, simulate_chain_analytic
 
-from oracles import oracle_qber
+from oracles import oracle_qber, phi_plus, random_density_matrix, werner_state
 
 
 class TestBinaryEntropy:

@@ -344,3 +344,36 @@ def test_no_unread_fields():
     readers = [p.read_text() for d in ("src", "bench", "tools")
                for p in sorted((root / d).rglob("*.py"))]
     assert sorted(unread_fields(package, readers)) == sorted(FIELDS_ONLY_TESTS_READ)
+
+
+def unread_route_keys(keys, sources: list[str]) -> list[str]:
+    """Route keys that no source reads as ``params["KEY"]``: a load of a
+    string subscript of a name or attribute called params. A key written
+    in a dict display, as in the table itself, or stored, is not read."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                    and getattr(node.value, "id", getattr(node.value, "attr", None)) == "params"
+                    and isinstance(node.slice, ast.Constant)):
+                read.add(node.slice.value)
+    return [key for key in keys if key not in read]
+
+
+def test_route_key_finder_sees_unread_keys():
+    sources = [
+        'PARAMS = {"used": (1.0, "[0, 1]", "1", "read"), "listed": (False, "bool", "-", "")}\n'
+        "def f(route, params, other):\n"
+        '    params["stored"] = 1\n'
+        '    return route.params["used"] + params.get("got") + other["other"]\n',
+        'x = self.params["attr"]\n',
+    ]
+    keys = ["used", "listed", "stored", "got", "other", "attr"]
+    assert unread_route_keys(keys, sources) == ["listed", "stored", "got", "other"]
+
+
+def test_no_unread_route_keys():
+    from qorsim.planner import PARAMS
+
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_route_keys(PARAMS, sources) == []
