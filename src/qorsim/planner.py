@@ -27,17 +27,21 @@ import json
 import math
 import types
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .fiber import BANDS, DEFAULT_FIBER_TYPES, Band, FiberConfigError, FiberSpec, FiberSpan, transmittance
 from .linalg import StateError
 from .qkd import (
+    FeasibilityVerdict,
     OneWayRepeaterSpec,
+    QkdMetrics,
     TECH_ENTANGLEMENT,
     TECHNOLOGIES,
+    Violation,
     assess_chain,
     key_metrics_from_result,
+    report_section,
 )
 from .repeater import (
     MemorySpec,
@@ -415,18 +419,12 @@ def run_plan(
             result = simulate_chain_mc(
                 chain, trials=trials, seed=seed, workers=workers, attempts=attempts
             )
-            metrics = key_metrics_from_result(result)
             end_to_end = {
                 "fidelity": result.fidelity,
                 "pair_rate_hz": result.pair_rate_hz,
                 "latency_s": result.mean_latency_s,
             }
-            qkd_section = {
-                "qber": metrics.qber,
-                "sifted_rate_hz": metrics.sifted_rate_hz,
-                "secret_key_rate_hz": metrics.secret_key_rate_hz,
-                "secure": metrics.secure,
-            }
+            qkd_section = report_section(key_metrics_from_result(result))
 
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -442,17 +440,7 @@ def run_plan(
             "spans": spans_table(chain, attempts),
             "end_to_end": end_to_end,
             "qkd": qkd_section,
-            "verdict": {
-                "feasible": verdict.feasible,
-                "violations": [
-                    {
-                        "requirement": v.requirement,
-                        "span_index": v.span_index,
-                        "detail": v.detail,
-                    }
-                    for v in verdict.violations
-                ],
-            },
+            "verdict": report_section(verdict),
             "provenance": dict(provenance),
         }
         validate_report(report)
@@ -464,6 +452,11 @@ _REPORT_KEYS = {
     "schema_version", "route", "technology", "spans",
     "end_to_end", "qkd", "verdict", "provenance",
 }
+# Keys of the qkd section, the verdict and each violation: the fields of the
+# types that report_section serialises. A qkd field declared bool holds a boolean.
+_QKD_FIELDS = {f.name: f.type for f in fields(QkdMetrics)}
+_VERDICT_KEYS = [f.name for f in fields(FeasibilityVerdict)]
+_VIOLATION_KEYS = [f.name for f in fields(Violation)]
 
 
 def validate_report(report: dict) -> None:
@@ -506,30 +499,29 @@ def validate_report(report: dict) -> None:
     if report["technology"] == TECH_ENTANGLEMENT:
         if not isinstance(ete, dict) or set(ete) != {"fidelity", "pair_rate_hz", "latency_s"}:
             fail("end_to_end must have exactly fidelity/pair_rate_hz/latency_s")
-        if not isinstance(qkd_section, dict) or set(qkd_section) != {
-            "qber", "sifted_rate_hz", "secret_key_rate_hz", "secure"
-        }:
-            fail("qkd must have exactly qber/sifted_rate_hz/secret_key_rate_hz/secure")
+        if not isinstance(qkd_section, dict) or set(qkd_section) != set(_QKD_FIELDS):
+            fail(f"qkd must have exactly {'/'.join(_QKD_FIELDS)}")
         for key, v in ete.items():
             number(v, f"end_to_end.{key}")
-        for key in ("qber", "sifted_rate_hz", "secret_key_rate_hz"):
-            number(qkd_section[key], f"qkd.{key}")
-        if not isinstance(qkd_section["secure"], bool):
-            fail("qkd.secure must be a boolean")
+        for key, kind in _QKD_FIELDS.items():
+            if kind != "bool":
+                number(qkd_section[key], f"qkd.{key}")
+            elif not isinstance(qkd_section[key], bool):
+                fail(f"qkd.{key} must be a boolean")
     else:
         if ete is not None or qkd_section is not None:
             fail("one_way reports carry null end_to_end and qkd")
 
     verdict = report["verdict"]
-    if not isinstance(verdict, dict) or set(verdict) != {"feasible", "violations"}:
-        fail("verdict must have exactly feasible/violations")
+    if not isinstance(verdict, dict) or set(verdict) != set(_VERDICT_KEYS):
+        fail(f"verdict must have exactly {'/'.join(_VERDICT_KEYS)}")
     if not isinstance(verdict["feasible"], bool):
         fail("verdict.feasible must be a boolean")
     if not isinstance(verdict["violations"], list):
         fail("verdict.violations must be a list")
     for j, v in enumerate(verdict["violations"]):
-        if not isinstance(v, dict) or set(v) != {"requirement", "span_index", "detail"}:
-            fail(f"violations[{j}] must have exactly requirement/span_index/detail")
+        if not isinstance(v, dict) or set(v) != set(_VIOLATION_KEYS):
+            fail(f"violations[{j}] must have exactly {'/'.join(_VIOLATION_KEYS)}")
     if verdict["feasible"] and verdict["violations"]:
         fail("feasible verdict cannot carry violations")
 

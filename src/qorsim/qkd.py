@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,9 @@ def qber_from_state(state: DensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class QkdMetrics:
+    """Key metrics of a delivered pair. The fields, in order, are the keys
+    of a report's ``qkd`` section (see report_section)."""
+
     qber: float
     sifted_rate_hz: float
     secret_key_rate_hz: float
@@ -72,9 +75,13 @@ def bbm92_metrics(qber: float, sifted_rate_hz: float) -> QkdMetrics:
 
 def key_metrics_from_result(result: EndToEndResult) -> QkdMetrics:
     """Key metrics for a chain simulation: both sides measure every
-    delivered pair, matching bases half the time."""
+    delivered pair, matching bases half the time. A QBER above 1/2, past
+    the domain of bbm92_metrics, gives no key."""
     qber = _qber(result.bell)
-    return bbm92_metrics(qber, result.pair_rate_hz / 2.0)
+    sifted = result.pair_rate_hz / 2.0
+    if qber > 0.5:
+        return QkdMetrics(qber=qber, sifted_rate_hz=sifted, secret_key_rate_hz=0.0, secure=False)
+    return bbm92_metrics(qber, sifted)
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,9 @@ def qec_max_span(
 
 @dataclass(frozen=True)
 class Violation:
+    """One unmet deployment requirement. The fields, in order, are the keys
+    of each entry of a report's ``verdict.violations`` list."""
+
     requirement: str
     span_index: int | None
     detail: str
@@ -120,8 +130,21 @@ class Violation:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """Deploy/no-deploy answer for one technology. The fields, in order,
+    are the keys of a report's ``verdict`` section (see report_section)."""
+
     feasible: bool
     violations: tuple[Violation, ...]
+
+
+def report_section(result: QkdMetrics | FeasibilityVerdict | Violation) -> dict:
+    """``result`` as a report section: one key per field, in declaration
+    order; a tuple of results becomes a list of sections."""
+    section = {}
+    for f in fields(result):
+        val = getattr(result, f.name)
+        section[f.name] = [report_section(v) for v in val] if isinstance(val, tuple) else val
+    return section
 
 
 # Deployment requirements:
@@ -246,6 +269,7 @@ __all__ = [
     "qec_max_span",
     "Violation",
     "FeasibilityVerdict",
+    "report_section",
     "assess_chain",
     "TECH_ENTANGLEMENT",
     "TECH_ONE_WAY",

@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qorsim
 from qorsim import __version__
 from qorsim.cli import main
-from qorsim.fiber import BANDS
-from qorsim.planner import PARAMS, _interval, validate_report
+from qorsim.fiber import BANDS, DEFAULT_FIBER_TYPES
+from qorsim.planner import PARAMS, _interval, load_fiber_table, validate_report
 
 from conftest import write_route
 
@@ -104,6 +104,19 @@ class TestFibers:
         assert code == 0
         assert set(json.loads(out)) == {"XX"}
 
+    def test_table_round_trips(self, capsys, tmp_path):
+        # fibers --out writes the format that --fibers reads back.
+        builtin = tmp_path / "builtin.json"
+        assert _run(capsys, ["fibers", "--out", str(builtin)])[0] == 0
+        assert load_fiber_table(str(builtin)) == DEFAULT_FIBER_TYPES
+        custom = tmp_path / "custom.json"
+        custom.write_text(json.dumps(
+            {"XS": {"attenuation_db_per_km": {"O": 0.33, "S": 0.25}, "group_index": 1.47}}))
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        assert _run(capsys, ["fibers", "--fibers", str(custom), "--out", str(first)])[0] == 0
+        assert _run(capsys, ["fibers", "--fibers", str(first), "--out", str(again)])[0] == 0
+        assert again.read_bytes() == first.read_bytes()
+
 
 class TestPlan:
     def test_oneway_long_span_is_infeasible(self, capsys, tmp_path):
@@ -154,6 +167,21 @@ class TestPlan:
         reports = json.loads(out)
         assert [r["technology"] for r in reports] == ["entanglement",
                                                       "one_way"]
+
+    def test_qber_above_half_gives_no_key(self, capsys, tmp_path):
+        # A drift angle of pi between tracker resets takes the span fidelity
+        # to 3e-4 and the QBER past 1/2: the plan answers for both
+        # technologies, with no key.
+        route = write_route(tmp_path, [0.0, 5.0], defaults={
+            "sop_drift_rate": 3141592.653589793, "sop_recalibration_interval": 1e-6})
+        code, out, err = _run(capsys, ["plan", "--route", route, "--tech", "both",
+                                       "--trials", "200"])
+        assert (code, err) == (0, "")
+        entanglement, one_way = json.loads(out)
+        key = entanglement["qkd"]
+        assert key["qber"] == pytest.approx(0.6665, abs=1e-4)
+        assert key["secret_key_rate_hz"] == 0.0 and key["secure"] is False
+        assert one_way["technology"] == "one_way"
 
     def test_out_writes_file(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 20.0, 40.0])
@@ -465,12 +493,14 @@ class TestRouteFuzz:
     """Every route file gives each command that runs no Monte Carlo finite
     output, or one error line and exit code 1, in bounded time: no
     traceback, no NaN or Infinity, and no numpy RuntimeWarning (pyproject's
-    filterwarnings turns one into a failure). Monte Carlo ``plan`` stays
-    out: its work budget can still take long to stop a hopeless run; a
-    5-span C-band route with detector_efficiency 1e-6 ran plan --trials 20
-    for more than 5 s."""
+    filterwarnings turns one into a failure). So does Monte Carlo ``plan
+    --tech both`` on routes without huts, where one span has no swap and no
+    cutoff race. On routes with huts it stays out: its work budget can
+    still take long to stop a hopeless run; a 5-span C-band route with
+    detector_efficiency 1e-6 ran plan --trials 20 for more than 5 s."""
 
     COMMANDS = (["channel"], ["simulate", "--engine", "analytic"], ["plan", "--tech", "oneway"])
+    MC_PLAN = ["plan", "--tech", "both", "--trials", "50"]
     # Wall time a command may take; each takes a few milliseconds.
     COMMAND_S = 2.0
 
@@ -487,7 +517,7 @@ class TestRouteFuzz:
                                       defaults):
         route = write_route(tmp_path, positions, band=band, coexistence=coexistence,
                             defaults=defaults)
-        for command in self.COMMANDS:
+        for command in self.COMMANDS + ((self.MC_PLAN,) if len(positions) == 2 else ()):
             start = time.perf_counter()
             code, out, err = _run(capsys, command + ["--route", route])
             assert time.perf_counter() - start < self.COMMAND_S, command
@@ -495,7 +525,8 @@ class TestRouteFuzz:
                 assert err == "", command
                 answer = _finite_json(out)
                 if command[0] == "plan":
-                    validate_report(answer)
+                    for report in answer if isinstance(answer, list) else [answer]:
+                        validate_report(report)
             else:
                 assert code == 1 and out == "", command
                 assert err.startswith("error:") and len(err.splitlines()) == 1, (command, err)

@@ -4,7 +4,7 @@ import copy
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from qorsim.planner import (
     spans_table,
     validate_report,
 )
-from qorsim.qkd import TECH_ENTANGLEMENT, TECH_ONE_WAY
+from qorsim.qkd import TECH_ENTANGLEMENT, TECH_ONE_WAY, FeasibilityVerdict, QkdMetrics, Violation
 
 from conftest import write_route
 
@@ -557,6 +557,57 @@ class TestRunPlan:
         monkeypatch.setattr(planner, "build_chain", lambda *a, **k: pytest.fail("plan ran"))
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_plan(load_route(path), technology=tech, trials=10)
+
+
+def _brace_keys(tokens) -> dict:
+    """Keys of a brace group of README's report layout, read from the token
+    after its "{": "a, b: [{c}]}" gives {"a": None, "b": {"c": None}}."""
+    keys = {}
+    for tok in tokens:
+        if tok == "}":
+            return keys
+        if tok == "{":
+            keys[key] = _brace_keys(tokens)
+        else:
+            key = tok
+            keys[key] = None
+    raise AssertionError("unclosed brace in README's report layout")
+
+
+def _key_tree(val):
+    """A report value's keys as _brace_keys gives them; a list of objects
+    by its first entry."""
+    if isinstance(val, list) and val:
+        val = val[0]
+    return {k: _key_tree(v) for k, v in val.items()} if isinstance(val, dict) else None
+
+
+class TestReportLayout:
+    def test_readme_layout_is_report(self, tmp_path):
+        # README's report layout, section by section: against a real report
+        # (the one-way one for its violations), and the qkd and verdict
+        # sections against the fields of the types they serialise.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme[readme.index("## Reports"):].split("```")[1]
+        layout = {}
+        for line in block.strip().splitlines():
+            name, _, rest = line.partition(" ")
+            tokens = iter(re.findall(r"\w+|[{}]", rest))
+            layout[name] = _brace_keys(tokens) if next(tokens, None) == "{" else None
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        entanglement, one_way = run_plan(rc, "both", trials=50, seed=1)
+        assert one_way["verdict"]["violations"]
+        assert list(layout) == list(entanglement)
+        report = {**entanglement, "verdict": one_way["verdict"]}
+        for name, keys in layout.items():
+            # Compared as JSON text, so that key order counts too.
+            assert json.dumps(_key_tree(report[name])) == json.dumps(keys), name
+
+        def names(cls):
+            return [f.name for f in fields(cls)]
+        assert list(layout["qkd"]) == names(QkdMetrics)
+        assert list(layout["verdict"]) == names(FeasibilityVerdict)
+        assert list(layout["verdict"]["violations"]) == names(Violation)
 
 
 # A key the corrupted report drops.

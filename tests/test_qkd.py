@@ -1,5 +1,7 @@
 """Key-rate estimation, span budgets, and deployment rule checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -110,6 +112,16 @@ class TestBbm92:
         assert m.sifted_rate_hz == pytest.approx(res.pair_rate_hz / 2.0)
         assert abs(m.qber - qber_from_state(bell_diagonal_state(res.bell))) < 1e-12
         assert m.secure
+
+    def test_qber_above_half_gives_no_key(self):
+        # Psi- pairs disagree in both bases: QBER 1, past the domain of
+        # bbm92_metrics. The metrics report it, with no key.
+        chain = RepeaterChain(spans=(FiberSpan(length_km=25.0),), attempt_rate=1e6)
+        res = replace(simulate_chain_analytic(chain), bell=np.array([0.0, 0.0, 0.0, 1.0]))
+        m = key_metrics_from_result(res)
+        assert m.qber == 1.0
+        assert m.sifted_rate_hz == pytest.approx(res.pair_rate_hz / 2.0)
+        assert m.secret_key_rate_hz == 0.0 and not m.secure
 
 
 class TestQecSpanBudget:
