@@ -210,6 +210,9 @@ def load_fiber_table(path: str) -> dict[str, FiberSpec]:
     table = {}
     for name, body in raw.items():
         _require(isinstance(body, dict), f"{path}: fiber type {name!r} must be an object")
+        for key in body:
+            _require(key in ("attenuation_db_per_km", "group_index"),
+                     f"{path}: fiber type {name!r} has unknown key {key!r}")
         att = body.get("attenuation_db_per_km")
         _require(
             isinstance(att, dict) and att,
@@ -239,12 +242,15 @@ def load_route(path: str, fiber_table: dict[str, FiberSpec] | None = None) -> Ro
     known = {"name", "sites", "fiber_type", "quantum_band", "coexistence", "defaults"}
     for key in raw:
         _require(key in known, f"{path}: unknown route key {key!r}")
+    site_keys = {f.name for f in fields(Site)}
 
     # Sites that are not a list become none, which RouteConfig rejects.
     raw_sites = raw.get("sites")
     sites = []
     for i, entry in enumerate(raw_sites if isinstance(raw_sites, list) else []):
         _require(isinstance(entry, dict), f"{path}: sites[{i}] must be an object")
+        for key in entry:
+            _require(key in site_keys, f"{path}: sites[{i}] has unknown key {key!r}")
         sites.append(Site(entry.get("name", f"site{i}"), entry.get("position_km"), entry.get("kind")))
 
     fiber_type = raw.get("fiber_type", "NDSF")
@@ -449,82 +455,71 @@ def run_plan(
 
 
 _REPORT_KEYS = {
-    "schema_version", "route", "technology", "spans",
-    "end_to_end", "qkd", "verdict", "provenance",
+    "schema_version", "route", "technology", "spans", "end_to_end", "qkd", "verdict", "provenance",
 }
-# Keys of the qkd section, the verdict and each violation: the fields of the
-# types that report_section serialises. A qkd field declared bool holds a boolean.
-_QKD_FIELDS = {f.name: f.type for f in fields(QkdMetrics)}
-_VERDICT_KEYS = [f.name for f in fields(FeasibilityVerdict)]
-_VIOLATION_KEYS = [f.name for f in fields(Violation)]
+# Each report section's keys in report order, with each value's type: "float"
+# (a finite number), "int", "int | None", "bool", "str" or "list". The qkd,
+# verdict and violation rows are the fields of the types report_section writes.
+_LAYOUT = {
+    "route": {"name": "str", "fiber_type": "str", "quantum_band": "str", "coexistence": "bool",
+              "length_km": "float", "site_count": "int"},
+    "span": {"index": "int", "length_km": "float", "transmittance": "float", "fidelity": "float"},
+    "end_to_end": {"fidelity": "float", "pair_rate_hz": "float", "latency_s": "float"},
+    **{name: {f.name: "list" if f.type.startswith("tuple") else f.type for f in fields(cls)}
+       for name, cls in (("qkd", QkdMetrics), ("verdict", FeasibilityVerdict), ("violation", Violation))},
+    "provenance": {"seed": "int", "trials": "int", "config_hash": "str", "version": "str"},
+}
+# Each other type's exact Python types (so no boolean is an integer) and name.
+_TYPES = {"int": ((int,), "an integer"), "int | None": ((int, type(None)), "an integer or null"),
+          "bool": ((bool,), "a boolean"), "str": ((str,), "a string"), "list": ((list,), "a list")}
+
+
+def _check_section(section, name: str, where: str = "") -> None:
+    """ConfigError unless ``section`` has exactly the keys of _LAYOUT[name],
+    each value of its type; ``where`` (default ``name``) names it in messages."""
+    layout, where = _LAYOUT[name], where or name
+    if not isinstance(section, dict) or section.keys() != layout.keys():
+        raise ConfigError(f"report schema: {where} must have exactly {'/'.join(layout)}")
+    for key, kind in layout.items():
+        if kind == "float":
+            if type(section[key]) is not float or not math.isfinite(section[key]):
+                _number(section[key], f"report schema: {where}.{key} must be a finite number")
+        elif type(section[key]) not in _TYPES[kind][0]:
+            raise ConfigError(f"report schema: {where}.{key} must be {_TYPES[kind][1]}")
 
 
 def validate_report(report: dict) -> None:
-    """Structural check of a single-technology report, with every number
-    it reports finite; raises ConfigError."""
-    def fail(msg: str):
-        raise ConfigError(f"report schema: {msg}")
+    """Check a single-technology report: each section has exactly its keys,
+    each value its type and each number is finite; raises ConfigError."""
+    def require(cond, msg: str):
+        _require(cond, f"report schema: {msg}")
 
-    def number(val, where: str):
-        _number(val, f"report schema: {where} must be a finite number")
-
-    if not isinstance(report, dict):
-        fail("report must be an object")
-    if set(report) != _REPORT_KEYS:
-        missing = _REPORT_KEYS - set(report)
-        extra = set(report) - _REPORT_KEYS
-        fail(f"bad keys: missing {sorted(missing)}, extra {sorted(extra)}")
-    if report["schema_version"] != SCHEMA_VERSION:
-        fail(f"schema_version must be {SCHEMA_VERSION}")
-    if report["technology"] not in TECHNOLOGIES:
-        fail(f"technology must be one of {TECHNOLOGIES}")
-
-    route = report["route"]
-    for key in ("name", "fiber_type", "quantum_band", "coexistence", "length_km", "site_count"):
-        if not isinstance(route, dict) or key not in route:
-            fail(f"route.{key} missing")
+    require(isinstance(report, dict), "report must be an object")
+    if report.keys() != _REPORT_KEYS:
+        missing, extra = sorted(_REPORT_KEYS - report.keys()), sorted(report.keys() - _REPORT_KEYS)
+        raise ConfigError(f"report schema: bad keys: missing {missing}, extra {extra}")
+    version, tech = report["schema_version"], report["technology"]
+    require(type(version) is int and version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}")
+    require(tech in TECHNOLOGIES, f"technology must be one of {TECHNOLOGIES}")
+    _check_section(report["route"], "route")
 
     spans = report["spans"]
-    if not isinstance(spans, list) or not spans:
-        fail("spans must be a nonempty list")
+    require(isinstance(spans, list) and spans, "spans must be a nonempty list")
     for i, row in enumerate(spans):
-        if not isinstance(row, dict) or set(row) != {"index", "length_km", "transmittance", "fidelity"}:
-            fail(f"spans[{i}] must have exactly index/length_km/transmittance/fidelity")
-        if row["index"] != i:
-            fail(f"spans[{i}] index out of order")
-        for key in ("length_km", "transmittance", "fidelity"):
-            number(row[key], f"spans[{i}].{key}")
+        _check_section(row, "span", f"spans[{i}]")
+        require(row["index"] == i, f"spans[{i}] index out of order")
 
-    ete, qkd_section = report["end_to_end"], report["qkd"]
-    if report["technology"] == TECH_ENTANGLEMENT:
-        if not isinstance(ete, dict) or set(ete) != {"fidelity", "pair_rate_hz", "latency_s"}:
-            fail("end_to_end must have exactly fidelity/pair_rate_hz/latency_s")
-        if not isinstance(qkd_section, dict) or set(qkd_section) != set(_QKD_FIELDS):
-            fail(f"qkd must have exactly {'/'.join(_QKD_FIELDS)}")
-        for key, v in ete.items():
-            number(v, f"end_to_end.{key}")
-        for key, kind in _QKD_FIELDS.items():
-            if kind != "bool":
-                number(qkd_section[key], f"qkd.{key}")
-            elif not isinstance(qkd_section[key], bool):
-                fail(f"qkd.{key} must be a boolean")
+    if tech == TECH_ENTANGLEMENT:
+        _check_section(report["end_to_end"], "end_to_end")
+        _check_section(report["qkd"], "qkd")
     else:
-        if ete is not None or qkd_section is not None:
-            fail("one_way reports carry null end_to_end and qkd")
+        require(report["end_to_end"] is None and report["qkd"] is None,
+                "one_way reports carry null end_to_end and qkd")
 
     verdict = report["verdict"]
-    if not isinstance(verdict, dict) or set(verdict) != set(_VERDICT_KEYS):
-        fail(f"verdict must have exactly {'/'.join(_VERDICT_KEYS)}")
-    if not isinstance(verdict["feasible"], bool):
-        fail("verdict.feasible must be a boolean")
-    if not isinstance(verdict["violations"], list):
-        fail("verdict.violations must be a list")
+    _check_section(verdict, "verdict")
     for j, v in enumerate(verdict["violations"]):
-        if not isinstance(v, dict) or set(v) != set(_VIOLATION_KEYS):
-            fail(f"violations[{j}] must have exactly {'/'.join(_VIOLATION_KEYS)}")
-    if verdict["feasible"] and verdict["violations"]:
-        fail("feasible verdict cannot carry violations")
-
-    prov = report["provenance"]
-    if not isinstance(prov, dict) or set(prov) != {"seed", "trials", "config_hash", "version"}:
-        fail("provenance must have exactly seed/trials/config_hash/version")
+        _check_section(v, "violation", f"violations[{j}]")
+    require(not (verdict["feasible"] and verdict["violations"]), "feasible verdict cannot carry violations")
+    require(verdict["feasible"] or verdict["violations"], "infeasible verdict must carry violations")
+    _check_section(report["provenance"], "provenance")

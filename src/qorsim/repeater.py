@@ -962,12 +962,16 @@ class _GeomTime:
         above = self.p * np.exp(n_log - r_a * ((n + 1) * self.cycle - x)) / den
         # Atoms k = 1..m weigh p q^(k-1) exp(-r_b (x - k cycle)): a
         # geometric series of ratio v = q exp(r_b cycle), summed from its
-        # largest term (the first if v <= 1, else the last). Below the first
-        # atom m is 0, and the clamp keeps exp(top) finite against it.
+        # largest term, the first if v <= 1, else the last. The last's log
+        # is written so that nothing overflows, however large r_b cycle is.
+        # Below the first atom m is 0, and the clamp keeps exp(top) finite.
         log_v = self.log_q + r_b * self.cycle
         s = -abs(log_v)
         series = m if s == 0.0 else np.expm1(_nlog(m, s)) / np.expm1(s)
-        top = max(log_v, 0.0) * (m - 1) - r_b * np.maximum(x - self.cycle, 0.0)
+        if log_v > 0.0:
+            top = _nlog(m - 1, self.log_q) - r_b * (x - m * self.cycle)
+        else:
+            top = -r_b * np.maximum(x - self.cycle, 0.0)
         below = self.p * np.exp(top) * series
         # Past the n atoms up to x, T is n cycles plus a fresh copy of itself.
         return (

@@ -313,7 +313,10 @@ def reference_wait_terms(t, x, r_a, r_b):
     log_v = t.log_q + r_b * t.cycle
     s = -abs(log_v)
     series = m if s == 0.0 else np.expm1(_reference_nlog(m, s)) / np.expm1(s)
-    top = max(log_v, 0.0) * (m - 1) - r_b * np.maximum(x - t.cycle, 0.0)
+    if log_v > 0.0:
+        top = _reference_nlog(m - 1, t.log_q) - r_b * (x - m * t.cycle)
+    else:
+        top = -r_b * np.maximum(x - t.cycle, 0.0)
     decay_below = t.p * np.exp(top) * series
     return cdf + decay_above, sf + decay_below, x + excess
 

@@ -104,6 +104,17 @@ class TestFibers:
         assert code == 0
         assert set(json.loads(out)) == {"XX"}
 
+    def test_misspelled_key_is_an_error(self, capsys, tmp_path):
+        # group_idx would otherwise leave group_index, and so every span's
+        # latency, at its default.
+        path = tmp_path / "fibers.json"
+        path.write_text(json.dumps(
+            {"XX": {"attenuation_db_per_km": {"O": 0.5}, "group_idx": 1.6}}))
+        code, out, err = _run(capsys, ["fibers", "--fibers", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "fiber type 'XX' has unknown key 'group_idx'" in err
+
     def test_table_round_trips(self, capsys, tmp_path):
         # fibers --out writes the format that --fibers reads back.
         builtin = tmp_path / "builtin.json"
@@ -119,6 +130,20 @@ class TestFibers:
 
 
 class TestPlan:
+    @pytest.mark.parametrize("site, key", [
+        ({"nmae": "hut-a", "position_km": 10.0, "kind": "ila"}, "nmae"),
+        ({"name": "hut-a", "position_km": 10.0, "kind": "ila", "cryo": True}, "cryo"),
+    ], ids=["misspelled-name", "extra-key"])
+    def test_unknown_site_key_is_an_error(self, capsys, tmp_path, site, key):
+        route = write_route(tmp_path, [0.0, 10.0, 20.0])
+        with open(route, encoding="utf-8") as fh:
+            body = json.load(fh)
+        body["sites"][1] = site
+        with open(route, "w", encoding="utf-8") as fh:
+            json.dump(body, fh)
+        err = _one_error(capsys, ["plan", "--tech", "oneway"], route)
+        assert f"sites[1] has unknown key '{key}'" in err
+
     def test_oneway_long_span_is_infeasible(self, capsys, tmp_path):
         route = write_route(tmp_path, [0.0, 100.0])
         code, out, _ = _run(capsys, ["plan", "--route", route,
@@ -273,17 +298,40 @@ class TestFloatRangeParameters:
         assert code == 0 and err == ""
         _finite_json(out)
 
-    @pytest.mark.parametrize("positions, band, defaults", [
+    @pytest.mark.parametrize("positions, band, defaults, analytic_fidelity", [
         # A subnormal span success probability: the mean wait overflows.
         ([0.0, 20.0, 45.0], "O", {"memory_write_efficiency": 1e-300,
-                                  "mux_insertion_loss_db": 200.0}),
-        # Decay rates of 2e307 /s: the analytic wait sums overflow to NaN.
-        ([0.0, 150.0, 300.0], "C", {"memory_coherence_time": 1e-307}),
+                                  "mux_insertion_loss_db": 200.0}, None),
+        # Decay rates of 2e307 /s: the analytic engine gives the fully
+        # decayed pair, and Monte Carlo's cutoff, the coherence time of
+        # 1e-307 s, is too short for any trial to finish.
+        ([0.0, 150.0, 300.0], "C", {"memory_coherence_time": 1e-307}, 0.25),
     ], ids=["subnormal-success", "c-band-fast-decay"])
-    def test_non_finite_result_is_an_error(self, capsys, tmp_path, positions, band, defaults):
+    def test_non_finite_result_is_an_error(self, capsys, tmp_path, positions, band, defaults,
+                                           analytic_fidelity):
         route = write_route(tmp_path, positions, band=band, defaults=defaults)
         for command in _ENGINE_COMMANDS:
-            _one_error(capsys, command, route)
+            if analytic_fidelity is not None and "analytic" in command:
+                code, out, err = _run(capsys, command + ["--route", route])
+                assert code == 0 and err == ""
+                assert _finite_json(out)["fidelity"] == analytic_fidelity
+            else:
+                _one_error(capsys, command, route)
+
+    def test_fully_decayed_pair_has_an_answer(self, capsys, tmp_path):
+        # Decay rates of 2e307 /s with a 100 s cutoff: every delivered pair
+        # is maximally mixed, and both engines give the same rate.
+        route = write_route(tmp_path, [0.0, 150.0, 300.0], band="C", defaults={
+            "memory_coherence_time": 1e-307, "memory_cutoff": 100.0})
+        results = []
+        for command in (["simulate", "--engine", "analytic"],
+                        ["simulate", "--trials", "2000", "--seed", "42"]):
+            code, out, err = _run(capsys, command + ["--route", route])
+            assert code == 0 and err == ""
+            results.append(_finite_json(out))
+        analytic, mc = results
+        assert analytic["fidelity"] == 0.25 and mc["fidelity"] == 0.25
+        assert abs(analytic["pair_rate_hz"] - mc["pair_rate_hz"]) < 3 * mc["rate_stderr"]
 
     @pytest.mark.parametrize("defaults", [
         {"memory_read_efficiency": 1e-12}, {"bsm_success_prob": 1e-300},

@@ -665,7 +665,7 @@ class TestValidateReport:
     @pytest.mark.parametrize("path, value, match", [
         ((), ["not", "an", "object"], "report must be an object"),
         (("technology",), "smoke-signals", "technology must be one of"),
-        (("route", "length_km"), _DROP, "route.length_km missing"),
+        (("route", "length_km"), _DROP, "route must have exactly"),
         (("spans",), [], "spans must be a nonempty list"),
         (("spans", 0, "fidelity"), _DROP, "spans\\[0\\] must have exactly"),
         (("qkd", "secure"), _DROP, "qkd must have exactly"),
@@ -713,6 +713,37 @@ class TestValidateReport:
         rep[section][key] = value
         kind = "a boolean" if key == "secure" else "a finite number"
         self._expect_fail(rep, re.escape(f"{section}.{key} must be {kind}"))
+
+    @pytest.mark.parametrize("edits, match", [
+        ({("schema_version",): True}, "schema_version must be 1"),
+        ({("route", "length_km"): math.nan}, "route.length_km must be a finite number"),
+        ({("route", "notes"): "x"}, "route must have exactly"),
+        ({("route", "coexistence"): "yes"}, "route.coexistence must be a boolean"),
+        ({("route", "site_count"): "three"}, "route.site_count must be an integer"),
+        ({("spans", 1, "index"): True}, "spans[1].index must be an integer"),
+        ({("spans", 0, "index"): 0.0}, "spans[0].index must be an integer"),
+        ({("provenance", "seed"): "x"}, "provenance.seed must be an integer"),
+        ({("provenance", "trials"): math.nan}, "provenance.trials must be an integer"),
+        ({("provenance", "config_hash"): 5}, "provenance.config_hash must be a string"),
+        ({("verdict", "feasible"): False, ("verdict", "violations"): [
+            {"requirement": "R1-coexistence", "span_index": "0", "detail": 5}]},
+         "violations[0].span_index must be an integer or null"),
+        ({("verdict", "feasible"): False}, "infeasible verdict must carry violations"),
+    ], ids=[
+        "schema-version-bool", "route-length-nan", "route-extra-key", "route-coexistence-str",
+        "route-site-count-str", "span-index-bool", "span-index-float", "provenance-seed-str",
+        "provenance-trials-nan", "provenance-hash-int", "violation-types", "infeasible-no-violations",
+    ])
+    def test_every_value_type_is_checked(self, report, edits, match):
+        # Each probe breaks one value's type, one section's key set, or the
+        # agreement of verdict.feasible with its violations.
+        rep = copy.deepcopy(report)
+        for (*parents, key), value in edits.items():
+            target = rep
+            for step in parents:
+                target = target[step]
+            target[key] = value
+        self._expect_fail(rep, re.escape(match))
 
     def test_violation_shape(self, report):
         rep = copy.deepcopy(report)

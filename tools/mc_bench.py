@@ -41,10 +41,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPAN_KM = 25.0
 SEED = 42
-# Trials per run for each span count: a run takes about 0.1 s or more at
-# the grouped engine's speed (about 1-1.5, 6-8 and 70-90 us per trial on a
-# 2-core host). 60000 trials are several groups of blocks, 12000 one
-# partial group, 2048 one block.
+# Trials per run for each span count. The engine runs trials MC_GROUP
+# (16384) at a time: 60000 trials are three full groups and a partial
+# fourth, 12000 and 2048 one partial group each. At 0.18, 0.58 and 17.0 us
+# per trial (2, 3 and 5 spans on a 2-core host) a run takes about 11, 7 and
+# 35 ms.
 TRIALS = {2: 60000, 3: 12000, 5: 2048}
 # Span lengths (km) of the analytic engine's chains.
 ANALYTIC_CHAINS = {
