@@ -6,13 +6,15 @@
     qorsim fibers [--fibers fibers.json]
 
 Reports go to stdout (or --out FILE); diagnostics go to stderr with a
-nonzero exit code.
+nonzero exit code. A reader that closes stdout early, as ``head`` does,
+ends the command with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -171,7 +173,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the reader is gone, so what is still
+        # buffered, and the flush at exit, go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, FiberConfigError, StateError, DimensionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

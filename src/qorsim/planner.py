@@ -47,9 +47,7 @@ from .repeater import (
     MemorySpec,
     QorsNode,
     RepeaterChain,
-    SpanAttempt,
     _check_mc_args,
-    _checked_attempts,
     simulate_chain_mc,
     span_attempts,
     span_entanglement_attempt,  # noqa: F401  (kept importable from planner, as before)
@@ -204,7 +202,8 @@ def _load_json(path: str):
 
 def load_fiber_table(path: str) -> dict[str, FiberSpec]:
     """Fiber-type catalog from JSON: {"TYPE": {"attenuation_db_per_km":
-    {"O": 0.35, ...}, "group_index": 1.468}, ...}."""
+    {"O": 0.35, ...}, "group_index": 1.468}, ...}; each band is one of
+    fiber.BANDS."""
     raw = _load_json(path)
     _require(isinstance(raw, dict) and raw, f"{path}: expected an object of fiber types")
     table = {}
@@ -220,6 +219,8 @@ def load_fiber_table(path: str) -> dict[str, FiberSpec]:
         )
         bands = {}
         for band, val in att.items():
+            _require(band in BANDS, f"{path}: fiber type {name!r} has unknown band {band!r}, "
+                                    f"not one of {sorted(BANDS)}")
             msg = f"{path}: fiber {name!r} band {band!r} attenuation must be positive, got {val!r}"
             bands[band] = _number(val, msg)
             _require(bands[band] > 0, msg)
@@ -349,13 +350,9 @@ def _config_hash(route: RouteConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def spans_table(
-    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
-) -> list[dict]:
+def spans_table(chain: RepeaterChain) -> list[dict]:
     """Per-span summary for reports and the channel subcommand; fidelity is
-    bell[0] of the span's attempt. ``attempts`` (span_attempts(chain)) saves
-    recomputing them; a count other than one per span raises DimensionError."""
-    attempts = _checked_attempts(chain, attempts)
+    bell[0] of the span's attempt, from span_attempts(chain)."""
     return [
         {
             "index": i,
@@ -363,7 +360,7 @@ def spans_table(
             "transmittance": transmittance(span),
             "fidelity": float(attempt.bell[0]),
         }
-        for i, (span, attempt) in enumerate(zip(chain.spans, attempts))
+        for i, (span, attempt) in enumerate(zip(chain.spans, span_attempts(chain)))
     ]
 
 
@@ -377,7 +374,7 @@ def run_plan(
     """Full feasibility report: verdict, spans, simulation, key rates.
 
     technology "both" returns [entanglement report, one_way report]; the
-    two share one chain and one set of span attempts. One-way transport is
+    two share one chain and one span table. One-way transport is
     assessed against its loss budget only; its end_to_end and qkd sections
     are null. Trials, seed and workers that simulate_chain_mc would reject
     raise ConfigError for every technology, before any of them runs; the
@@ -400,7 +397,7 @@ def run_plan(
     one_way_spec = OneWayRepeaterSpec(params["one_way_loss_threshold_db"], params["one_way_cryogenic"])
 
     chain = build_chain(route, technologies[0])
-    attempts = span_attempts(chain)
+    table = spans_table(chain)
     # Numpy integers are recorded as Python ints, so that the report
     # serialises.
     provenance = {
@@ -422,9 +419,7 @@ def run_plan(
         end_to_end = None
         qkd_section = None
         if tech == TECH_ENTANGLEMENT:
-            result = simulate_chain_mc(
-                chain, trials=trials, seed=seed, workers=workers, attempts=attempts
-            )
+            result = simulate_chain_mc(chain, trials=trials, seed=seed, workers=workers)
             end_to_end = {
                 "fidelity": result.fidelity,
                 "pair_rate_hz": result.pair_rate_hz,
@@ -443,7 +438,7 @@ def run_plan(
                 "site_count": len(route.sites),
             },
             "technology": tech,
-            "spans": spans_table(chain, attempts),
+            "spans": [dict(row) for row in table],
             "end_to_end": end_to_end,
             "qkd": qkd_section,
             "verdict": report_section(verdict),

@@ -33,14 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply_to_subsystem, depolarizing_channel
-from .fiber import FiberSpan, photon_dwell_time, span_channel_stack, transmittance
+from .fiber import FiberSpan, photon_dwell_time, transmittance
 from .linalg import (
     BELL_KETS,
     BELL_SIDE_OPS,
     DensityMatrix,
     DimensionError,
     StateError,
-    bell_basis,
     bell_convolve,
     bell_decay,
     bell_dephase,
@@ -147,39 +146,6 @@ class EndToEndResult:
     engine: str
 
 
-# I/4, the two-qubit state that background coincidences herald.
-_MIXED_PAIR = np.eye(4) / 4.0
-
-
-@functools.cache
-def _source_pair() -> DensityMatrix:
-    """The source's entangled pair with the flying qubit embedded in the
-    rail space: (|0>_f |0>_k + |1>_f |1>_k) / sqrt(2), rail factor first.
-    Built and validated on first use rather than at import; the state is
-    frozen, so every attempt shares it."""
-    vec = np.zeros(6, dtype=complex)
-    vec[0 * 2 + 0] = vec[1 * 2 + 1] = 1.0 / np.sqrt(2.0)
-    return DensityMatrix(np.outer(vec, vec.conj()))
-
-
-# Largest off-diagonal Bell-basis element a heralded span state may have.
-BELL_DIAGONAL_TOL = 1e-12
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
-
-
-def _bell_weights(state: np.ndarray) -> np.ndarray:
-    """Bell weights of a 4x4 span state, which the engines treat as
-    Bell-diagonal; raises StateError if any off-diagonal Bell-basis element
-    exceeds BELL_DIAGONAL_TOL (a channel that is not a Pauli mixture would)."""
-    m = bell_basis(state)
-    off = float(np.abs(m[_OFF_DIAGONAL]).max())
-    if off > BELL_DIAGONAL_TOL:
-        raise StateError(
-            f"span state is not Bell-diagonal: off-diagonal residual {off:.3e}"
-        )
-    return m.diagonal().real.copy()
-
-
 def span_entanglement_attempt(
     span: FiberSpan,
     detector_efficiency: float = 1.0,
@@ -189,30 +155,31 @@ def span_entanglement_attempt(
 
     The source keeps one qubit (write efficiency of its memory), the other
     flies through the span stack and must be detected on the far side.
-    Background coincidences mix I/4 into the heralded state with weight
-    noise / (signal + noise). Returns its Bell weights, from _bell_weights.
+    Every stage of span_channel_stack is a Pauli mixture on the flying
+    qubit or a loss to the vacuum level, which the herald discards, so the
+    heralded state has closed-form Bell weights: the averaged rotation's
+    [cos^2(theta/2), s, s, s], s = sin^2(theta/2) / 3 and theta the drift
+    over one recalibration interval, phase-flipped with the dephasing
+    probability d (bell_convolve with [1 - d, 0, d, 0], bit for bit).
+    Background coincidences then mix I/4 into it with weight
+    noise / (p + noise), p the success probability. A transmittance below
+    the smallest normal float cannot herald and raises StateError.
     """
     if not 0.0 < detector_efficiency <= 1.0:
         raise StateError("detector efficiency must lie in (0, 1]")
     write = memory.write_efficiency if memory is not None else 1.0
-    p = write * detector_efficiency * transmittance(span)
+    eta = transmittance(span)
+    p = write * detector_efficiency * eta
+    if not eta >= np.finfo(float).tiny:
+        raise StateError(f"span transmitted {eta:.3g} of its photons; cannot herald")
 
-    rho = apply_to_subsystem(span_channel_stack(span), _source_pair(), 0, [3, 2])
-    # Herald: project the rail onto its photon levels and renormalize.
-    # Loss moves photon levels only to vacuum, so the photon block is the
-    # survival times a state: dividing it out keeps full relative precision
-    # for any survival in the normal float range.
-    sub = rho.matrix[:4, :4]
-    survival = float(sub.trace().real)
-    if not survival >= np.finfo(float).tiny:
-        raise StateError(f"span transmitted {survival:.3g} of its photons; cannot herald")
-    conditional = sub / survival
-
+    half = span.sop_drift_rate * span.sop_recalibration_interval / 2.0
+    s = math.sin(half) ** 2 / 3.0
+    bell = bell_dephase(np.array([math.cos(half) ** 2, s, s, s]), span.dephasing_p)
     noise = span.coexistence_noise_prob
     if noise > 0.0:
-        w_noise = noise / (p + noise)
-        conditional = (1.0 - w_noise) * conditional + w_noise * _MIXED_PAIR
-    return SpanAttempt(success_probability=p, bell=_bell_weights(conditional))
+        bell = bell_decay(bell, 1.0 - noise / (p + noise))
+    return SpanAttempt(success_probability=p, bell=bell)
 
 
 def memory_decay(
@@ -282,16 +249,16 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 
 
 # Chain engines. Every span state the span stack produces is diagonal in
-# the Bell basis, as span_entanglement_attempt checks, and memory decay
-# (depolarizing), the visibility penalty (dephasing) and the odd-parity swap
-# keep it so. Both engines carry a pair as its four Bell weights (index bit
-# 0: X part, bit 1: Z part of the one-sided Pauli that maps Phi+ to the Bell
-# state), whose algebra is in qorsim.linalg. Decay is affine toward I/4,
-# dephasing fixes I/4, and the swap is bilinear with I/4 absorbing, so a
-# delivered pair is lam * c + (1 - lam) / 4: c, from _folded_bell, folds the
-# ready states through each node's dephasing and swap, and lam is the
-# survival weight of all the decay on the way. Monte Carlo draws lam per
-# trial; the analytic engine takes its expectation.
+# the Bell basis, which is how span_entanglement_attempt gives it, and
+# memory decay (depolarizing), the visibility penalty (dephasing) and the
+# odd-parity swap keep it so. Both engines carry a pair as its four Bell
+# weights (index bit 0: X part, bit 1: Z part of the one-sided Pauli that
+# maps Phi+ to the Bell state), whose algebra is in qorsim.linalg. Decay
+# is affine toward I/4, dephasing fixes I/4, and the swap is bilinear with
+# I/4 absorbing, so a delivered pair is lam * c + (1 - lam) / 4: c, from
+# _folded_bell, folds the ready states through each node's dephasing and
+# swap, and lam is the survival weight of all the decay on the way. Monte
+# Carlo draws lam per trial; the analytic engine takes its expectation.
 # _span_models turns the protocol conventions into each span's ready time
 # and merge numbers; the engines read only those, never the chain's nodes.
 
@@ -336,33 +303,16 @@ def span_attempts(chain: RepeaterChain) -> tuple[SpanAttempt, ...]:
     return tuple(attempts)
 
 
-def _checked_attempts(
-    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None
-) -> tuple[SpanAttempt, ...]:
-    """``attempts``, or span_attempts(chain) when not given; DimensionError
-    unless there is one per span."""
-    if attempts is None:
-        attempts = span_attempts(chain)
-    if len(attempts) != len(chain.spans):
-        raise DimensionError(
-            f"{len(chain.spans)} spans need as many attempts, got {len(attempts)}"
-        )
-    return attempts
-
-
-def _span_models(
-    chain: RepeaterChain, attempts: tuple[SpanAttempt, ...] | None = None
-) -> list[_SpanModel]:
-    """Engine inputs per span, from ``attempts`` (span_attempts(chain) when
-    not given). Raises StateError if a success or swap probability is 0."""
-    attempts = _checked_attempts(chain, attempts)
+def _span_models(chain: RepeaterChain) -> list[_SpanModel]:
+    """Engine inputs per span, from span_attempts(chain). Raises StateError
+    if a success or swap probability is 0."""
     one_way = [photon_dwell_time(span) for span in chain.spans]
     # A swap's outcome crosses its span to the new frontier edge; the last
     # one must reach both end stations.
     final = max(one_way[-1], sum(one_way[:-1])) if len(one_way) > 1 else 0.0
     notify = one_way[:-1] + [final]
     models = []
-    for i, attempt in enumerate(attempts):
+    for i, attempt in enumerate(span_attempts(chain)):
         left, right = _span_ends(chain, i)
         swap_prob = left.bsm_success_prob * left.memory.read_efficiency**2 if left else 1.0
         # Both engines divide by these; a product of valid factors can
@@ -801,7 +751,6 @@ def simulate_chain_mc(
     trials: int,
     seed: int = 42,
     workers: int = 1,
-    attempts: tuple[SpanAttempt, ...] | None = None,
 ) -> EndToEndResult:
     """Monte Carlo over full protocol runs.
 
@@ -827,12 +776,10 @@ def simulate_chain_mc(
     raises StateError, and so do more than 2**32 trials, a trial that would
     draw 2**32 uniforms, trials or workers that are not positive integers, and
     a seed that is not a non-negative integer (_check_mc_args, which
-    run_plan applies to every plan), and so does a heralded span state
-    that is not Bell-diagonal, which span_attempts(chain) checks;
-    ``attempts``, its result, saves computing the span stacks again.
+    run_plan applies to every plan).
     """
     _check_mc_args(trials, seed, workers)
-    models = _span_models(chain, attempts)
+    models = _span_models(chain)
     need = _generations_per_trial(models)
     if not need < _COUNTER_STRIDE:
         raise StateError(

@@ -11,6 +11,10 @@ by node with qorsim.linalg's Bell-weight steps. The catalog channels and
 these helpers are checked against closed forms on their own.
 ``oracle_splitmix_uniform`` recomputes the Monte Carlo engine's draws one
 at a time in Python integers, key derivation from the seed included.
+``dense_span_attempt`` is no oracle: it is the heralded attempt through the
+package's public dense layer (``span_channel_stack`` applied with
+``apply_to_subsystem``), which the closed form in
+``span_entanglement_attempt`` is checked against beside the oracle.
 The test-only constructors (``ket``, ``phi_plus``, ``werner_state``, the
 random states, ``identity_channel`` and others) are no oracles: they build
 inputs, and ``phi_plus`` and ``werner_state`` use qorsim.linalg's Bell
@@ -36,11 +40,12 @@ from qorsim.channels import (
     VACUUM_INDEX,
     KrausChannel,
     apply_channel,
+    apply_to_subsystem,
     dephasing_channel,
     loss_channel,
     sop_rotation_channel,
 )
-from qorsim.fiber import transmittance
+from qorsim.fiber import span_channel_stack, transmittance
 from qorsim.linalg import (
     DensityMatrix,
     DimensionError,
@@ -187,6 +192,35 @@ def oracle_span_attempt(span, detector_efficiency: float, write_efficiency: floa
     survival = float(np.real(np.trace(block)))
     p = write_efficiency * detector_efficiency * survival
     state = block / survival
+    noise = span.coexistence_noise_prob
+    if noise > 0.0:
+        w = noise / (p + noise)
+        state = (1.0 - w) * state + w * np.eye(4) / 4.0
+    return p, state
+
+
+@functools.cache
+def source_pair() -> DensityMatrix:
+    """The source's entangled pair with the flying qubit embedded in the
+    rail space: (|0>_f |0>_k + |1>_f |1>_k) / sqrt(2), rail factor first.
+    Built and validated on first use; the state is frozen, so every
+    dense_span_attempt shares it."""
+    vec = np.zeros(6, dtype=complex)
+    vec[0 * 2 + 0] = vec[1 * 2 + 1] = 1.0 / np.sqrt(2.0)
+    return DensityMatrix(np.outer(vec, vec.conj()))
+
+
+def dense_span_attempt(span, detector_efficiency: float, write_efficiency: float):
+    """One heralded attempt through the public dense layer: the span stack
+    applied to the rail factor of source_pair(), the herald onto the photon
+    levels, and the background-noise mix. Returns (success probability,
+    heralded 4x4 state)."""
+    rho = apply_to_subsystem(span_channel_stack(span), source_pair(), 0, [3, 2])
+    # Loss moves photon levels only to vacuum, so the photon block is the
+    # survival times a state.
+    block = rho.matrix[:4, :4]
+    state = block / float(block.trace().real)
+    p = write_efficiency * detector_efficiency * transmittance(span)
     noise = span.coexistence_noise_prob
     if noise > 0.0:
         w = noise / (p + noise)

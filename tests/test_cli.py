@@ -25,14 +25,20 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _python(args, **kwargs) -> subprocess.CompletedProcess:
-    """``python args`` in a fresh interpreter that imports qorsim from this
-    checkout, so modules the test suite loaded do not count."""
+def _checkout_env() -> dict:
+    """This process's environment, with this checkout's qorsim first on
+    PYTHONPATH."""
     src_dir = os.path.dirname(os.path.dirname(qorsim.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
+    return env
+
+
+def _python(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports qorsim from this
+    checkout, so modules the test suite loaded do not count."""
+    return subprocess.run([sys.executable, *args], env=_checkout_env(), capture_output=True,
+                          text=True, **kwargs)
 
 
 def _fresh_interpreter(probe: str) -> str:
@@ -57,15 +63,6 @@ class TestRuntimeImports:
             "or m == 'multiprocessing' or m.startswith('multiprocessing.')))"
         )
         assert out.strip() == "[]"
-
-    def test_cli_import_builds_no_source_pair(self):
-        # The span attempts' shared input pair is validated on first use,
-        # not at import.
-        out = _fresh_interpreter(
-            "import qorsim, qorsim.cli, qorsim.repeater as r; "
-            "print(r._source_pair.cache_info().currsize)"
-        )
-        assert out.strip() == "0"
 
     def test_plan_loads_no_numpy_random(self, tmp_path):
         # The Monte Carlo key is folded from the seed by the stream's own
@@ -115,6 +112,16 @@ class TestFibers:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "fiber type 'XX' has unknown key 'group_idx'" in err
 
+    def test_unknown_band_is_an_error(self, capsys, tmp_path):
+        # A band outside fiber.BANDS ("c" for "C") would be listed, and a
+        # route on the band it was meant for would fail much later.
+        path = tmp_path / "fibers.json"
+        path.write_text(json.dumps({"XX": {"attenuation_db_per_km": {"Q": 0.5, "O": 0.3}}}))
+        code, out, err = _run(capsys, ["fibers", "--fibers", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"{path}: fiber type 'XX' has unknown band 'Q'" in err
+
     def test_table_round_trips(self, capsys, tmp_path):
         # fibers --out writes the format that --fibers reads back.
         builtin = tmp_path / "builtin.json"
@@ -122,7 +129,7 @@ class TestFibers:
         assert load_fiber_table(str(builtin)) == DEFAULT_FIBER_TYPES
         custom = tmp_path / "custom.json"
         custom.write_text(json.dumps(
-            {"XS": {"attenuation_db_per_km": {"O": 0.33, "S": 0.25}, "group_index": 1.47}}))
+            {"XS": {"attenuation_db_per_km": {"O": 0.33, "L": 0.25}, "group_index": 1.47}}))
         first, again = tmp_path / "first.json", tmp_path / "again.json"
         assert _run(capsys, ["fibers", "--fibers", str(custom), "--out", str(first)])[0] == 0
         assert _run(capsys, ["fibers", "--fibers", str(first), "--out", str(again)])[0] == 0
@@ -486,6 +493,24 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # stdout is a pipe whose read end is closed before the command
+        # starts, so its first write of the report meets a broken pipe.
+        route = write_route(tmp_path, [9.0 * i for i in range(14)])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qorsim.cli", "plan", "--route", route,
+                 "--tech", "oneway"],
+                env=_checkout_env(), stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 import qorsim.repeater as repeater
-from qorsim.linalg import DensityMatrix, DimensionError
+import qorsim.channels
+import qorsim.fiber
+from qorsim.linalg import DensityMatrix
 from qorsim.planner import (
     DEFAULT_PARAMS,
     PARAMS,
@@ -292,6 +295,14 @@ class TestLoadFiberTable:
                 f"{path}: fiber '': fiber type needs a name")):
             load_fiber_table(str(path))
 
+    @pytest.mark.parametrize("band", ["Q", "c"])
+    def test_rejects_unknown_band(self, tmp_path, band):
+        path = tmp_path / "fibers.json"
+        path.write_text(json.dumps({"XX": {"attenuation_db_per_km": {band: 0.5, "O": 0.3}}}))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: fiber type 'XX' has unknown band {band!r}, not one of ['C', 'L', 'O']")):
+            load_fiber_table(str(path))
+
     def test_route_band_missing_from_table(self, tmp_path):
         fibers = tmp_path / "fibers.json"
         fibers.write_text(json.dumps({"CUSTOM": {"attenuation_db_per_km": {"C": 0.2}}}))
@@ -386,14 +397,6 @@ class TestSpansTable:
         assert row["transmittance"] == pytest.approx(
             eta(build_chain(rc).spans[0]), abs=1e-15)
 
-    def test_attempt_count_must_match_spans(self, tmp_path):
-        chain = build_chain(load_route(write_route(tmp_path, [0.0, 25.0, 50.0])))
-        attempts = repeater.span_attempts(chain)
-        assert spans_table(chain, attempts) == spans_table(chain)
-        for wrong in (attempts[:1], attempts + attempts[:1]):
-            with pytest.raises(DimensionError, match="2 spans need as many attempts"):
-                spans_table(chain, wrong)
-
 
 class TestRunPlan:
     def test_entanglement_report_sections(self, tmp_path):
@@ -476,7 +479,9 @@ class TestRunPlan:
         assert a["provenance"]["config_hash"] == base
         assert b["provenance"]["config_hash"] == _config_hash(short)
 
-    def test_both_computes_each_span_attempt_once(self, tmp_path, monkeypatch):
+    def test_both_attempts_each_span_once_per_consumer(self, tmp_path, monkeypatch):
+        # One set of span attempts for the shared span table, one for the
+        # Monte Carlo engine.
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0, 75.0]))
         calls = []
         original = repeater.span_entanglement_attempt
@@ -487,13 +492,13 @@ class TestRunPlan:
 
         monkeypatch.setattr(repeater, "span_entanglement_attempt", counted)
         reports = run_plan(rc, technology="both", trials=20, seed=1)
-        assert len(calls) == 3
+        assert len(calls) == 2 * 3
         assert reports[0]["spans"] == reports[1]["spans"]
         assert reports[0]["spans"] == spans_table(build_chain(rc))
 
     def test_plan_builds_no_dense_pair_state(self, tmp_path, monkeypatch):
-        # Span attempts hand on Bell weights: no 4x4 DensityMatrix is built
-        # on a plan's path, only the 6-level rail states of the attempts.
+        # Span attempts are closed form and hand on Bell weights: no
+        # DensityMatrix of any size is built on a plan's path.
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
         dims = []
         validate = DensityMatrix.__post_init__
@@ -504,7 +509,28 @@ class TestRunPlan:
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
         run_plan(rc, technology="both", trials=100, seed=1)
-        assert dims and set(dims) == {6}
+        assert dims == []
+
+    @pytest.mark.parametrize("engine", ["run_plan", "analytic"])
+    def test_plan_path_skips_the_dense_layer(self, tmp_path, monkeypatch, engine):
+        # Every qorsim binding of span_channel_stack and apply_to_subsystem
+        # raises, and plans and engines still run.
+        rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0]))
+        dense = (qorsim.fiber.span_channel_stack, qorsim.channels.apply_to_subsystem)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense span layer called")
+
+        for name, module in list(sys.modules.items()):
+            if name == "qorsim" or name.startswith("qorsim."):
+                for key, value in list(vars(module).items()):
+                    if any(value is fn for fn in dense):
+                        monkeypatch.setattr(module, key, refuse)
+        assert qorsim.fiber.span_channel_stack is refuse
+        if engine == "run_plan":
+            run_plan(rc, technology="both", trials=100, seed=1)
+        else:
+            repeater.simulate_chain_analytic(build_chain(rc))
 
     def test_defaults_flow_into_verdict(self, tmp_path):
         rc = load_route(write_route(tmp_path, [0.0, 25.0, 50.0],

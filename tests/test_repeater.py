@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qorsim.channels import compose, embed_qubit_channel, loss_channel, sop_rotation_channel
 from qorsim.fiber import (
     C_BAND,
     DEFAULT_FIBER_TYPES,
@@ -25,7 +24,6 @@ from qorsim.fiber import (
     transmittance,
 )
 from qorsim.linalg import (
-    BELL_KETS,
     DensityMatrix,
     DimensionError,
     StateError,
@@ -40,19 +38,16 @@ from qorsim.linalg import (
 from qorsim.planner import DEFAULT_PARAMS, RouteConfig, Site, build_chain, spans_table
 from qorsim.qkd import OneWayRepeaterSpec, qec_max_span
 from qorsim.repeater import (
-    BELL_DIAGONAL_TOL,
     MC_GROUP,
     MC_WORK_FACTOR,
     EndToEndResult,
     MemorySpec,
     QorsNode,
     RepeaterChain,
-    _bell_weights,
     _expected_wait,
     _folded_bell,
     _GeomTime,
     _run_trial_range,
-    _source_pair,
     _span_models,
     _SpanModel,
     _stream_key,
@@ -67,6 +62,7 @@ from qorsim.repeater import (
 
 from conftest import write_route
 from oracles import (
+    dense_span_attempt,
     ket,
     maximally_mixed,
     oracle_chain_trial,
@@ -82,6 +78,7 @@ from oracles import (
     reference_bell_convolve,
     reference_bell_dephase,
     reference_wait_terms,
+    source_pair,
     werner_state,
 )
 
@@ -181,13 +178,46 @@ class TestSpanAttempt:
             # off-diagonal Bell-basis elements included.
             assert np.max(np.abs(bell_diagonal_state(got.bell).matrix - state)) < 1e-14
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        length=st.floats(0.0, 120.0),
+        band=st.sampled_from([O_BAND, C_BAND]),
+        dephasing=st.floats(0.0, 0.3),
+        drift_rate=st.floats(0.0, 2.0),
+        interval=st.floats(0.0, 1.5),
+        noise=st.floats(0.0, 1e-3),
+        insertion=st.floats(0.0, 3.0),
+        det=st.floats(0.1, 1.0),
+        write=st.floats(0.1, 1.0),
+    )
+    def test_closed_form_matches_dense_composition(
+        self, length, band, dephasing, drift_rate, interval, noise, insertion, det, write
+    ):
+        # The closed form against the stage-by-stage oracle and against the
+        # public dense layer, in P and in the full 4x4 state, off-diagonal
+        # Bell-basis elements included.
+        span = FiberSpan(
+            length_km=length, quantum_band=band, dephasing_p=dephasing,
+            sop_drift_rate=drift_rate, sop_recalibration_interval=interval,
+            coexistence_noise_prob=noise, mux_insertion_loss_db=insertion,
+        )
+        got = span_entanglement_attempt(
+            span, detector_efficiency=det, memory=MemorySpec(write_efficiency=write)
+        )
+        state = bell_diagonal_state(got.bell).matrix
+        for want_p, want_state in (oracle_span_attempt(span, det, write),
+                                   dense_span_attempt(span, det, write)):
+            assert abs(got.success_probability - want_p) < 1e-14
+            assert np.max(np.abs(state - want_state)) < 1e-14
+
     def test_reports_read_the_engines_weights(self):
         # The span table's fidelity and the engines' ready weights (a one-span
         # chain has no pre-ready decay) come from the attempt's one array.
-        for span, _, _, got in _random_span_attempts():
+        for span, _, _, _ in _random_span_attempts():
             chain = RepeaterChain(spans=(span,), attempt_rate=1e6)
-            (row,) = spans_table(chain, (got,))
-            (model,) = _span_models(chain, (got,))
+            got = span_entanglement_attempt(span)
+            (row,) = spans_table(chain)
+            (model,) = _span_models(chain)
             assert row["fidelity"] == got.bell[0]
             assert np.array_equal(model.ready_bell, got.bell)
 
@@ -204,11 +234,11 @@ class TestSpanAttempt:
             span_entanglement_attempt(FiberSpan(length_km=9500.0))
 
     def test_source_pair_is_shared_and_frozen(self):
-        pair = _source_pair()
+        pair = source_pair()
         want = pair.matrix.copy()
         for length in np.linspace(0.0, 100.0, 50):
-            span_entanglement_attempt(_span(length=float(length)), detector_efficiency=0.7)
-        assert _source_pair() is pair
+            dense_span_attempt(_span(length=float(length)), 0.7, 1.0)
+        assert source_pair() is pair
         assert not pair.matrix.flags.writeable
         np.testing.assert_array_equal(pair.matrix, want)
         vec = np.zeros(6)
@@ -1204,41 +1234,6 @@ class TestBellEngineAgainstDenseOracle:
             loose = dataclasses.replace(chain, memory_cutoff=1.0)
             free, _ = _run_trial_range(_span_models(loose), loose.memory_cutoff, seed, lo, hi)
             assert np.any(free != times)
-
-    def test_non_bell_diagonal_span_state_rejected(self, monkeypatch):
-        import qorsim.repeater as repeater
-
-        # A rotation about one sampled axis is not a Pauli mixture: it
-        # carries Phi+ into a superposition of Bell states.
-        rotation = sop_rotation_channel(0.5, 1.0, mode="sampled", axis=[1.0, 2.0, 3.0])
-        monkeypatch.setattr(
-            repeater, "span_channel_stack",
-            lambda span: compose(embed_qubit_channel(rotation), loss_channel(transmittance(span))),
-        )
-        chain = RepeaterChain(spans=(_span(), _span()), nodes=(_node(),), attempt_rate=1e6)
-        with pytest.raises(StateError, match="not Bell-diagonal"):
-            span_entanglement_attempt(_span())
-        with pytest.raises(StateError, match="not Bell-diagonal"):
-            simulate_chain_mc(chain, trials=10)
-
-    def test_attempt_count_must_match_spans(self):
-        chain = RepeaterChain(spans=(_span(),), attempt_rate=1e6)
-        attempt = span_entanglement_attempt(_span())
-        with pytest.raises(DimensionError):
-            _span_models(chain, (attempt, attempt))
-
-    @pytest.mark.parametrize("scale, rejected", [(0.5, False), (2.0, True)])
-    def test_bell_diagonal_tolerance_boundary(self, scale, rejected):
-        # One Phi+/Psi+ coherence of scale * BELL_DIAGONAL_TOL in the Bell
-        # basis: the rounding of the basis change is far below it.
-        bell = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
-        bell[0, 1] = bell[1, 0] = scale * BELL_DIAGONAL_TOL
-        state = BELL_KETS.T @ bell @ BELL_KETS.conj()
-        if rejected:
-            with pytest.raises(StateError, match="not Bell-diagonal"):
-                _bell_weights(state)
-        else:
-            assert np.allclose(_bell_weights(state), [0.7, 0.1, 0.1, 0.1], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("n_spans", [2, 3, 4, 5, 6])
     def test_closed_form_fold_matches_per_node_fold(self, n_spans):

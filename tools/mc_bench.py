@@ -11,8 +11,8 @@ untimed warm-up call; one more untimed call under ``tracemalloc`` gives
 the run's traced peak bytes per trial. The analytic part times
 ``simulate_chain_analytic`` on the same chains and on a 102 km + 17 km
 chain, whose long span heralds just above the engine's GEOM_EXACT_MIN_P,
-and the time its calls spend in ``span_attempts`` (the span channel
-stacks), so the part never reads larger than the whole. Each value is the
+and the time its calls spend in ``span_attempts`` (the closed-form span
+attempts), so the part never reads larger than the whole. Each value is the
 median over ``--runs`` runs.
 
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
@@ -105,14 +105,14 @@ def analytic_ms(runs: int) -> dict:
     from qorsim.planner import build_chain, load_route
 
     span_attempts = repeater.span_attempts
-    in_stacks = [0.0]
+    in_attempts = [0.0]
 
     def timed_span_attempts(chain):
         t = time.perf_counter()
         try:
             return span_attempts(chain)
         finally:
-            in_stacks[0] += time.perf_counter() - t
+            in_attempts[0] += time.perf_counter() - t
 
     out = {}
     repeater.span_attempts = timed_span_attempts
@@ -123,11 +123,11 @@ def analytic_ms(runs: int) -> dict:
                 repeater.simulate_chain_analytic(chain)
                 whole, part = [], []
                 for _ in range(runs):
-                    in_stacks[0] = 0.0
+                    in_attempts[0] = 0.0
                     t = time.perf_counter()
                     repeater.simulate_chain_analytic(chain)
                     whole.append((time.perf_counter() - t) * 1e3)
-                    part.append(in_stacks[0] * 1e3)
+                    part.append(in_attempts[0] * 1e3)
                 out[name] = {
                     "analytic_ms": round(statistics.median(whole), 3),
                     "span_attempts_ms": round(statistics.median(part), 3),
