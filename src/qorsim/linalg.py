@@ -194,11 +194,11 @@ def bell_state(index: int) -> DensityMatrix:
     return pure_state(BELL_KETS[index])
 
 
-# Bell-weight algebra: weights in BELL_KETS order, one vector or a stack.
+# Bell-weight algebra: weights in BELL_KETS order. The decay, dephasing and
+# swap steps take one pair, any length-4 sequence of weights, and return its
+# four new weights as a tuple of floats.
 _BELL_BRAS = BELL_KETS.conj()
 _BELL_KETS_T = BELL_KETS.T
-# _XOR[g, k] = g ^ k: a Pauli error with index g maps Bell state k to g ^ k.
-_XOR = np.arange(4)[:, None] ^ np.arange(4)
 
 
 def bell_basis(m: np.ndarray) -> np.ndarray:
@@ -219,18 +219,29 @@ def bell_diagonal_state(weights) -> DensityMatrix:
     return DensityMatrix(_BELL_KETS_T @ (w[:, None] * _BELL_BRAS))
 
 
-def bell_decay(b: np.ndarray, lam) -> np.ndarray:
-    """Depolarize one or both qubits with total survival weight lam."""
-    return lam * b + (1.0 - lam) / 4.0
+def bell_decay(b, lam) -> tuple[float, float, float, float]:
+    """Depolarize one or both qubits with total survival weight lam:
+    lam * b[k] + (1 - lam) / 4."""
+    b0, b1, b2, b3 = b
+    mixed = (1.0 - lam) / 4.0
+    return (lam * b0 + mixed, lam * b1 + mixed, lam * b2 + mixed, lam * b3 + mixed)
 
 
-def bell_dephase(b: np.ndarray, p: float) -> np.ndarray:
-    """Phase-flip one qubit with probability p."""
-    return (1.0 - p) * b + p * b[..., _XOR[2]]
+def bell_dephase(b, p: float) -> tuple[float, float, float, float]:
+    """Phase-flip one qubit with probability p: (1 - p) * b[k] + p * b[k ^ 2]."""
+    b0, b1, b2, b3 = b
+    q = 1.0 - p
+    return (q * b0 + p * b2, q * b1 + p * b3, q * b2 + p * b0, q * b3 + p * b1)
 
 
-def bell_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def bell_convolve(a, b) -> tuple[float, float, float, float]:
     """Bell weights after swapping pairs a and b: out[k] = sum_g a[g] b[g ^ k],
     summed over g in order."""
-    terms = a[..., :, None] * b[..., _XOR]
-    return ((terms[..., 0, :] + terms[..., 1, :]) + terms[..., 2, :]) + terms[..., 3, :]
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        ((a0 * b0 + a1 * b1) + a2 * b2) + a3 * b3,
+        ((a0 * b1 + a1 * b0) + a2 * b3) + a3 * b2,
+        ((a0 * b2 + a1 * b3) + a2 * b0) + a3 * b1,
+        ((a0 * b3 + a1 * b2) + a2 * b1) + a3 * b0,
+    )

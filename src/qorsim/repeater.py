@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,24 +163,25 @@ def span_entanglement_attempt(
     over one recalibration interval, phase-flipped with the dephasing
     probability d (bell_convolve with [1 - d, 0, d, 0], bit for bit).
     Background coincidences then mix I/4 into it with weight
-    noise / (p + noise), p the success probability. A transmittance below
-    the smallest normal float cannot herald and raises StateError.
+    noise / (p + noise), p the success probability. The weights are worked
+    as four floats and stored as one array. A transmittance below the
+    smallest normal float cannot herald and raises StateError.
     """
     if not 0.0 < detector_efficiency <= 1.0:
         raise StateError("detector efficiency must lie in (0, 1]")
     write = memory.write_efficiency if memory is not None else 1.0
     eta = transmittance(span)
     p = write * detector_efficiency * eta
-    if not eta >= np.finfo(float).tiny:
+    if not eta >= sys.float_info.min:
         raise StateError(f"span transmitted {eta:.3g} of its photons; cannot herald")
 
     half = span.sop_drift_rate * span.sop_recalibration_interval / 2.0
     s = math.sin(half) ** 2 / 3.0
-    bell = bell_dephase(np.array([math.cos(half) ** 2, s, s, s]), span.dephasing_p)
+    bell = bell_dephase((math.cos(half) ** 2, s, s, s), span.dephasing_p)
     noise = span.coexistence_noise_prob
     if noise > 0.0:
         bell = bell_decay(bell, 1.0 - noise / (p + noise))
-    return SpanAttempt(success_probability=p, bell=bell)
+    return SpanAttempt(success_probability=p, bell=np.array(bell))
 
 
 def memory_decay(
@@ -251,9 +253,10 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 # Chain engines. Every span state the span stack produces is diagonal in
 # the Bell basis, which is how span_entanglement_attempt gives it, and
 # memory decay (depolarizing), the visibility penalty (dephasing) and the
-# odd-parity swap keep it so. Both engines carry a pair as its four Bell
-# weights (index bit 0: X part, bit 1: Z part of the one-sided Pauli that
-# maps Phi+ to the Bell state), whose algebra is in qorsim.linalg. Decay
+# odd-parity swap keep it so. Both engines carry one pair as four floats,
+# its Bell weights in a tuple (index bit 0: X part, bit 1: Z part of the
+# one-sided Pauli that maps Phi+ to the Bell state), whose algebra is in
+# qorsim.linalg; only results hold them as an array. Decay
 # is affine toward I/4, dephasing fixes I/4, and the swap is bilinear with
 # I/4 absorbing, so a delivered pair is lam * c + (1 - lam) / 4: c, from
 # _folded_bell, folds the ready states through each node's dephasing and
@@ -270,7 +273,8 @@ class _SpanModel:
     read them only from span 1 on."""
 
     ready: _GeomTime              # ready time of one generation, on the attempt cycle
-    ready_bell: np.ndarray        # Bell weights at ready time, pre-ready decay folded in
+    # Bell weights at ready time, four floats, pre-ready decay folded in
+    ready_bell: tuple[float, float, float, float]
     right_decay_rate: float       # 1/coherence at the right holder, 0 if ideal
     front_rate: float             # decay of the frontier's node-side qubit: node 1/coherence
     span_rate: float              # decay of the waiting span pair: front_rate + right_decay_rate
@@ -333,7 +337,7 @@ def _span_models(chain: RepeaterChain) -> list[_SpanModel]:
             _SpanModel(
                 ready=_GeomTime(attempt.success_probability,
                                 1.0 / chain.attempt_rate + 2.0 * one_way[i]),
-                ready_bell=bell_decay(attempt.bell, lam),
+                ready_bell=bell_decay(attempt.bell.tolist(), lam),
                 right_decay_rate=right_rate,
                 front_rate=left_rate,
                 span_rate=left_rate + right_rate,
@@ -695,7 +699,7 @@ def _generations_per_trial(models: list[_SpanModel]) -> float:
     return need
 
 
-def _folded_bell(models: list[_SpanModel]) -> np.ndarray:
+def _folded_bell(models: list[_SpanModel]) -> tuple[float, float, float, float]:
     """Bell weights of the delivered pair had nothing waited: the ready
     states folded through each node's dephasing and swap."""
     c = models[0].ready_bell
@@ -842,8 +846,9 @@ def _end_to_end(models: list[_SpanModel], lam: float, lam_se: float, mean_t: flo
     delivered every mean_t seconds on average. Raises StateError unless c's
     weights are >= -1e-12 and sum to 1 within 1e-10, and the result is finite."""
     c = _folded_bell(models)
-    # Written so that NaN fails.
-    if not (c.min() >= -1e-12 and abs(((c[0] + c[1]) + c[2]) + c[3] - 1.0) <= 1e-10):
+    # Written so that NaN and inf fail: min skips a NaN after the first
+    # weight, and the sum test catches it.
+    if not (min(c) >= -1e-12 and abs(((c[0] + c[1]) + c[2]) + c[3] - 1.0) <= 1e-10):
         raise StateError("a delivered pair has invalid Bell weights")
     bell = bell_decay(c, lam)
     fidelity, rate = float(bell[0]), 1.0 / mean_t
@@ -855,7 +860,7 @@ def _end_to_end(models: list[_SpanModel], lam: float, lam_se: float, mean_t: flo
     return EndToEndResult(
         fidelity=fidelity, pair_rate_hz=rate, mean_latency_s=mean_t, trials=trials,
         fidelity_stderr=abs(float(c[0]) - 0.25) * lam_se, rate_stderr=rate_se,
-        bell=bell, engine=engine)
+        bell=np.array(bell), engine=engine)
 
 
 # Analytic engine: exact Bell-diagonal algebra for the states, exact

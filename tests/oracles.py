@@ -2,13 +2,16 @@
 
 Everything here is built from explicit kets, kron products, and index
 loops only, so the implementation under test and the oracle share no
-code paths. Three exceptions: ``oracle_apply_to_subsystem`` lifts each
+code paths. Two exceptions: ``oracle_apply_to_subsystem`` lifts each
 Kraus operator to the full space with kron products and hands the lifted
-set to ``apply_channel``, ``oracle_span_attempt`` takes each stage's Kraus
-operators from the channel catalog and the span's transmittance from
-``qorsim.fiber``, and ``oracle_delivered_bells`` folds Bell weights node
-by node with qorsim.linalg's Bell-weight steps. The catalog channels and
-these helpers are checked against closed forms on their own.
+set to ``apply_channel``, and ``oracle_span_attempt`` takes each stage's
+Kraus operators from the channel catalog and the span's transmittance from
+``qorsim.fiber``. The catalog channels and these helpers are checked
+against closed forms on their own. The numpy references of the Bell-weight
+steps (``reference_bell_decay``, ``reference_bell_dephase`` and
+``reference_bell_convolve``) act on one vector or a stack of them, where
+the package's steps take one pair as four floats; ``oracle_delivered_bells``
+folds Bell weights node by node with them.
 ``oracle_splitmix_uniform`` recomputes the Monte Carlo engine's draws one
 at a time in Python integers, key derivation from the seed included.
 ``dense_span_attempt`` is no oracle: it is the heralded attempt through the
@@ -51,9 +54,6 @@ from qorsim.linalg import (
     DimensionError,
     StateError,
     _as_complex_matrix,
-    bell_convolve,
-    bell_decay,
-    bell_dephase,
     bell_diagonal_state,
     bell_state,
 )
@@ -308,6 +308,13 @@ def oracle_chain_trial(spans, nodes, cutoff: float, rng: np.random.Generator):
     return ready, state
 
 
+def reference_bell_decay(b: np.ndarray, lam) -> np.ndarray:
+    """Depolarizing decay toward I/4 with survival weight lam (a float, or
+    an array that broadcasts against b), one weight vector or a stack. The
+    bits ``bell_decay`` must give."""
+    return lam * b + (1.0 - lam) / 4.0
+
+
 def reference_bell_dephase(b: np.ndarray, p: float) -> np.ndarray:
     """Phase flip with probability p by an explicit index list: Z maps
     Phi+ <-> Phi- and Psi+ <-> Psi-. The bits ``bell_dephase`` must give."""
@@ -361,7 +368,7 @@ def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
     and convolves. Rates and penalties come from ``nodes``; of the engine's
     span models only ``ready_bell`` and ``right_decay_rate`` are read.
     ``waits`` has shape (trials, 2 * nodes), frontier then span per node."""
-    b = np.broadcast_to(models[0].ready_bell, (len(waits), 4))
+    b = np.broadcast_to(np.array(models[0].ready_bell), (len(waits), 4))
     for j, node in enumerate(nodes):
         # The frontier's node-side qubit waited at the node; both qubits of
         # the span pair waited, at the node and at the span's right holder.
@@ -369,8 +376,10 @@ def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
         lam_f = np.exp(-node_rate * waits[:, 2 * j:2 * j + 1])
         span_rate = node_rate + models[j + 1].right_decay_rate
         lam_s = np.exp(-span_rate * waits[:, 2 * j + 1:2 * j + 2])
-        left = bell_dephase(bell_decay(b, lam_f), node.bsm_visibility_penalty)
-        b = bell_convolve(left, bell_decay(models[j + 1].ready_bell, lam_s))
+        left = reference_bell_dephase(reference_bell_decay(b, lam_f),
+                                      node.bsm_visibility_penalty)
+        b = reference_bell_convolve(
+            left, reference_bell_decay(np.array(models[j + 1].ready_bell), lam_s))
     return b
 
 

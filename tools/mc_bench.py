@@ -1,7 +1,7 @@
 """Engine timings: Monte Carlo µs per trial at 2, 3 and 5 spans, and
 analytic-engine ms at 2, 5, 10 and 20 spans.
 
-    python3 tools/mc_bench.py [--src DIR] [--runs 5] [--suite]
+    python3 tools/mc_bench.py [--src DIR] [--runs 5] [--suite | --against SRC]
 
 Imports qorsim from ``--src`` (default: this checkout's ``src``), so the
 same script times another checkout too. Each chain is the planner's
@@ -18,7 +18,14 @@ median over ``--runs`` runs.
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
 (analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
 ``pytest`` processes, and keeps the acceptance verdict lines, which give
-each criterion's time inside the test. Prints one JSON object on stdout.
+each criterion's time inside the test.
+
+With ``--against SRC`` it compares two checkouts in one run: ``--runs``
+pairs of fresh processes, one timing ``--src`` and one ``SRC`` (each as
+above, with the same ``--runs``), alternating which side goes first. Each
+side then reports, per value, the median and quartiles of its processes'
+medians and how many pairs ``--src`` read lower. Prints one JSON object on
+stdout.
 """
 
 from __future__ import annotations
@@ -151,14 +158,55 @@ def _pytest_wall(src: Path, args: list[str]) -> dict:
             "summary": lines[-1] if lines else "", "verdicts": verdicts}
 
 
+def _one_process(src: Path, runs: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--src", str(src), "--runs", str(runs)],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def against(src: Path, other: Path, runs: int) -> dict:
+    """Alternating pairs of fresh processes, one per checkout: each value's
+    median and quartiles over each side's process medians, and the pairs in
+    which src read lower."""
+    samples = {"src": [], "against": []}
+    order = [("src", src), ("against", other)]
+    for i in range(runs):
+        for side, path in order if i % 2 == 0 else order[::-1]:
+            samples[side].append(_one_process(path, runs))
+
+    def values(result):
+        return {f"{part}.{chain}.{key}": value
+                for part in ("mc_us_per_trial", "analytic_ms")
+                for chain, entry in result[part].items()
+                for key, value in entry.items()
+                if key in ("median_us", "analytic_ms", "span_attempts_ms")}
+
+    flat = {side: [values(r) for r in results] for side, results in samples.items()}
+    out = {}
+    for name in flat["src"][0]:
+        per_side = {side: [v[name] for v in rows] for side, rows in flat.items()}
+        out[name] = {
+            **{side: {"median": round(statistics.median(v), 3),
+                      "quartiles": [round(q, 3) for q in
+                                    statistics.quantiles(v, n=4, method="inclusive")[::2]]}
+               for side, v in per_side.items()},
+            "src_lower_pairs": sum(a < b for a, b in zip(per_side["src"], per_side["against"])),
+        }
+    return {"src": str(src), "against": str(other), "pairs": runs, "values": out}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--suite", action="store_true")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--suite", action="store_true")
+    mode.add_argument("--against", metavar="SRC")
     args = ap.parse_args(argv)
+    if args.against and args.runs < 2:
+        ap.error("--against needs --runs 2 or more for quartiles")
     src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
 
     result = {
         "machine": {
@@ -169,9 +217,13 @@ def main(argv=None) -> int:
         "span_km": SPAN_KM,
         "seed": SEED,
         "runs": args.runs,
-        "mc_us_per_trial": mc_us_per_trial(args.runs),
-        "analytic_ms": analytic_ms(args.runs),
     }
+    if args.against:
+        result["paired"] = against(src, Path(args.against).resolve(), args.runs)
+    else:
+        sys.path.insert(0, str(src))
+        result["mc_us_per_trial"] = mc_us_per_trial(args.runs)
+        result["analytic_ms"] = analytic_ms(args.runs)
     if args.suite:
         result["tier1_suite"] = _pytest_wall(src, [])
         result["ac7"] = _pytest_wall(
