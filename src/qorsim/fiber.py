@@ -6,10 +6,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channels import RAIL_DIM, VACUUM_INDEX, KrausChannel
-from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from .channels import (
+    KrausChannel,
+    compose,
+    dephasing_channel,
+    embed_qubit_channel,
+    loss_channel,
+    sop_rotation_channel,
+)
 
 SPEED_OF_LIGHT_M_S = 2.99792458e8
 
@@ -132,42 +136,19 @@ def photon_dwell_time(span: FiberSpan) -> float:
     return span.length_km * 1e3 / velocity
 
 
-# The span stack's operators are weights times fixed Pauli patterns. Qubit
-# operator 2j + i is the averaged rotation's Pauli j (I, X, Y, Z) times the
-# dephasing's Pauli i (I, Z). Rail operator 8k + 2j + i applies loss
-# operator k to it: the keep operator (k = 0) passes the qubit block
-# through, and drop operator k moves row k - 1 of the block to the vacuum
-# row. This is the order compose and embed_qubit_channel give.
-_QUBIT_PAULIS = np.array(
-    [pj @ pi for pj in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z) for pi in (PAULI_I, PAULI_Z)]
-)
-_RAIL_PATTERN = np.zeros((3, len(_QUBIT_PAULIS), RAIL_DIM, RAIL_DIM), dtype=complex)
-_RAIL_PATTERN[0, :, :2, :2] = _QUBIT_PAULIS
-_RAIL_PATTERN[1, :, VACUUM_INDEX, :2] = _QUBIT_PAULIS[:, 0]
-_RAIL_PATTERN[2, :, VACUUM_INDEX, :2] = _QUBIT_PAULIS[:, 1]
-_RAIL_PATTERN = _RAIL_PATTERN.reshape(-1, RAIL_DIM, RAIL_DIM)
-
-
 def span_channel_stack(span: FiberSpan) -> KrausChannel:
-    """The rail channel of everything the fiber does to a flying qubit.
-
-    Composition order: residual dephasing, then the axis-averaged
-    polarization rotation accumulated over one recalibration interval, then
-    loss into the vacuum level. The operators are built in one array from
-    (p, theta, eta) and equal, entry for entry (zeros may differ in sign), to
+    """The rail channel of everything the fiber does to a flying qubit, 24
+    operators: the catalog composition
     compose(embed_qubit_channel(compose(dephasing_channel(p),
-    sop_rotation_channel(omega, dt))), loss_channel(eta)): each entry is
-    the same product of the same rounded weights, times a Pauli entry
-    (0, +-1 or +-i), which is exact. Background counts are accounted
-    separately (they enter at detection, not in flight).
+    sop_rotation_channel(omega, dt))), loss_channel(eta)). Residual
+    dephasing acts first, then the axis-averaged polarization rotation at
+    the drift rate omega over one recalibration interval dt, then loss
+    into the vacuum level at the span's transmittance eta. Background
+    counts are accounted separately (they enter at detection, not in
+    flight).
     """
-    eta = transmittance(span)
-    theta = span.sop_drift_rate * span.sop_recalibration_interval
-    p = span.dephasing_p
-    # FiberSpan keeps theta finite, so every weight is.
-    s = np.sin(theta / 2) / np.sqrt(3.0)
-    qubit = np.multiply.outer([np.cos(theta / 2), s, s, s], np.sqrt([1.0 - p, p]))
-    rail = np.multiply.outer(np.sqrt([eta, 1.0 - eta, 1.0 - eta]), qubit)
-    ops = rail.reshape(-1, 1, 1) * _RAIL_PATTERN
-    ops[0, VACUUM_INDEX, VACUUM_INDEX] = 1.0
-    return KrausChannel(ops)
+    qubit = compose(
+        dephasing_channel(span.dephasing_p),
+        sop_rotation_channel(span.sop_drift_rate, span.sop_recalibration_interval),
+    )
+    return compose(embed_qubit_channel(qubit), loss_channel(transmittance(span)))

@@ -194,16 +194,9 @@ def bell_state(index: int) -> DensityMatrix:
     return pure_state(BELL_KETS[index])
 
 
-# Bell-weight algebra: weights in BELL_KETS order. The decay, dephasing and
-# swap steps take one pair, any length-4 sequence of weights, and return its
-# four new weights as a tuple of floats.
-_BELL_BRAS = BELL_KETS.conj()
-_BELL_KETS_T = BELL_KETS.T
-
-
 def bell_basis(m: np.ndarray) -> np.ndarray:
     """Two-qubit matrix m in the Bell basis: entry (j, k) is <beta_j|m|beta_k>."""
-    return _BELL_BRAS @ m @ _BELL_KETS_T
+    return BELL_KETS.conj() @ m @ BELL_KETS.T
 
 
 def bell_diagonal_weights(rho: DensityMatrix) -> np.ndarray:
@@ -216,8 +209,12 @@ def bell_diagonal_weights(rho: DensityMatrix) -> np.ndarray:
 def bell_diagonal_state(weights) -> DensityMatrix:
     """Two-qubit state diagonal in the Bell basis with the given weights."""
     w = np.asarray(weights, dtype=float)
-    return DensityMatrix(_BELL_KETS_T @ (w[:, None] * _BELL_BRAS))
+    return DensityMatrix(BELL_KETS.T @ (w[:, None] * BELL_KETS.conj()))
 
+
+# Bell-weight algebra: weights in BELL_KETS order. The decay, dephasing and
+# swap steps take one pair, any length-4 sequence of weights, and return its
+# four new weights as a tuple of floats.
 
 def bell_decay(b, lam) -> tuple[float, float, float, float]:
     """Depolarize one or both qubits with total survival weight lam:

@@ -358,7 +358,7 @@ def spans_table(chain: RepeaterChain) -> list[dict]:
             "index": i,
             "length_km": float(span.length_km),
             "transmittance": transmittance(span),
-            "fidelity": float(attempt.bell[0]),
+            "fidelity": attempt.bell[0],
         }
         for i, (span, attempt) in enumerate(zip(chain.spans, span_attempts(chain)))
     ]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .linalg import DensityMatrix, StateError, bell_diagonal_weights
 from .repeater import EndToEndResult, RepeaterChain
 
@@ -24,9 +22,9 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-def _qber(bell: np.ndarray) -> float:
+def _qber(bell) -> float:
     """QBER of a pair with Bell weights (Phi+, Psi+, Phi-, Psi-)."""
-    q = float((bell[1] + bell[2]) / 2.0 + bell[3])
+    q = (bell[1] + bell[2]) / 2.0 + bell[3]
     return min(max(q, 0.0), 1.0)
 
 
@@ -39,7 +37,7 @@ def qber_from_state(state: DensityMatrix) -> float:
     For any two-qubit state these are its Bell weights on Psi+- and on
     Phi-/Psi-, so the rate is (b[1] + b[2]) / 2 + b[3].
     """
-    return _qber(bell_diagonal_weights(state))
+    return _qber(bell_diagonal_weights(state).tolist())
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,8 @@ def bbm92_metrics(qber: float, sifted_rate_hz: float) -> QkdMetrics:
     """
     if not 0.0 <= qber <= 0.5:
         raise StateError(f"QBER {qber} outside [0, 0.5]")
-    if sifted_rate_hz < 0:
-        raise StateError("sifted rate must be nonnegative")
+    if not 0 <= sifted_rate_hz < math.inf:
+        raise StateError(f"sifted rate {sifted_rate_hz} outside [0, inf)")
     fraction = max(0.0, 1.0 - 2.0 * binary_entropy(qber))
     skr = sifted_rate_hz * fraction
     return QkdMetrics(
@@ -170,6 +168,8 @@ def assess_chain(
         raise StateError(
             f"unknown technology {technology!r}, expected one of {TECHNOLOGIES}"
         )
+    if not 0 < max_heralding_km < math.inf:
+        raise StateError(f"max_heralding_km {max_heralding_km} outside (0, inf)")
     spec = one_way_spec if one_way_spec is not None else OneWayRepeaterSpec()
     violations: list[Violation] = []
 

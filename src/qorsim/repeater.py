@@ -126,16 +126,18 @@ class RepeaterChain:
 
 @dataclass(frozen=True)
 class SpanAttempt:
-    """Heralded span outcome: click probability and the heralded state's Bell weights."""
+    """Heralded span outcome: click probability and the heralded state's Bell
+    weights, a tuple of four floats in BELL_KETS order."""
 
     success_probability: float
-    bell: np.ndarray
+    bell: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
 class EndToEndResult:
     """Delivered-pair statistics for a whole chain; ``bell`` holds the Bell
-    weights of the mean delivered pair."""
+    weights of the mean delivered pair, a tuple of four floats in BELL_KETS
+    order."""
 
     fidelity: float
     pair_rate_hz: float
@@ -143,7 +145,7 @@ class EndToEndResult:
     trials: int
     fidelity_stderr: float
     rate_stderr: float
-    bell: np.ndarray
+    bell: tuple[float, float, float, float]
     engine: str
 
 
@@ -164,7 +166,7 @@ def span_entanglement_attempt(
     probability d (bell_convolve with [1 - d, 0, d, 0], bit for bit).
     Background coincidences then mix I/4 into it with weight
     noise / (p + noise), p the success probability. The weights are worked
-    as four floats and stored as one array. A transmittance below the
+    and stored as a tuple of four floats. A transmittance below the
     smallest normal float cannot herald and raises StateError.
     """
     if not 0.0 < detector_efficiency <= 1.0:
@@ -181,7 +183,7 @@ def span_entanglement_attempt(
     noise = span.coexistence_noise_prob
     if noise > 0.0:
         bell = bell_decay(bell, 1.0 - noise / (p + noise))
-    return SpanAttempt(success_probability=p, bell=np.array(bell))
+    return SpanAttempt(success_probability=p, bell=bell)
 
 
 def memory_decay(
@@ -253,12 +255,12 @@ def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
 # Chain engines. Every span state the span stack produces is diagonal in
 # the Bell basis, which is how span_entanglement_attempt gives it, and
 # memory decay (depolarizing), the visibility penalty (dephasing) and the
-# odd-parity swap keep it so. Both engines carry one pair as four floats,
-# its Bell weights in a tuple (index bit 0: X part, bit 1: Z part of the
-# one-sided Pauli that maps Phi+ to the Bell state), whose algebra is in
-# qorsim.linalg; only results hold them as an array. Decay
-# is affine toward I/4, dephasing fixes I/4, and the swap is bilinear with
-# I/4 absorbing, so a delivered pair is lam * c + (1 - lam) / 4: c, from
+# odd-parity swap keep it so. A pair is four floats, its Bell weights in a
+# tuple (index bit 0: X part, bit 1: Z part of the one-sided Pauli that
+# maps Phi+ to the Bell state), from the span attempt through both engines
+# to their result; the algebra is in qorsim.linalg. Decay is affine toward
+# I/4, dephasing fixes I/4, and the swap is bilinear with I/4 absorbing,
+# so a delivered pair is lam * c + (1 - lam) / 4: c, from
 # _folded_bell, folds the ready states through each node's dephasing and
 # swap, and lam is the survival weight of all the decay on the way. Monte
 # Carlo draws lam per trial; the analytic engine takes its expectation.
@@ -337,7 +339,7 @@ def _span_models(chain: RepeaterChain) -> list[_SpanModel]:
             _SpanModel(
                 ready=_GeomTime(attempt.success_probability,
                                 1.0 / chain.attempt_rate + 2.0 * one_way[i]),
-                ready_bell=bell_decay(attempt.bell.tolist(), lam),
+                ready_bell=bell_decay(attempt.bell, lam),
                 right_decay_rate=right_rate,
                 front_rate=left_rate,
                 span_rate=left_rate + right_rate,
@@ -851,7 +853,7 @@ def _end_to_end(models: list[_SpanModel], lam: float, lam_se: float, mean_t: flo
     if not (min(c) >= -1e-12 and abs(((c[0] + c[1]) + c[2]) + c[3] - 1.0) <= 1e-10):
         raise StateError("a delivered pair has invalid Bell weights")
     bell = bell_decay(c, lam)
-    fidelity, rate = float(bell[0]), 1.0 / mean_t
+    fidelity, rate = bell[0], 1.0 / mean_t
     if not (math.isfinite(fidelity) and math.isfinite(rate) and math.isfinite(mean_t)):
         raise StateError(
             f"the {engine} result is not finite (fidelity {fidelity!r}, latency "
@@ -859,8 +861,8 @@ def _end_to_end(models: list[_SpanModel], lam: float, lam_se: float, mean_t: flo
         )
     return EndToEndResult(
         fidelity=fidelity, pair_rate_hz=rate, mean_latency_s=mean_t, trials=trials,
-        fidelity_stderr=abs(float(c[0]) - 0.25) * lam_se, rate_stderr=rate_se,
-        bell=np.array(bell), engine=engine)
+        fidelity_stderr=abs(c[0] - 0.25) * lam_se, rate_stderr=rate_se,
+        bell=bell, engine=engine)
 
 
 # Analytic engine: exact Bell-diagonal algebra for the states, exact

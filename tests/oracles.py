@@ -18,6 +18,9 @@ at a time in Python integers, key derivation from the seed included.
 package's public dense layer (``span_channel_stack`` applied with
 ``apply_to_subsystem``), which the closed form in
 ``span_entanglement_attempt`` is checked against beside the oracle.
+``exact_domain_z_scores`` is no oracle either: it is the differential
+check of the two engines, analytic against Monte Carlo, on a drawn chain of
+the analytic engine's exact domain.
 The test-only constructors (``ket``, ``phi_plus``, ``werner_state``, the
 random states, ``identity_channel`` and others) are no oracles: they build
 inputs, and ``phi_plus`` and ``werner_state`` use qorsim.linalg's Bell
@@ -33,6 +36,7 @@ and ``DimensionError``.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +52,7 @@ from qorsim.channels import (
     loss_channel,
     sop_rotation_channel,
 )
-from qorsim.fiber import span_channel_stack, transmittance
+from qorsim.fiber import C_BAND, O_BAND, FiberSpan, span_channel_stack, transmittance
 from qorsim.linalg import (
     DensityMatrix,
     DimensionError,
@@ -56,6 +60,13 @@ from qorsim.linalg import (
     _as_complex_matrix,
     bell_diagonal_state,
     bell_state,
+)
+from qorsim.repeater import (
+    MemorySpec,
+    QorsNode,
+    RepeaterChain,
+    simulate_chain_analytic,
+    simulate_chain_mc,
 )
 
 _I2 = np.eye(2, dtype=complex)
@@ -381,6 +392,49 @@ def oracle_delivered_bells(models, nodes, waits: np.ndarray) -> np.ndarray:
         b = reference_bell_convolve(
             left, reference_bell_decay(np.array(models[j + 1].ready_bell), lam_s))
     return b
+
+
+def exact_domain_z_scores(rng: np.random.Generator, trials: int):
+    """Draw a chain of the analytic engine's exact domain and run both
+    engines on it: 1 or 2 spans of U(2, 60) km in the O or C band with
+    dephasing U(0, 0.2), a node with coherence time 10^U(-2.5, 0.5) s,
+    write, read, detector and BSM efficiencies U(0.3, 1) and visibility
+    penalty U(0, 0.1), and a 1e6 s cutoff, which never binds. Returns the
+    chain and the z-scores (analytic - Monte Carlo) / Monte Carlo standard
+    error of the fidelity and of the pair rate, Monte Carlo run for
+    ``trials`` trials on a drawn seed. A standard error of 0 (one span's
+    fidelity, which no wait decays) gives z 0 for equal values and an
+    infinite z otherwise.
+    """
+    band = (O_BAND, C_BAND)[rng.integers(2)]
+    count = int(rng.integers(1, 3))
+    spans = tuple(
+        FiberSpan(length_km=rng.uniform(2.0, 60.0), quantum_band=band,
+                  dephasing_p=rng.uniform(0.0, 0.2))
+        for _ in range(count)
+    )
+    nodes = tuple(
+        QorsNode(
+            memory=MemorySpec(coherence_time=10.0 ** rng.uniform(-2.5, 0.5),
+                              write_efficiency=rng.uniform(0.3, 1.0),
+                              read_efficiency=rng.uniform(0.3, 1.0)),
+            bsm_success_prob=rng.uniform(0.3, 1.0),
+            bsm_visibility_penalty=rng.uniform(0.0, 0.1),
+            detector_efficiency=rng.uniform(0.3, 1.0),
+        )
+        for _ in range(count - 1)
+    )
+    chain = RepeaterChain(spans=spans, nodes=nodes, attempt_rate=1e6, memory_cutoff=1e6)
+    an = simulate_chain_analytic(chain)
+    mc = simulate_chain_mc(chain, trials=trials, seed=int(rng.integers(2**32)))
+
+    def z(a, b, se):
+        if se > 0.0:
+            return (a - b) / se
+        return 0.0 if a == b else math.copysign(math.inf, a - b)
+
+    return chain, (z(an.fidelity, mc.fidelity, mc.fidelity_stderr),
+                   z(an.pair_rate_hz, mc.pair_rate_hz, mc.rate_stderr))
 
 
 # Test-only constructors, kept with the oracles because no module of the

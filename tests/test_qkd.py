@@ -1,5 +1,6 @@
 """Key-rate estimation, span budgets, and deployment rule checks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,6 @@ class TestBinaryEntropy:
         assert abs(binary_entropy(p) - binary_entropy(1.0 - p)) < 1e-12
 
     def test_known_value(self):
-        import math
         want = -0.11 * math.log2(0.11) - 0.89 * math.log2(0.89)
         assert abs(binary_entropy(0.11) - want) < 1e-15
 
@@ -105,6 +105,13 @@ class TestBbm92:
         with pytest.raises(StateError):
             bbm92_metrics(0.05, -1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_sifted_rate_must_be_finite(self, rate):
+        # A NaN rate failed no check and gave NaN rates; an infinite one
+        # gave an infinite key rate marked secure.
+        with pytest.raises(StateError, match=r"sifted rate .* outside \[0, inf\)"):
+            bbm92_metrics(0.05, rate)
+
     def test_from_simulation_result(self):
         chain = RepeaterChain(spans=(FiberSpan(length_km=25.0),), attempt_rate=1e6)
         res = simulate_chain_analytic(chain)
@@ -117,7 +124,7 @@ class TestBbm92:
         # Psi- pairs disagree in both bases: QBER 1, past the domain of
         # bbm92_metrics. The metrics report it, with no key.
         chain = RepeaterChain(spans=(FiberSpan(length_km=25.0),), attempt_rate=1e6)
-        res = replace(simulate_chain_analytic(chain), bell=np.array([0.0, 0.0, 0.0, 1.0]))
+        res = replace(simulate_chain_analytic(chain), bell=(0.0, 0.0, 0.0, 1.0))
         m = key_metrics_from_result(res)
         assert m.qber == 1.0
         assert m.sifted_rate_hz == pytest.approx(res.pair_rate_hz / 2.0)
@@ -256,6 +263,14 @@ class TestAssessChain:
     def test_unknown_technology(self):
         with pytest.raises(StateError):
             assess_chain(_chain([25.0, 25.0]), "carrier-pigeon", coexistence=True)
+
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("tech", [TECH_ENTANGLEMENT, TECH_ONE_WAY])
+    def test_heralding_limit_must_be_positive_and_finite(self, tech, limit):
+        # A NaN limit compared false against every span length, so a 500 km
+        # span passed R2 and the chain read feasible.
+        with pytest.raises(StateError, match=r"max_heralding_km .* outside \(0, inf\)"):
+            assess_chain(_chain([500.0]), tech, max_heralding_km=limit)
 
     def test_one_way_defaults_to_stock_spec(self):
         rep = assess_chain(_chain([8.0, 8.0]), TECH_ONE_WAY, coexistence=True)

@@ -6,6 +6,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,7 @@ from qorsim.repeater import (
 from conftest import write_route
 from oracles import (
     dense_span_attempt,
+    exact_domain_z_scores,
     ket,
     maximally_mixed,
     oracle_chain_trial,
@@ -164,8 +166,9 @@ class TestSpanAttempt:
 
     def test_heralding_excludes_vacuum(self):
         out = span_entanglement_attempt(_span(length=60.0))
-        assert out.bell.shape == (4,)
-        assert abs(out.bell.sum() - 1.0) < 1e-12
+        assert type(out.bell) is tuple and len(out.bell) == 4
+        assert all(type(w) is float for w in out.bell)
+        assert abs(math.fsum(out.bell) - 1.0) < 1e-12
 
     def test_detector_efficiency_bounds(self):
         with pytest.raises(StateError):
@@ -733,8 +736,8 @@ class TestBellVectorAlgebra:
         with mock.patch.object(repeater, "_end_to_end", wraps=repeater._end_to_end) as spy:
             res = simulate_chain_analytic(chain)
         lam = spy.call_args.args[1]
-        assert res.bell.dtype == np.float64 and res.bell.shape == (4,)
-        assert res.bell.tobytes() == reference_bell_decay(c, lam).tobytes()
+        assert type(res.bell) is tuple and all(type(w) is float for w in res.bell)
+        assert np.array(res.bell).tobytes() == reference_bell_decay(c, lam).tobytes()
 
 
 class TestChainValidation:
@@ -1420,6 +1423,12 @@ class TestBellEngineAgainstDenseOracle:
                     engine()
 
 
+# Drawn chains of the exact domain, and the Bonferroni z bound over their
+# fidelity and rate comparisons at a family-wise false-alarm rate of 1e-3.
+_EXACT_CHAINS = 20
+_EXACT_Z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 2 * _EXACT_CHAINS))
+
+
 class TestAnalyticEngine:
     def test_single_span_closed_form(self):
         chain = RepeaterChain(spans=(_span(),), attempt_rate=1e6)
@@ -1437,6 +1446,13 @@ class TestAnalyticEngine:
         mc = simulate_chain_mc(chain, trials=30000, seed=13, workers=4)
         assert abs(an.fidelity - mc.fidelity) < 3.5 * mc.fidelity_stderr
         assert abs(an.pair_rate_hz - mc.pair_rate_hz) < 3.5 * mc.rate_stderr
+
+    def test_exact_domain_matches_mc_on_drawn_chains(self, rng):
+        # The analytic engine is exact on 1-2 spans with a cutoff that does
+        # not bind, so each z-score is Monte Carlo noise alone.
+        for _ in range(_EXACT_CHAINS):
+            chain, z = exact_domain_z_scores(rng, trials=100_000)
+            assert max(map(abs, z)) < _EXACT_Z, (chain, z)
 
     def test_three_span_approximation_stays_close(self):
         chain = RepeaterChain(

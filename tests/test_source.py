@@ -377,3 +377,14 @@ def test_no_unread_route_keys():
 
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_route_keys(PARAMS, sources) == []
+
+
+@pytest.mark.parametrize("name", ["fiber.py", "qkd.py"])
+def test_module_imports_no_numpy(name):
+    # A span stack is the channel catalog's composition and a pair is four
+    # floats, so these modules reach numpy only through qorsim's own.
+    tree = ast.parse((PACKAGE / name).read_text())
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.level == 0}
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
