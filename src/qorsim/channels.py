@@ -243,38 +243,28 @@ def rotation_unitary(theta: float, axis: np.ndarray) -> np.ndarray:
     return np.cos(theta / 2) * PAULI_I - 1j * np.sin(theta / 2) * generator
 
 
-def sop_rotation_channel(
-    omega: float,
-    delta_t: float,
-    mode: str = "averaged",
-    axis: np.ndarray | None = None,
-) -> KrausChannel:
+def sop_rotation_channel(omega: float, delta_t: float) -> KrausChannel:
     """Polarization drift accumulated between recalibrations.
 
     A drift rate omega (rad/s) acting for delta_t seconds rotates the
     polarization qubit by theta = omega * delta_t about some axis on the
-    Poincare sphere. "sampled" mode takes the axis as given (one unitary
-    Kraus operator); "averaged" mode integrates the axis over the uniform
-    sphere, which collapses to the Pauli mixture
-    {cos(theta/2) I, sin(theta/2)/sqrt(3) (X, Y, Z)}.
+    Poincare sphere. Integrating the axis over the uniform sphere collapses
+    the rotation to the Pauli mixture
+    {cos(theta/2) I, sin(theta/2)/sqrt(3) (X, Y, Z)}. A rotation about a
+    known axis n is the one-operator channel
+    KrausChannel((rotation_unitary(theta, n),)).
     """
     if omega < 0 or delta_t < 0:
         raise StateError("drift rate and interval must be nonnegative")
     theta = omega * delta_t
-    if mode == "sampled":
-        if axis is None:
-            raise StateError("sampled mode needs a rotation axis")
-        return KrausChannel((rotation_unitary(theta, axis),))
-    if mode == "averaged":
-        c, s = np.cos(theta / 2), np.sin(theta / 2)
-        ops = (
-            c * PAULI_I,
-            s / np.sqrt(3.0) * PAULI_X,
-            s / np.sqrt(3.0) * PAULI_Y,
-            s / np.sqrt(3.0) * PAULI_Z,
-        )
-        return KrausChannel(ops)
-    raise StateError(f"unknown sop mode {mode!r}")
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    ops = (
+        c * PAULI_I,
+        s / np.sqrt(3.0) * PAULI_X,
+        s / np.sqrt(3.0) * PAULI_Y,
+        s / np.sqrt(3.0) * PAULI_Z,
+    )
+    return KrausChannel(ops)
 
 
 # Single-rail optical channels (3 levels, vacuum last).

@@ -50,7 +50,9 @@ from .repeater import (
     _check_mc_args,
     simulate_chain_mc,
     span_attempts,
-    span_entanglement_attempt,  # noqa: F401  (kept importable from planner, as before)
+    # Unused here: bench/tests/test_bench.py asserts on
+    # planner.span_entanglement_attempt.
+    span_entanglement_attempt,  # noqa: F401
 )
 
 SCHEMA_VERSION = 1

@@ -119,7 +119,9 @@ def qec_max_span(
 @dataclass(frozen=True)
 class Violation:
     """One unmet deployment requirement. The fields, in order, are the keys
-    of each entry of a report's ``verdict.violations`` list."""
+    of each entry of a report's ``verdict.violations`` list. ``span_index``
+    is the span's index for R2, the node's (hut's) index for an R4 node
+    memory, and None for a violation of the whole route."""
 
     requirement: str
     span_index: int | None

@@ -402,19 +402,20 @@ def _stream_key(seed: int) -> np.uint64:
 @functools.cache
 def _weyl_steps(k: int) -> np.ndarray:
     """gamma, 2 gamma, ..., k gamma (mod 2**64) as a (k, 1) uint64 column:
-    added to a row of Weyl states, row r steps them r + 1 draws on."""
+    added to a row of Weyl states, row r steps them r + 1 draws on. Cached,
+    since every stream call asks for one of the same few columns."""
     steps = np.arange(1, k + 1, dtype=np.uint64)[:, None] * _GOLDEN_GAMMA
     steps.flags.writeable = False
     return steps
 
 
 class _TrialStream:
-    """The draws of trials lo..lo+count-1: draw j of trial i is z >> 11,
-    the top 53 bits of the SplitMix64 mix z of key + n * gamma (mod 2**64),
-    n = (i << 32) + j + 1; its uniform is that times 2**-53. Each trial
+    """The draws of trials lo..lo+count-1: draw j of trial i is the uniform
+    (z >> 11) * 2**-53, from the top 53 bits of the SplitMix64 mix z of
+    key + n * gamma (mod 2**64), n = (i << 32) + j + 1. Each trial
     keeps its Weyl state key + n * gamma, which a draw steps by gamma as
-    SplitMix64 does, and nothing else is held. Every operation is on uint64
-    arrays, which wrap without warning.
+    SplitMix64 does, and nothing else is held. Every operation before the
+    scaling is on uint64 arrays, which wrap without warning.
 
     A call of k draws takes each trial's next k at once: one gather and one
     scatter of the Weyl states. A trial may give its last draw back, and
@@ -430,8 +431,8 @@ class _TrialStream:
         self._calls = 0
 
     def draws(self, idx: np.ndarray, k: int = 1) -> np.ndarray:
-        """The next k draws of each trial in ``idx`` (distinct positions),
-        as 53-bit integers: a (k, len(idx)) uint64 array, row r the r-th."""
+        """The next k uniforms of each trial in ``idx`` (distinct
+        positions): a (k, len(idx)) float array, row r the r-th."""
         self._calls += k
         if self._calls >= _COUNTER_STRIDE:
             raise StateError(
@@ -442,11 +443,7 @@ class _TrialStream:
         self._state[idx] = z[-1]
         _mix(z)
         z >>= np.uint64(11)
-        return z
-
-    def uniforms(self, idx: np.ndarray) -> np.ndarray:
-        """The next uniform of each trial in ``idx`` (distinct positions)."""
-        return self.draws(idx)[0] * 2.0**-53
+        return z * 2.0**-53
 
     def give_back(self, idx: np.ndarray) -> None:
         """Step the trials in ``idx`` back one draw: each one's next call
@@ -516,9 +513,6 @@ class _BlockRun:
         self._stream = stream
         self._ready = ready
         self._exponent = exponent
-        # A draw z decides a swap by z < q * 2**53, exactly u < q for its
-        # uniform u = z * 2**-53; for an integer z that is z < ceil(q * 2**53).
-        self._swap_below = [np.uint64(math.ceil(m.swap_prob * 2.0**53)) for m in models]
         # The first node's step generates spans 0 and 1 together: their
         # failure logs and cycles as columns.
         self._first_fail = np.array([[m.ready.log_q] for m in models[:2]])
@@ -537,6 +531,8 @@ class _BlockRun:
                                                       for _ in range(3, levels)]
         self._span_t = [np.full(trials, np.nan) if level > 2 else None
                         for level in range(levels)]
+        # Per level, the trials whose frame keeps a span while its frontier
+        # is rebuilt: at 0, _join skips looking those spans up.
         self._racing_count = [0] * levels
 
     def run(self) -> None:
@@ -576,7 +572,7 @@ class _BlockRun:
         """Ready times of span i for trials ``idx``, generating from t0."""
         self._spend(len(idx))
         ready = self._models[i].ready
-        return _attempt_times(self._stream.uniforms(idx), ready.log_q, ready.cycle, t0)
+        return _attempt_times(self._stream.draws(idx)[0], ready.log_q, ready.cycle, t0)
 
     def _first_node(
         self, todo: np.ndarray
@@ -590,9 +586,10 @@ class _BlockRun:
             return todo, self._gen_span(0, t0, todo), None, 0.0
         self._spend(len(todo))
         self._spend(len(todo))
+        # One stream call for both spans and the swap, not three: a pass
+        # costs per numpy call, and every unfinished trial starts here.
         draws = self._stream.draws(todo, 3)
-        t_f, t_s = _attempt_times(draws[:-1] * 2.0**-53, self._first_fail,
-                                  self._first_cycle, t0)
+        t_f, t_s = _attempt_times(draws[:-1], self._first_fail, self._first_cycle, t0)
         swap = draws[-1]
         # Cutoff race at node 0: only the side that expired restarts, from
         # expiry, until the two are within the cutoff. A racing trial reads
@@ -617,7 +614,7 @@ class _BlockRun:
         t_swap = np.maximum(t_f, t_s)
         self._start[2][todo] = t_swap
         m = self._models[1]
-        won = (swap < self._swap_below[1]).nonzero()[0]
+        won = (swap < m.swap_prob).nonzero()[0]
         t_won = t_swap[won]
         # Span 0's pair waited at the node; both qubits of span 1's pair
         # waited, at the node and at the span's right holder.
@@ -679,7 +676,7 @@ class _BlockRun:
         for start in self._start[2:level + 1]:
             start[up] = t_swap
         m = self._models[level - 1]
-        won = (self._stream.draws(up)[0] < self._swap_below[level - 1]).nonzero()[0]
+        won = (self._stream.draws(up)[0] < m.swap_prob).nonzero()[0]
         t_won = t_swap[won]
         # The frontier's node-side qubit waited at the node; both qubits of
         # the span pair waited, at the node and at the span's right holder.
@@ -761,13 +758,14 @@ def simulate_chain_mc(
     """Monte Carlo over full protocol runs.
 
     Trials run in groups of up to MC_GROUP consecutive indices, all trials
-    of a group through the protocol at once. Draw j of trial i is a pure
-    function of (seed, i, j), SplitMix64 output (i << 32) + j + 1 under a
-    key folded from the seed by the same mix, and each trial holds only its
-    8-byte stream state. A trial reads its draws in protocol order, however
-    a pass batches them: the step at the first node takes a trial's span
-    and swap draws in one stream call. So each trial depends only on
-    (seed, i); workers take contiguous index ranges, and results are
+    of a group through the protocol at once. Draw j of trial i is a uniform
+    u, a pure function of (seed, i, j): SplitMix64 output (i << 32) + j + 1
+    under a key folded from the seed by the same mix, its top 53 bits times
+    2**-53. Each trial holds only its 8-byte stream state, and a swap
+    succeeds when its draw u < q. A trial reads its draws in protocol
+    order, however a pass batches them: the step at the first node takes a
+    trial's span and swap draws in one stream call. So each trial depends
+    only on (seed, i); workers take contiguous index ranges, and results are
     byte-identical for any worker count. A trial samples only times, a
     span generation's from one draw and the ready time the analytic engine
     reads too, and one decay exponent, the waits at its swaps times the
@@ -881,6 +879,7 @@ def _end_to_end(models: list[_SpanModel], lam: float, lam_se: float, mean_t: flo
 
 def _nlog(n, log_v):
     """n * log_v, with 0 where n is 0 (also when log_v is -inf)."""
+    # A point-mass merge passes floats, which skip numpy's array setup.
     if isinstance(n, np.ndarray):
         return np.multiply(n, log_v, out=np.zeros(n.shape), where=n > 0)
     return n * log_v if n > 0 else 0.0
@@ -941,7 +940,7 @@ def _expected_wait(a: _GeomTime, b: _GeomTime, r_a: float, r_b: float):
     E[exp(-r_b (A - B)+)] and E[max(A, B)]. Sums b's wait_terms over the
     atoms of a, the side with the larger p; below GEOM_EXACT_MIN_P a is
     coarsened to it at the same mean. A point mass a is its one atom, a
-    float of weight 1."""
+    float of weight 1, so that merge builds no arrays."""
     if a.p == 1.0:
         return tuple(float(t) for t in b.wait_terms(a.cycle, r_a, r_b))
     if a.p < GEOM_EXACT_MIN_P:
@@ -968,7 +967,6 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     models = _span_models(chain)
     front = models[0].ready
     lam = 1.0
-    mean_t = front.mean
     for m in models[1:]:
         # Frontier right qubit decays while waiting for the span, the span's
         # two stored qubits decay together while waiting for the frontier.
@@ -979,13 +977,12 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
         # Only one side waits, so E[f(A) g(B)] = f(EA, 1) + f(1, EB) - f(1, 1)
         # for the two affine decay factors: the pair survives e_front + e_span - 1.
         lam *= e_front + e_span - 1.0
-        mean_t = e_round / m.swap_prob + m.notify_s
-        # p = 1 puts one atom at mean_t: the frontier's point-mass collapse.
-        front = _GeomTime(1.0, mean_t)
+        # p = 1 puts one atom at the mean: the frontier's point-mass collapse.
+        front = _GeomTime(1.0, e_round / m.swap_prob + m.notify_s)
         # While the swap outcome travels to the new frontier edge, the merged
         # pair's right qubit keeps decaying there. The interval is
         # deterministic, so this factor is exact; the last span's right end
         # is an end station, which does not decay, so its factor is 1.
         lam *= math.exp(-m.right_decay_rate * m.notify_s)
 
-    return _end_to_end(models, lam, 0.0, mean_t, 0.0, 0, "analytic")
+    return _end_to_end(models, lam, 0.0, front.mean, 0.0, 0, "analytic")

@@ -11,11 +11,13 @@ import time
 import numpy as np
 
 from qorsim.channels import (
+    KrausChannel,
     compose,
     dephasing_channel,
     depolarizing_channel,
     embed_qubit_channel,
     loss_channel,
+    rotation_unitary,
     sop_rotation_channel,
     verify_cptp,
     RAIL_DIM,
@@ -100,9 +102,8 @@ def test_ac3_randomized_channels_are_cptp():
         lambda: depolarizing_channel(float(rng.uniform())),
         lambda: sop_rotation_channel(float(rng.uniform(0, 1e7)),
                                      float(rng.uniform(0, 1e-6))),
-        lambda: sop_rotation_channel(float(rng.uniform(0, 1e7)),
-                                     float(rng.uniform(0, 1e-6)),
-                                     mode="sampled", axis=axis()),
+        lambda: KrausChannel((rotation_unitary(
+            float(rng.uniform(0, 1e7)) * float(rng.uniform(0, 1e-6)), axis()),)),
         lambda: beamsplitter_to_kraus(float(rng.uniform())),
         lambda: compose(
             embed_qubit_channel(dephasing_channel(float(rng.uniform()))),

@@ -299,18 +299,10 @@ class TestQubitCatalog:
         err = np.max(np.abs(acc.reshape(4, 4) - avg.matrix))
         assert err < 3e-3, err
 
-    def test_sop_sampled_needs_axis(self):
-        with pytest.raises(StateError):
-            sop_rotation_channel(1.0, 1.0, mode="sampled")
-
     def test_sop_sampled_is_unitary_channel(self, rng):
-        c = sop_rotation_channel(2.0, 0.5, mode="sampled", axis=_random_axis(rng))
+        c = KrausChannel((rotation_unitary(2.0 * 0.5, _random_axis(rng)),))
         assert len(c.operators) == 1
         assert verify_cptp(c).valid
-
-    def test_sop_rejects_unknown_mode(self):
-        with pytest.raises(StateError):
-            sop_rotation_channel(1.0, 1.0, mode="banana")
 
 
 class TestRailChannels:
@@ -485,3 +477,21 @@ class TestIdentityChannel:
         dm = random_density_matrix(3, rng)
         out = apply_channel(identity_channel(3), dm)
         assert np.max(np.abs(out.matrix - dm.matrix)) < 1e-15
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: compose(depolarizing_channel(0.1), loss_channel(0.5)),
+     DimensionError, "cannot compose"),
+    # An isometry from a qubit into three levels: complete, not square.
+    (lambda: apply_to_subsystem(KrausChannel((np.eye(3, 2),)), phi_plus(), 0, [2, 2]),
+     DimensionError, "square channel"),
+    (lambda: rotation_unitary(1.0, [1.0, 0.0]), DimensionError, "3-vector"),
+    (lambda: rotation_unitary(1.0, [0.0, 0.0, 0.0]), StateError, "zero norm"),
+    (lambda: sop_rotation_channel(-1.0, 1.0), StateError, "nonnegative"),
+    (lambda: sop_rotation_channel(1.0, -1.0), StateError, "nonnegative"),
+    (lambda: embed_qubit_channel(loss_channel(0.5)), DimensionError, "only qubit channels"),
+], ids=["compose-dims", "subsystem-non-square", "axis-not-3-vector", "axis-zero",
+        "sop-negative-rate", "sop-negative-interval", "embed-non-qubit"])
+def test_channel_input_checks(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

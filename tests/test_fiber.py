@@ -183,3 +183,8 @@ class TestSpanStack:
         out = apply_channel(stack, DensityMatrix(np.outer(vec, vec)))
         # no dephasing, no rotation: coherence scales exactly with eta
         assert abs(out.matrix[0, 1] - eta / 2) < 1e-12
+
+
+def test_band_needs_a_name():
+    with pytest.raises(FiberConfigError, match="needs a name"):
+        Band("")

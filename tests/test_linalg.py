@@ -6,6 +6,7 @@ import pytest
 from qorsim.linalg import (
     BELL_KETS,
     BELL_SIDE_OPS,
+    MAX_DIM,
     PAULI_I,
     PAULI_X,
     PAULI_Z,
@@ -335,3 +336,18 @@ class TestFidelity:
     def test_maximally_mixed_vs_pure(self):
         assert abs(fidelity(maximally_mixed(2), pure_state(ket(0, 2))) - 0.5) < 1e-12
         assert abs(fidelity(maximally_mixed(4), phi_plus()) - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: DensityMatrix(np.ones(2)), DimensionError, "2-d array"),
+    (lambda: tensor(np.eye(2) / 2, maximally_mixed(2)), TypeError, "two DensityMatrix"),
+    (lambda: tensor(maximally_mixed(2), maximally_mixed(MAX_DIM)), DimensionError,
+     "exceeds limit"),
+    (lambda: partial_trace(maximally_mixed(2), [2, 0], [0]), DimensionError, "must be positive"),
+    (lambda: apply_unitary(maximally_mixed(2), np.eye(4)), DimensionError, "does not match"),
+    (lambda: bell_diagonal_weights(maximally_mixed(2)), DimensionError, "two-qubit"),
+], ids=["matrix-not-2-d", "tensor-operand-type", "tensor-over-max-dim",
+        "partial-trace-dim-0", "unitary-shape", "bell-weights-not-two-qubits"])
+def test_linalg_input_checks(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

@@ -1,6 +1,7 @@
 """Route files, chain construction, and report assembly."""
 
 import copy
+import inspect
 import json
 import math
 import re
@@ -27,7 +28,16 @@ from qorsim.planner import (
     spans_table,
     validate_report,
 )
-from qorsim.qkd import TECH_ENTANGLEMENT, TECH_ONE_WAY, FeasibilityVerdict, QkdMetrics, Violation
+from qorsim.qkd import (
+    TECH_ENTANGLEMENT,
+    TECH_ONE_WAY,
+    FeasibilityVerdict,
+    OneWayRepeaterSpec,
+    QkdMetrics,
+    Violation,
+    assess_chain,
+    qec_max_span,
+)
 
 from conftest import write_route
 
@@ -776,3 +786,33 @@ class TestValidateReport:
         rep["verdict"]["feasible"] = False
         rep["verdict"]["violations"] = [{"requirement": "R1-coexistence"}]
         self._expect_fail(rep, "violations\\[0\\]")
+
+
+# Library defaults that restate a route key's default: (owner, parameter,
+# route key). The route key memory_cutoff defaults to 0, "the coherence
+# time", so RepeaterChain's cutoff restates memory_coherence_time.
+LIBRARY_DEFAULTS = [
+    (repeater.MemorySpec, "coherence_time", "memory_coherence_time"),
+    (repeater.MemorySpec, "write_efficiency", "memory_write_efficiency"),
+    (repeater.MemorySpec, "read_efficiency", "memory_read_efficiency"),
+    (repeater.MemorySpec, "cryogenic_required", "memory_cryogenic"),
+    (repeater.QorsNode, "bsm_success_prob", "bsm_success_prob"),
+    (repeater.QorsNode, "bsm_visibility_penalty", "bsm_visibility_penalty"),
+    (repeater.QorsNode, "detector_efficiency", "detector_efficiency"),
+    (repeater.RepeaterChain, "attempt_rate", "attempt_rate"),
+    (repeater.RepeaterChain, "memory_cutoff", "memory_coherence_time"),
+    (OneWayRepeaterSpec, "loss_threshold_db", "one_way_loss_threshold_db"),
+    (OneWayRepeaterSpec, "cryogenic_required", "one_way_cryogenic"),
+    (assess_chain, "max_heralding_km", "max_heralding_km"),
+    (qec_max_span, "loss_threshold_db", "one_way_loss_threshold_db"),
+]
+
+
+@pytest.mark.parametrize("owner, name, key", LIBRARY_DEFAULTS,
+                         ids=[f"{o.__name__}.{n}" for o, n, _ in LIBRARY_DEFAULTS])
+def test_library_defaults_are_the_route_defaults(owner, name, key):
+    # A library default that drifted from PARAMS would give a chain built
+    # in code other numbers than the same route loaded from a file.
+    default = inspect.signature(owner).parameters[name].default
+    want = DEFAULT_PARAMS[key]
+    assert (type(default), default) == (type(want), want)

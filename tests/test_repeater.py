@@ -1199,7 +1199,7 @@ class TestTrialStream:
             if not idx.size:
                 continue
             want = [oracle_splitmix_uniform(seed, lo + j, draws[j]) for j in idx.tolist()]
-            assert np.array_equal(stream.uniforms(idx), want)
+            assert np.array_equal(stream.draws(idx)[0], want)
             for j in idx.tolist():
                 draws[j] += 1
         assert min(draws.values()) > 50
@@ -1219,7 +1219,7 @@ class TestTrialStream:
             want = [[oracle_splitmix_uniform(seed, lo + j, int(draws[j]) + r) for j in idx.tolist()]
                     for r in range(k)]
             assert got.shape == (k, len(idx))
-            assert np.array_equal(got * 2.0**-53, want)
+            assert np.array_equal(got, want)
             draws[idx] += k
             return got
 
@@ -1239,7 +1239,7 @@ class TestTrialStream:
         assert [oracle_splitmix64(1234567, n) for n in (1, 2, 3)] == want
         # The engine's stream with that key: trial 0 reads outputs 1, 2, 3.
         stream = _TrialStream(1234567, 0, 1)
-        got = [stream.uniforms(np.array([0]))[0] for _ in want]
+        got = [stream.draws(np.array([0]))[0, 0] for _ in want]
         assert got == [(z >> 11) * 2.0**-53 for z in want]
 
     @pytest.mark.parametrize("seed", [
@@ -1268,16 +1268,16 @@ class TestTrialStream:
         stream = _TrialStream(_stream_key(5), 0, 3)
         idx = np.arange(3)
         stream._calls = 2**32 - 3
-        stream.uniforms(idx)
-        stream.uniforms(idx)
+        stream.draws(idx)
+        stream.draws(idx)
         with pytest.raises(StateError, match="at most 4294967295 uniforms"):
-            stream.uniforms(idx)
+            stream.draws(idx)
 
     def test_draws_look_uniform_and_independent(self):
         # 256 trials x 256 draws: u[j, i] is draw j of trial i, 2**16 values.
         stream = _TrialStream(_stream_key(2024), 0, 256)
         idx = np.arange(256)
-        u = np.array([stream.uniforms(idx) for _ in range(256)])
+        u = np.array([stream.draws(idx)[0] for _ in range(256)])
         counts = np.bincount((u * 64).astype(int).ravel(), minlength=64)
         expected = u.size / 64
         # Chi-squared with 63 degrees of freedom: mean 63, sd 11.2.
@@ -1654,3 +1654,15 @@ class TestMetamorphicRelations:
             return simulate_chain_analytic(chain).fidelity
 
         assert fidelity_at(fast, slow) > fidelity_at(slow, fast)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: QorsNode(detector_efficiency=0.0), StateError, "detector_efficiency"),
+    (lambda: QorsNode(detector_efficiency=1.5), StateError, "detector_efficiency"),
+    # |00> on both sides: the middle qubits have no odd-parity Bell component.
+    (lambda: entanglement_swap(pure_state(ket(0, 4)), pure_state(ket(0, 4)), QorsNode()),
+     StateError, "no support"),
+], ids=["detector-efficiency-0", "detector-efficiency-above-1", "swap-without-support"])
+def test_repeater_input_checks(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

@@ -242,14 +242,9 @@ def test_option_finder_sees_unpassed_defaults():
     assert unused_options(package, callers) == ["a.f(z)", "a.g(p)"]
 
 
-# Options kept although no product code passes them. AC3's test draws
-# rotations about sampled axes, and the console script calls main()
-# without argv.
-OPTIONS_ONLY_TESTS_SET = {
-    "channels.sop_rotation_channel(mode)",
-    "channels.sop_rotation_channel(axis)",
-    "cli.main(argv)",
-}
+# Options kept although no product code passes them: the console script
+# calls main() without argv.
+OPTIONS_ONLY_TESTS_SET = {"cli.main(argv)"}
 
 
 def test_no_unused_options():
