@@ -285,28 +285,23 @@ class _SpanModel:
     notify_s: float               # swap outcome's delay before the merged pair is usable
 
 
-def _span_ends(chain: RepeaterChain, i: int) -> tuple[QorsNode | None, QorsNode | None]:
-    """The nodes at the left and right end of span i; None at an end station."""
-    left = chain.nodes[i - 1] if i > 0 else None
-    right = chain.nodes[i] if i < len(chain.spans) - 1 else None
-    return left, right
+def _span_ends(chain: RepeaterChain):
+    """Each span's (left node, right node); None at an end station."""
+    return zip((None,) + chain.nodes, chain.nodes + (None,))
 
 
 def span_attempts(chain: RepeaterChain) -> tuple[SpanAttempt, ...]:
     """Each span's heralded attempt, with the detector of the node at its
     left end and the memory of the node at its right end (end stations are
     ideal)."""
-    attempts = []
-    for i, span in enumerate(chain.spans):
-        left, right = _span_ends(chain, i)
-        attempts.append(
-            span_entanglement_attempt(
-                span,
-                detector_efficiency=left.detector_efficiency if left else 1.0,
-                memory=right.memory if right else None,
-            )
+    return tuple(
+        span_entanglement_attempt(
+            span,
+            detector_efficiency=left.detector_efficiency if left else 1.0,
+            memory=right.memory if right else None,
         )
-    return tuple(attempts)
+        for span, (left, right) in zip(chain.spans, _span_ends(chain))
+    )
 
 
 def _span_models(chain: RepeaterChain) -> list[_SpanModel]:
@@ -318,8 +313,7 @@ def _span_models(chain: RepeaterChain) -> list[_SpanModel]:
     final = max(one_way[-1], sum(one_way[:-1])) if len(one_way) > 1 else 0.0
     notify = one_way[:-1] + [final]
     models = []
-    for i, attempt in enumerate(span_attempts(chain)):
-        left, right = _span_ends(chain, i)
+    for i, (attempt, (left, right)) in enumerate(zip(span_attempts(chain), _span_ends(chain))):
         swap_prob = left.bsm_success_prob * left.memory.read_efficiency**2 if left else 1.0
         # Both engines divide by these; a product of valid factors can
         # still underflow to 0.
@@ -455,17 +449,14 @@ def _attempt_times(u: np.ndarray, log_fail, cycle, t0: np.ndarray) -> np.ndarray
     """Ready times t0 + (floor(log1p(-u) / log_fail) + 1) * cycle of spans
     generated from t0, for uniforms u, with log_fail = _GeomTime.log_q
     (-inf at p = 1: t0 + cycle for every u): scalars, or columns against
-    the rows of u. Writes over u."""
-    # Through two buffers in turn: numpy is slow when one array of one
-    # element, as in a pass late in a run, is both input and output of an
-    # operation.
-    k = np.negative(u)
-    np.log1p(k, out=u)
-    np.divide(u, log_fail, out=k)
-    np.floor(k, out=u)
-    np.add(u, 1.0, out=k)
-    np.multiply(k, cycle, out=u)
-    return np.add(u, t0, out=k)
+    the rows of u. Writes over u and returns it."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, log_fail, out=u)
+    np.floor(u, out=u)
+    np.add(u, 1.0, out=u)
+    np.multiply(u, cycle, out=u)
+    return np.add(u, t0, out=u)
 
 
 class _BlockRun:
@@ -488,7 +479,8 @@ class _BlockRun:
     attempt count by inverting the span model's ready time (at success 1,
     the first attempt whatever the draw), and one per swap. The first
     node's step takes all three in one stream call; a trial whose spans
-    race gives its swap draw back and draws it again after the race. The
+    race gives its swap draw back and draws it again after the race. Every
+    node, node 0 included, then runs the one swap step, ``_swap``. The
     work budget counts the span generations of the whole group. Per-frame
     state is one 1-D array per level, indexed by trial.
 
@@ -521,14 +513,12 @@ class _BlockRun:
         trials, levels = len(ready), len(models) + 1
         self._budget = MC_WORK_FACTOR * self._need * trials
         self._spent = 0
-        # Per level l (entry l), per trial: the frame's start time, and for
-        # a frame racing a rebuilt frontier its span's ready time (NaN when
-        # the frame is fresh; frames below level 3 never race). Every
-        # restart restarts the frames at levels 1 and 2 together, so they
-        # share one array, written as level 2's.
-        first_two = np.zeros(trials)
-        self._start = [None, first_two, first_two] + [np.zeros(trials)
-                                                      for _ in range(3, levels)]
+        # Per level l >= 2 (entry l), per trial: the frame's start time, and
+        # for a frame racing a rebuilt frontier its span's ready time (NaN
+        # when the frame is fresh; frames below level 3 never race). Every
+        # restart restarts the frames at levels 1 and 2 together, so level 1
+        # reads level 2's start; a single span's start is always 0.
+        self._start = [None, None] + [np.zeros(trials) for _ in range(2, levels)]
         self._span_t = [np.full(trials, np.nan) if level > 2 else None
                         for level in range(levels)]
         # Per level, the trials whose frame keeps a span while its frontier
@@ -568,7 +558,7 @@ class _BlockRun:
                 f"span wait of up to {wait:.3g} s"
             )
 
-    def _gen_span(self, i: int, t0: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _gen_span(self, i: int, t0: np.ndarray | float, idx: np.ndarray) -> np.ndarray:
         """Ready times of span i for trials ``idx``, generating from t0."""
         self._spend(len(idx))
         ready = self._models[i].ready
@@ -581,11 +571,10 @@ class _BlockRun:
         1, their cutoff race and the swap at node 0. Returns the trials that
         swapped, their ready times, swap times and decay exponents; a single
         span has no swap, and its exponent is 0."""
-        t0 = self._start[1][todo]
         if len(self._models) == 1:
-            return todo, self._gen_span(0, t0, todo), None, 0.0
-        self._spend(len(todo))
-        self._spend(len(todo))
+            return todo, self._gen_span(0, 0.0, todo), None, 0.0
+        t0 = self._start[2][todo]
+        self._spend(2 * len(todo))
         # One stream call for both spans and the swap, not three: a pass
         # costs per numpy call, and every unfinished trial starts here.
         draws = self._stream.draws(todo, 3)
@@ -609,17 +598,7 @@ class _BlockRun:
                     t_s[b] = self._gen_span(1, t_s[b] + cutoff, todo[b])
                 ahead = ahead[np.abs(t_s[ahead] - t_f[ahead]) > cutoff]
             swap[race] = self._stream.draws(back)[0]
-        # A failed swap restarts both spans from its time. Trials that swap
-        # are written too: they are restarted again before their next pass.
-        t_swap = np.maximum(t_f, t_s)
-        self._start[2][todo] = t_swap
-        m = self._models[1]
-        won = (swap < m.swap_prob).nonzero()[0]
-        t_won = t_swap[won]
-        # Span 0's pair waited at the node; both qubits of span 1's pair
-        # waited, at the node and at the span's right holder.
-        exponent = m.front_rate * (t_won - t_f[won]) + m.span_rate * (t_won - t_s[won])
-        return todo[won], t_won + m.notify_s, t_won, exponent
+        return self._swap(2, todo, t_f, t_f, t_s, swap, None)
 
     def _join(
         self,
@@ -669,23 +648,35 @@ class _BlockRun:
             stay = stay.nonzero()[0]
             up, t_f, u_f, t_s = up[stay], t_f[stay], u_f[stay], t_s[stay]
             exponent = exponent[stay]
+        return self._swap(level, up, t_f, u_f, t_s, self._stream.draws(up)[0], exponent)
+
+    def _swap(
+        self, level: int, idx: np.ndarray, t_f: np.ndarray, u_f: np.ndarray,
+        t_s: np.ndarray, u: np.ndarray, exponent: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The swap at node level-2 of trials ``idx``, whose frontier is
+        ready at t_f (last swap at u_f; t_f itself at node 0) and span at
+        t_s, with swap draws u and the decay ``exponent`` of the nodes below
+        (None at node 0): (trials that swapped, their ready times, swap
+        times and exponents)."""
         # A failed swap restarts the whole frontier from its time. Frames
         # of a trial that swaps are written too: they are restarted again
         # before the trial's next pass reads them.
         t_swap = np.maximum(t_f, t_s)
         for start in self._start[2:level + 1]:
-            start[up] = t_swap
+            start[idx] = t_swap
         m = self._models[level - 1]
-        won = (self._stream.draws(up)[0] < m.swap_prob).nonzero()[0]
+        won = (u < m.swap_prob).nonzero()[0]
         t_won = t_swap[won]
         # The frontier's node-side qubit waited at the node; both qubits of
         # the span pair waited, at the node and at the span's right holder.
-        # The grouping (earlier levels + frontier) + span is part of the
+        # The grouping (frontier + earlier nodes) + span is part of the
         # results: grouping the node's two terms first moves Bell weights in
         # their last bit.
-        exponent = (m.front_rate * (t_won - u_f[won]) + exponent[won]
-                    + m.span_rate * (t_won - t_s[won]))
-        return up[won], t_won + m.notify_s, t_won, exponent
+        front = m.front_rate * (t_won - u_f[won])
+        if exponent is not None:
+            front += exponent[won]
+        return idx[won], t_won + m.notify_s, t_won, front + m.span_rate * (t_won - t_s[won])
 
 
 def _generations_per_trial(models: list[_SpanModel]) -> float:
@@ -937,10 +928,15 @@ class _GeomTime:
 def _expected_wait(a: _GeomTime, b: _GeomTime, r_a: float, r_b: float):
     """For independent ready times A and B whose pairs decay at rates r_a and
     r_b while they wait for each other: E[exp(-r_a (B - A)+)],
-    E[exp(-r_b (A - B)+)] and E[max(A, B)]. Sums b's wait_terms over the
-    atoms of a, the side with the larger p; below GEOM_EXACT_MIN_P a is
-    coarsened to it at the same mean. A point mass a is its one atom, a
-    float of weight 1, so that merge builds no arrays."""
+    E[exp(-r_b (A - B)+)] and E[max(A, B)]. It picks the summed side itself,
+    the one with the larger p (a on a tie), and sums the other's wait_terms
+    over its atoms, so exchanging the sides exchanges the first two results
+    bit for bit. Below GEOM_EXACT_MIN_P the summed side is coarsened to it at
+    the same mean; a point mass is its one atom, a float of weight 1, so
+    that merge builds no arrays."""
+    if a.p < b.p:
+        e_b, e_a, e_max = _expected_wait(b, a, r_b, r_a)
+        return e_a, e_b, e_max
     if a.p == 1.0:
         return tuple(float(t) for t in b.wait_terms(a.cycle, r_a, r_b))
     if a.p < GEOM_EXACT_MIN_P:
@@ -970,10 +966,7 @@ def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     for m in models[1:]:
         # Frontier right qubit decays while waiting for the span, the span's
         # two stored qubits decay together while waiting for the frontier.
-        if front.p >= m.ready.p:
-            e_front, e_span, e_round = _expected_wait(front, m.ready, m.front_rate, m.span_rate)
-        else:
-            e_span, e_front, e_round = _expected_wait(m.ready, front, m.span_rate, m.front_rate)
+        e_front, e_span, e_round = _expected_wait(front, m.ready, m.front_rate, m.span_rate)
         # Only one side waits, so E[f(A) g(B)] = f(EA, 1) + f(1, EB) - f(1, 1)
         # for the two affine decay factors: the pair survives e_front + e_span - 1.
         lam *= e_front + e_span - 1.0

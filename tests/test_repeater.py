@@ -57,6 +57,7 @@ from qorsim.repeater import (
     memory_decay,
     simulate_chain_analytic,
     simulate_chain_mc,
+    span_attempts,
     span_entanglement_attempt,
     teleport,
 )
@@ -225,6 +226,30 @@ class TestSpanAttempt:
             assert row["fidelity"] == got.bell[0]
             assert np.array_equal(model.ready_bell, got.bell)
 
+    def test_span_ends(self):
+        # Two nodes that differ in every key: span i reads node i-1's
+        # detector, swap and visibility and node i's memory; an end station
+        # is ideal.
+        a = QorsNode(memory=MemorySpec(coherence_time=0.7, write_efficiency=0.9,
+                                       read_efficiency=0.8, cryogenic_required=True),
+                     bsm_success_prob=0.5, bsm_visibility_penalty=0.05,
+                     detector_efficiency=0.7)
+        b = QorsNode(memory=MemorySpec(coherence_time=0.2, write_efficiency=0.6,
+                                       read_efficiency=0.95, cryogenic_required=False),
+                     bsm_success_prob=0.8, bsm_visibility_penalty=0.1,
+                     detector_efficiency=0.85)
+        chain = RepeaterChain(spans=(_span(10.0), _span(20.0), _span(30.0)), nodes=(a, b))
+        # Per span: detector, write, front_rate, swap_prob, visibility_penalty,
+        # right_decay_rate.
+        want = [(1.0, 0.9, 0.0, 1.0, 0.0, 1.0 / 0.7),
+                (0.7, 0.6, 1.0 / 0.7, 0.5 * 0.8**2, 0.05, 1.0 / 0.2),
+                (0.85, 1.0, 1.0 / 0.2, 0.8 * 0.95**2, 0.1, 0.0)]
+        for span, attempt, model, (det, write, *merge) in zip(
+                chain.spans, span_attempts(chain), _span_models(chain), want):
+            assert attempt.success_probability == write * det * transmittance(span)
+            assert [model.front_rate, model.swap_prob, model.visibility_penalty,
+                    model.right_decay_rate] == merge
+
     def test_heralds_whatever_arrives(self):
         # 450 km of O band passes about 1e-16 of the photons.
         span = FiberSpan(length_km=450.0)
@@ -381,6 +406,13 @@ def _brute_wait(a, b, r_a, r_b):
     return decay_a, decay_b, e_max
 
 
+def _sum_over_atoms(a, b, r_a, r_b):
+    """_expected_wait's three expectations as b's wait_terms summed over
+    all the atoms of a, whichever side has the larger p."""
+    x, w = a.atoms()
+    return tuple(float(np.dot(w, t)) for t in b.wait_terms(x, r_a, r_b))
+
+
 def _brute_terms(times, pmf, x, r_a, r_b):
     """wait_terms' three integrands at a point x as sums over atoms."""
     above, below = times > x, times < x
@@ -471,7 +503,7 @@ class TestWaitDistributions:
         brute = float(np.sum(pmf * np.clip(times - pt.mean, 0.0, None)))
         assert abs(_expected_wait(pt, g, 0.5, 0.7)[2] - pt.mean - brute) < 1e-12
         brute2 = float(np.sum(pmf * np.clip(pt.mean - times, 0.0, None)))
-        assert abs(_expected_wait(g, pt, 0.7, 0.5)[2] - g.mean - brute2) < 1e-12
+        assert abs(_sum_over_atoms(g, pt, 0.7, 0.5)[2] - g.mean - brute2) < 1e-12
 
     def test_wait_decay_brute_force(self):
         # Shared cycles put atoms of both sides on the same times.
@@ -483,10 +515,22 @@ class TestWaitDistributions:
             got = _expected_wait(a, b, 0.6, 0.9)
             assert np.allclose(got, brute, rtol=1e-12, atol=0.0)
             # Summing over the other side's atoms gives the same numbers.
-            d_b, d_a, e_max = _expected_wait(b, a, 0.9, 0.6)
+            d_b, d_a, e_max = _sum_over_atoms(b, a, 0.9, 0.6)
             assert np.allclose((d_a, d_b, e_max), brute, rtol=1e-12, atol=0.0)
         g1, g2 = _GeomTime(0.31, 1.0), _GeomTime(0.17, 1.0)
         assert abs(_expected_wait(g1, g2, 0.0, 0.0)[0] - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("a, b", [
+        ((0.31, 1.0), (0.17, 0.5)),        # two geometric times
+        ((1.0, 2.4), (0.3, 1.0)),          # a point mass and a geometric time
+        ((5e-5, 2e-4), (0.3, 1.3e-4)),     # one side below GEOM_EXACT_MIN_P
+    ])
+    def test_merge_orientation_is_symmetric(self, a, b):
+        # _expected_wait picks the summed side itself, so exchanging the
+        # sides exchanges the two decay terms, bit for bit.
+        a, b = _GeomTime(*a), _GeomTime(*b)
+        d_a, d_b, e_max = _expected_wait(a, b, 0.6, 0.9)
+        assert _expected_wait(b, a, 0.9, 0.6) == (d_b, d_a, e_max)
 
     def test_tiny_span_next_to_coarse_span_is_exact(self):
         # A span below GEOM_EXACT_MIN_P next to a coarse one: the coarse side
@@ -502,8 +546,7 @@ class TestWaitDistributions:
         # at the same mean. The fine grid sums over all its own atoms.
         a, b = _GeomTime(5e-5, 1e-3), _GeomTime(3e-5, 1.3e-3)
         r_a, r_b = 0.3 / a.mean, 0.5 / b.mean
-        x, w = a.atoms()
-        fine = tuple(np.dot(w, t) for t in b.wait_terms(x, r_a, r_b))
+        fine = _sum_over_atoms(a, b, r_a, r_b)
         got = _expected_wait(a, b, r_a, r_b)
         assert np.allclose(got, fine, rtol=1e-3, atol=0.0)
         assert not np.allclose(got, fine, rtol=1e-12, atol=0.0)
