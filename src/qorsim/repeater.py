@@ -862,11 +862,13 @@ def _end_to_end(models: list[_SpanModel], lam: float, lam_se: float, mean_t: flo
 # on the other side gives the merge's three integrands at that set of
 # points, from one count of its atoms. A point-mass side is one float
 # point, so every merge after the first, and any merge with a certain span,
-# builds no arrays. The state is _folded_bell's c and one expected
-# survival weight lam: a merge multiplies lam by e_front + e_span - 1, the
-# expected survivals of the two sides, and a notification that is not the
-# last by its decay. Cutoff expiry is neglected, so results are exact only
-# when cutoffs are generous.
+# builds no arrays. The one summed merge of a chain, its first, is cached
+# by its six floats (_summed_wait), so candidate chains of one route that
+# share their first two spans share that sum. The state is _folded_bell's
+# c and one expected survival weight lam: a merge multiplies lam by
+# e_front + e_span - 1, the expected survivals of the two sides, and a
+# notification that is not the last by its decay. Cutoff expiry is
+# neglected, so results are exact only when cutoffs are generous.
 
 def _nlog(n, log_v):
     """n * log_v, with 0 where n is 0 (also when log_v is -inf)."""
@@ -930,15 +932,26 @@ def _expected_wait(a: _GeomTime, b: _GeomTime, r_a: float, r_b: float):
     r_b while they wait for each other: E[exp(-r_a (B - A)+)],
     E[exp(-r_b (A - B)+)] and E[max(A, B)]. It picks the summed side itself,
     the one with the larger p (a on a tie), and sums the other's wait_terms
-    over its atoms, so exchanging the sides exchanges the first two results
-    bit for bit. Below GEOM_EXACT_MIN_P the summed side is coarsened to it at
-    the same mean; a point mass is its one atom, a float of weight 1, so
-    that merge builds no arrays."""
+    over its atoms (_summed_wait, cached), so exchanging the sides exchanges
+    the first two results bit for bit. Below GEOM_EXACT_MIN_P the summed
+    side is coarsened to it at the same mean; a point mass is its one atom,
+    a float of weight 1, so that merge builds no arrays."""
     if a.p < b.p:
         e_b, e_a, e_max = _expected_wait(b, a, r_b, r_a)
         return e_a, e_b, e_max
     if a.p == 1.0:
         return tuple(float(t) for t in b.wait_terms(a.cycle, r_a, r_b))
+    return _summed_wait(a.p, a.cycle, b.p, b.cycle, r_a, r_b)
+
+
+# Equal floats give equal bits here (rates are >= 0, so no -0.0), and a hit
+# returns the tuple the miss computed. A route with h huts has h(h+1)/2
+# first merges: 1024 entries cover 44 huts in a few hundred KB.
+@functools.lru_cache(maxsize=1024)
+def _summed_wait(p_a, cycle_a, p_b, cycle_b, r_a, r_b):
+    """_expected_wait summed over the atoms of a = (p_a, cycle_a), which
+    has the larger p and p_a < 1."""
+    a, b = _GeomTime(p_a, cycle_a), _GeomTime(p_b, cycle_b)
     if a.p < GEOM_EXACT_MIN_P:
         a = _GeomTime(GEOM_EXACT_MIN_P, a.mean * GEOM_EXACT_MIN_P)
     x, w = a.atoms()

@@ -1,6 +1,7 @@
 """Span attempts, memory decay, swapping, teleportation, and both engines."""
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -52,6 +53,7 @@ from qorsim.repeater import (
     _span_models,
     _SpanModel,
     _stream_key,
+    _summed_wait,
     _TrialStream,
     entanglement_swap,
     memory_decay,
@@ -423,6 +425,14 @@ def _brute_terms(times, pmf, x, r_a, r_b):
     )
 
 
+# (p, cycle) of the two sides of a merge.
+_ORIENTATION_CASES = [
+    ((0.31, 1.0), (0.17, 0.5)),        # two geometric times
+    ((1.0, 2.4), (0.3, 1.0)),          # a point mass and a geometric time
+    ((5e-5, 2e-4), (0.3, 1.3e-4)),     # one side below GEOM_EXACT_MIN_P
+]
+
+
 class TestWaitDistributions:
     def test_grid_moments(self):
         g = _GeomTime(0.23, 1.7e-4)
@@ -520,11 +530,7 @@ class TestWaitDistributions:
         g1, g2 = _GeomTime(0.31, 1.0), _GeomTime(0.17, 1.0)
         assert abs(_expected_wait(g1, g2, 0.0, 0.0)[0] - 1.0) < 1e-15
 
-    @pytest.mark.parametrize("a, b", [
-        ((0.31, 1.0), (0.17, 0.5)),        # two geometric times
-        ((1.0, 2.4), (0.3, 1.0)),          # a point mass and a geometric time
-        ((5e-5, 2e-4), (0.3, 1.3e-4)),     # one side below GEOM_EXACT_MIN_P
-    ])
+    @pytest.mark.parametrize("a, b", _ORIENTATION_CASES)
     def test_merge_orientation_is_symmetric(self, a, b):
         # _expected_wait picks the summed side itself, so exchanging the
         # sides exchanges the two decay terms, bit for bit.
@@ -1577,6 +1583,83 @@ class TestAnalyticEngine:
                               attempt_rate=1e6, memory_cutoff=0.05)
         res = simulate_chain_analytic(chain)
         assert abs(fidelity(bell_diagonal_state(res.bell), phi_plus()) - res.fidelity) < 1e-10
+
+
+# Site positions (km) of a 6-hut O-band route, ends included.
+_SIX_HUT_POSITIONS = np.cumsum([0.0, 9.2, 8.1, 10.3, 9.7, 8.8, 9.5, 10.1])
+
+
+def _hut_subset_chains():
+    """The chain of every subset of the six huts, the empty one first."""
+    ends, huts = (_SIX_HUT_POSITIONS[0], _SIX_HUT_POSITIONS[-1]), _SIX_HUT_POSITIONS[1:-1]
+    subsets = [c for n in range(len(huts) + 1) for c in itertools.combinations(huts, n)]
+    return [_route_chain(np.diff([ends[0], *c, ends[1]]), {}) for c in subsets]
+
+
+def _result_bits(chain):
+    return repr(dataclasses.astuple(simulate_chain_analytic(chain)))
+
+
+class TestMergeCache:
+    """A chain's one summed merge, its first, is cached by its six floats;
+    a hit returns the bits the miss computed."""
+
+    def test_hut_subsets_keep_their_bits(self):
+        chains = _hut_subset_chains()
+        cold = []
+        for chain in chains:
+            _summed_wait.cache_clear()
+            cold.append(_result_bits(chain))
+        # One warm pass: each of the h(h + 1)/2 first merges misses once.
+        _summed_wait.cache_clear()
+        assert [_result_bits(chain) for chain in chains] == cold
+        info = _summed_wait.cache_info()
+        assert (info.misses, info.hits) == (21, len(chains) - 1 - 21)
+        # A second pass in reverse order only hits.
+        assert [_result_bits(chain) for chain in chains[::-1]] == cold[::-1]
+        assert _summed_wait.cache_info().misses == 21
+
+    def test_key_holds_all_six_floats(self):
+        def wait(p_a, cycle_a, p_b, cycle_b, r_a, r_b):
+            return _expected_wait(_GeomTime(p_a, cycle_a), _GeomTime(p_b, cycle_b), r_a, r_b)
+
+        base = (0.31, 1.0, 0.17, 0.5, 0.6, 0.9)
+        for i in range(len(base)):
+            moved = base[:i] + (base[i] * 1.25,) + base[i + 1:]
+            _summed_wait.cache_clear()
+            want = wait(*moved)
+            _summed_wait.cache_clear()
+            wait(*base)
+            assert wait(*moved) == want
+
+    def test_cache_stays_bounded(self):
+        maxsize = _summed_wait.cache_info().maxsize
+        _summed_wait.cache_clear()
+        for k in range(maxsize + 50):
+            chain = RepeaterChain(spans=(_span(20.0 + 1e-3 * k), _span(10.0)), nodes=(_node(),),
+                                  attempt_rate=1e6)
+            simulate_chain_analytic(chain)
+            assert _summed_wait.cache_info().currsize <= maxsize
+        assert _summed_wait.cache_info().currsize == maxsize
+
+    def test_long_chain_adds_one_entry(self):
+        chain = _route_chain([25.0] * 20, {})
+        _summed_wait.cache_clear()
+        simulate_chain_analytic(chain)
+        assert _summed_wait.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("a, b", _ORIENTATION_CASES)
+    def test_merge_orientation_is_symmetric_with_a_warm_cache(self, a, b):
+        # Whichever order fills the cache, both orders read the cold bits.
+        a, b = _GeomTime(*a), _GeomTime(*b)
+        _summed_wait.cache_clear()
+        d_a, d_b, e_max = _expected_wait(a, b, 0.6, 0.9)
+        want = {(a, b): (d_a, d_b, e_max), (b, a): (d_b, d_a, e_max)}
+        rates = {(a, b): (0.6, 0.9), (b, a): (0.9, 0.6)}
+        for order in ([(a, b), (b, a)], [(b, a), (a, b)]):
+            _summed_wait.cache_clear()
+            for x, y in order + order:
+                assert _expected_wait(x, y, *rates[x, y]) == want[x, y]
 
 
 def _route_chain(lengths, params) -> RepeaterChain:

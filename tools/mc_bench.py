@@ -1,5 +1,6 @@
-"""Engine timings: Monte Carlo µs per trial at 2, 3 and 5 spans, and
-analytic-engine ms at 2, 5, 10 and 20 spans.
+"""Engine timings: Monte Carlo µs per trial at 2, 3 and 5 spans,
+analytic-engine ms at 2, 5, 10 and 20 spans, and analytic µs per candidate
+over every hut subset of a 12-hut route.
 
     python3 tools/mc_bench.py [--src DIR] [--runs 5] [--suite | --against SRC]
 
@@ -10,10 +11,17 @@ run is one ``simulate_chain_mc`` call with seed 42 and workers=1, after one
 untimed warm-up call; one more untimed call under ``tracemalloc`` gives
 the run's traced peak bytes per trial. The analytic part times
 ``simulate_chain_analytic`` on the same chains and on a 102 km + 17 km
-chain, whose long span heralds just above the engine's GEOM_EXACT_MIN_P,
-and the time its calls spend in ``span_attempts`` (the closed-form span
-attempts), so the part never reads larger than the whole. Each value is the
-median over ``--runs`` runs.
+chain, whose long span heralds just above the engine's GEOM_EXACT_MIN_P.
+The engine caches a chain's first merge by its six floats, so each chain is
+timed cold, with that cache cleared before the call, which is what one plan
+costs, and warm, right after a call on the same chain. The cold calls also
+give the time spent in ``span_attempts`` (the closed-form span attempts), so
+the part never reads larger than the whole. The hut-subset part plans all
+4095 non-empty hut subsets of one 12-hut route (gaps 9 ± 1.5 km), chains
+built beforehand: cold, the cache cleared before each call, and warm, one
+pass in subset order with the cache cleared once before it, as a planner
+sweeping the route sees it. Each value is the median over ``--runs`` runs.
+A checkout without the cache reads the same cold and warm.
 
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
 (analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
@@ -31,11 +39,13 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.metadata
 import itertools
 import json
 import os
 import platform
+import random
 import re
 import statistics
 import subprocess
@@ -59,6 +69,11 @@ ANALYTIC_CHAINS = {
     **{f"{n}_spans": [SPAN_KM] * n for n in (2, 5, 10, 20)},
     "102+17_km": [102.0, 17.0],
 }
+# The hut-subset route: HUTS huts, gaps of HUT_GAP_KM ± HUT_JITTER_KM drawn
+# from random.Random(SEED).
+HUTS = 12
+HUT_GAP_KM = 9.0
+HUT_JITTER_KM = 1.5
 
 
 def _route_file(directory: str, spans_km: list[float]) -> str:
@@ -105,12 +120,21 @@ def mc_us_per_trial(runs: int) -> dict:
     return out
 
 
+def _merge_cache_clear(repeater):
+    """The analytic engine's merge-cache reset, or a no-op for a checkout
+    without the cache."""
+    cached = getattr(repeater, "_summed_wait", None)
+    return cached.cache_clear if cached else (lambda: None)
+
+
 def analytic_ms(runs: int) -> dict:
-    """Median ms of ``simulate_chain_analytic`` per chain, and of the time
-    the same calls spend in ``span_attempts``, after one warm-up call."""
+    """Median ms of ``simulate_chain_analytic`` per chain, cold and warm, and
+    of the time the cold calls spend in ``span_attempts``, after one warm-up
+    call."""
     from qorsim import repeater
     from qorsim.planner import build_chain, load_route
 
+    clear = _merge_cache_clear(repeater)
     span_attempts = repeater.span_attempts
     in_attempts = [0.0]
 
@@ -128,20 +152,67 @@ def analytic_ms(runs: int) -> dict:
             for name, spans_km in ANALYTIC_CHAINS.items():
                 chain = build_chain(load_route(_route_file(tmp, spans_km)))
                 repeater.simulate_chain_analytic(chain)
-                whole, part = [], []
+                cold, warm, part = [], [], []
                 for _ in range(runs):
+                    clear()
                     in_attempts[0] = 0.0
                     t = time.perf_counter()
                     repeater.simulate_chain_analytic(chain)
-                    whole.append((time.perf_counter() - t) * 1e3)
+                    cold.append((time.perf_counter() - t) * 1e3)
                     part.append(in_attempts[0] * 1e3)
+                    t = time.perf_counter()
+                    repeater.simulate_chain_analytic(chain)
+                    warm.append((time.perf_counter() - t) * 1e3)
                 out[name] = {
-                    "analytic_ms": round(statistics.median(whole), 3),
+                    "cold_ms": round(statistics.median(cold), 3),
+                    "warm_ms": round(statistics.median(warm), 3),
                     "span_attempts_ms": round(statistics.median(part), 3),
                 }
     finally:
         repeater.span_attempts = span_attempts
     return out
+
+
+def hut_subsets_us(runs: int) -> dict:
+    """Median µs per candidate of ``simulate_chain_analytic`` over every
+    non-empty hut subset of the HUTS-hut route, cold and warm."""
+    from qorsim import repeater
+    from qorsim.planner import build_chain, load_route
+
+    clear = _merge_cache_clear(repeater)
+    rng = random.Random(SEED)
+    gaps = [HUT_GAP_KM + rng.uniform(-HUT_JITTER_KM, HUT_JITTER_KM) for _ in range(HUTS + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        route = load_route(_route_file(tmp, gaps))
+    ends, huts = (route.sites[0], route.sites[-1]), route.sites[1:-1]
+    chains = [
+        build_chain(dataclasses.replace(route, sites=(ends[0], *combo, ends[1])))
+        for size in range(1, HUTS + 1)
+        for combo in itertools.combinations(huts, size)
+    ]
+
+    def pass_us(clear_each: bool) -> float:
+        # Both passes time each call alone, so that they differ only in
+        # when the cache is cleared.
+        total = 0.0
+        clear()
+        for chain in chains:
+            if clear_each:
+                clear()
+            t = time.perf_counter()
+            repeater.simulate_chain_analytic(chain)
+            total += time.perf_counter() - t
+        return total * 1e6 / len(chains)
+
+    cold, warm = [], []
+    for _ in range(runs):
+        cold.append(pass_us(True))
+        warm.append(pass_us(False))
+    return {f"{HUTS}_huts": {
+        "candidates": len(chains),
+        "cold_us": round(statistics.median(cold), 1),
+        "warm_us": round(statistics.median(warm), 1),
+    }}
 
 
 def _pytest_wall(src: Path, args: list[str]) -> dict:
@@ -177,10 +248,11 @@ def against(src: Path, other: Path, runs: int) -> dict:
 
     def values(result):
         return {f"{part}.{chain}.{key}": value
-                for part in ("mc_us_per_trial", "analytic_ms")
+                for part in ("mc_us_per_trial", "analytic_ms", "hut_subsets_us")
                 for chain, entry in result[part].items()
                 for key, value in entry.items()
-                if key in ("median_us", "analytic_ms", "span_attempts_ms")}
+                if key in ("median_us", "cold_ms", "warm_ms", "span_attempts_ms",
+                           "cold_us", "warm_us")}
 
     flat = {side: [values(r) for r in results] for side, results in samples.items()}
     out = {}
@@ -224,6 +296,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(src))
         result["mc_us_per_trial"] = mc_us_per_trial(args.runs)
         result["analytic_ms"] = analytic_ms(args.runs)
+        result["hut_subsets_us"] = hut_subsets_us(args.runs)
     if args.suite:
         result["tier1_suite"] = _pytest_wall(src, [])
         result["ac7"] = _pytest_wall(
