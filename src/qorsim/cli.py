@@ -30,7 +30,7 @@ from .planner import (
     spans_table,
 )
 from .qkd import TECH_ENTANGLEMENT, TECH_ONE_WAY
-from .repeater import simulate_chain_analytic, simulate_chain_mc
+from .repeater import _check_mc_args, simulate_chain_analytic, simulate_chain_mc
 
 TECH_CHOICES = {"entanglement": TECH_ENTANGLEMENT, "oneway": TECH_ONE_WAY, "both": "both"}
 
@@ -64,6 +64,7 @@ def _cmd_plan(args) -> int:
 def _cmd_simulate(args) -> int:
     route = _load(args)
     chain = build_chain(route)
+    _check_mc_args(args.trials, args.seed, args.workers)
     if args.engine == "analytic":
         result = simulate_chain_analytic(chain)
     else:
@@ -143,18 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     plan = subs.add_parser("plan", help="feasibility report for a route")
     _add_common(plan)
     plan.add_argument("--tech", choices=sorted(TECH_CHOICES), default="both")
-    plan.add_argument("--trials", type=int, default=10000)
-    plan.add_argument("--seed", type=int, default=42)
-    plan.add_argument("--workers", type=int, default=1)
     plan.set_defaults(func=_cmd_plan)
 
     sim = subs.add_parser("simulate", help="entanglement chain simulation only")
     _add_common(sim)
     sim.add_argument("--engine", choices=("mc", "analytic"), default="mc")
-    sim.add_argument("--trials", type=int, default=10000)
-    sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(func=_cmd_simulate)
+
+    for sub in (plan, sim):
+        sub.add_argument("--trials", type=int, default=10000)
+        sub.add_argument("--seed", type=int, default=42)
+        sub.add_argument("--workers", type=int, default=1)
 
     chan = subs.add_parser("channel", help="per-span channel table")
     _add_common(chan)

@@ -226,7 +226,7 @@ def load_fiber_table(path: str) -> dict[str, FiberSpec]:
             msg = f"{path}: fiber {name!r} band {band!r} attenuation must be positive, got {val!r}"
             bands[band] = _number(val, msg)
             _require(bands[band] > 0, msg)
-        group = body.get("group_index", 1.468)
+        group = body.get("group_index", FiberSpec.group_index)
         msg = f"{path}: fiber {name!r} group_index must be a number of at least 1, got {group!r}"
         group = _number(group, msg)
         _require(group >= 1.0, msg)

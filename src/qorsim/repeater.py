@@ -580,9 +580,9 @@ class _BlockRun:
         draws = self._stream.draws(todo, 3)
         t_f, t_s = _attempt_times(draws[:-1], self._first_fail, self._first_cycle, t0)
         swap = draws[-1]
-        # Cutoff race at node 0: only the side that expired restarts, from
-        # expiry, until the two are within the cutoff. A racing trial reads
-        # its swap draw after the race's draws.
+        # Cutoff race at node 0 on the signed gap span - frontier: past
+        # +cutoff span 0 expired, below -cutoff span 1, and only that side
+        # restarts, from expiry. A racing trial reads its swap draw last.
         cutoff = self._cutoff
         race = (np.abs(t_s - t_f) > cutoff).nonzero()[0]
         if race.size:
@@ -590,13 +590,13 @@ class _BlockRun:
             self._stream.give_back(back)
             ahead = race
             while ahead.size:
-                late = t_s[ahead] > t_f[ahead]
-                a, b = ahead[late], ahead[~late]
+                gap = t_s[ahead] - t_f[ahead]
+                a, b = ahead[gap > cutoff], ahead[gap < -cutoff]
                 if a.size:
                     t_f[a] = self._gen_span(0, t_f[a] + cutoff, todo[a])
                 if b.size:
                     t_s[b] = self._gen_span(1, t_s[b] + cutoff, todo[b])
-                ahead = ahead[np.abs(t_s[ahead] - t_f[ahead]) > cutoff]
+                ahead = np.concatenate((a, b))
             swap[race] = self._stream.draws(back)[0]
         return self._swap(2, todo, t_f, t_f, t_s, swap, None)
 
@@ -614,29 +614,28 @@ class _BlockRun:
         exponents)."""
         cutoff = self._cutoff
         span_t = self._span_t[level]
-        racing = self._racing_count[level]
-        if racing:
+        if self._racing_count[level]:
             t_s = span_t[up]
             f = np.isnan(t_s).nonzero()[0]
-            racing = len(up) - len(f)
+            self._racing_count[level] -= len(up) - len(f)
             t_s[f] = self._gen_span(level - 1, self._start[level][up[f]], up[f])
             span_t[up] = np.nan
         else:
             t_s = self._gen_span(level - 1, self._start[level][up], up)
-        # Cutoff race: a regenerated span races again here, from its expiry;
-        # an expired frontier is rebuilt from level 1 on the next pass while
-        # this frame keeps its span.
+        # Cutoff race on the signed gap span - frontier: past +cutoff the
+        # frontier expired and is rebuilt from level 1 on the next pass while
+        # this frame keeps its span; below -cutoff the span races again from
+        # its expiry.
         race = (np.abs(t_s - t_f) > cutoff).nonzero()[0]
         expired = []
         while race.size:
-            late = t_s[race] > t_f[race]
-            expired.append(race[late])
-            race = race[~late]
+            gap = t_s[race] - t_f[race]
+            expired.append(race[gap > cutoff])
+            race = race[gap < -cutoff]
             if race.size:
                 t_s[race] = self._gen_span(level - 1, t_s[race] + cutoff, up[race])
-            race = race[np.abs(t_s[race] - t_f[race]) > cutoff]
         gone = np.concatenate(expired) if expired else race   # race is empty here
-        self._racing_count[level] += len(gone) - racing
+        self._racing_count[level] += len(gone)
         if gone.size:
             back = up[gone]
             span_t[back] = t_s[gone]

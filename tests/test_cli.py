@@ -458,14 +458,23 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "memory_cutoff" in err
 
-    @pytest.mark.parametrize("command, seed", [("plan", "-1"), ("simulate", "-5")])
-    def test_negative_seed_is_an_error(self, capsys, tmp_path, command, seed):
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("plan", "--seed", "-1", "seed must be a non-negative integer"),
+        ("simulate", "--seed", "-5", "seed must be a non-negative integer"),
+        # The analytic engine runs no trials, but takes the same arguments
+        # by the same rules.
+        ("simulate --engine analytic", "--seed", "-1", "seed must be a non-negative integer"),
+        ("simulate --engine analytic", "--trials", "0", "trials must be a positive integer"),
+        ("simulate --engine analytic", "--workers", "0",
+         "worker count must be a positive integer"),
+    ], ids=["plan--1", "simulate--5", "analytic-seed", "analytic-trials", "analytic-workers"])
+    def test_negative_seed_is_an_error(self, capsys, tmp_path, command, flag, value, message):
         route = write_route(tmp_path, [0.0, 20.0, 45.0])
-        code, out, err = _run(capsys, [command, "--route", route, "--trials", "20",
-                                       "--seed", seed])
+        argv = [*command.split(), "--route", route, "--trials", "20", flag, value]
+        code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
-        assert err.startswith("error:")
-        assert "seed must be a non-negative integer" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     def test_infinite_group_index_is_an_error(self, capsys, tmp_path):
         fibers = tmp_path / "fibers.json"

@@ -253,6 +253,12 @@ class TestLoadFiberTable:
         assert table["CUSTOM"].attenuation_db_per_km["O"] == 0.4
         assert table["CUSTOM"].group_index == 1.5
 
+    def test_group_index_defaults_to_fiber_spec(self, tmp_path):
+        path = tmp_path / "fibers.json"
+        path.write_text(json.dumps({"CUSTOM": {"attenuation_db_per_km": {"O": 0.4}}}))
+        default = next(f.default for f in fields(qorsim.fiber.FiberSpec) if f.name == "group_index")
+        assert load_fiber_table(str(path))["CUSTOM"].group_index == default
+
     def test_route_can_use_custom_table(self, tmp_path):
         fibers = tmp_path / "fibers.json"
         fibers.write_text(json.dumps({

@@ -1,15 +1,19 @@
-"""Engine timings: Monte Carlo µs per trial at 2, 3 and 5 spans,
-analytic-engine ms at 2, 5, 10 and 20 spans, and analytic µs per candidate
-over every hut subset of a 12-hut route.
+"""Engine timings: Monte Carlo µs per trial at 2, 3 and 5 spans, and at 3
+and 5 spans with a binding memory cutoff, analytic-engine ms at 2, 5, 10
+and 20 spans, and analytic µs per candidate over every hut subset of a
+12-hut route.
 
     python3 tools/mc_bench.py [--src DIR] [--runs 5] [--suite | --against SRC]
 
 Imports qorsim from ``--src`` (default: this checkout's ``src``), so the
 same script times another checkout too. Each chain is the planner's
-default parameters on an O-band route with 25 km spans; each Monte Carlo
-run is one ``simulate_chain_mc`` call with seed 42 and workers=1, after one
-untimed warm-up call; one more untimed call under ``tracemalloc`` gives
-the run's traced peak bytes per trial. The analytic part times
+default parameters on an O-band route with 25 km spans. The binding-cutoff
+rows set ``memory_cutoff`` 2 ms and ``memory_coherence_time`` 0.05 s, so
+that cutoff races run in them, which the planner's 1 s default never starts
+on these chains. Each Monte Carlo run is one ``simulate_chain_mc`` call
+with seed 42 and workers=1, after one untimed warm-up call; one more
+untimed call under ``tracemalloc`` gives the run's traced peak bytes per
+trial. The analytic part times
 ``simulate_chain_analytic`` on the same chains and on a 102 km + 17 km
 chain, whose long span heralds just above the engine's GEOM_EXACT_MIN_P.
 The engine caches a chain's first merge by its six floats, so each chain is
@@ -58,12 +62,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPAN_KM = 25.0
 SEED = 42
-# Trials per run for each span count. The engine runs trials MC_GROUP
-# (16384) at a time: 60000 trials are three full groups and a partial
-# fourth, 12000 and 2048 one partial group each. At 0.18, 0.58 and 17.0 us
-# per trial (2, 3 and 5 spans on a 2-core host) a run takes about 11, 7 and
-# 35 ms.
-TRIALS = {2: 60000, 3: 12000, 5: 2048}
+# Route defaults of the binding-cutoff rows: the cutoff and coherence time
+# of the racing row in the tests' dense-oracle comparison.
+BINDING_CUTOFF = {"memory_cutoff": 2e-3, "memory_coherence_time": 0.05}
+# Monte Carlo rows: name -> (span count, trials per run, route defaults).
+# The engine runs trials MC_GROUP (16384) at a time: 60000 trials are three
+# full groups and a partial fourth, 131072 eight full groups, and the other
+# counts one partial group each. On a 2-core host, at 0.18, 0.58 and 17.0 us
+# per trial (2, 3 and 5 spans) a default-cutoff run takes about 11, 7 and
+# 35 ms; at about 3.9 us and 5.7 ms per trial (3 and 5 spans) a
+# binding-cutoff run takes about 0.5 s.
+MC_ROWS = {
+    "2_spans": (2, 60000, {}),
+    "3_spans": (3, 12000, {}),
+    "5_spans": (5, 2048, {}),
+    "3_spans_cutoff_2ms": (3, 131072, BINDING_CUTOFF),
+    "5_spans_cutoff_2ms": (5, 96, BINDING_CUTOFF),
+}
 # Span lengths (km) of the analytic engine's chains.
 ANALYTIC_CHAINS = {
     **{f"{n}_spans": [SPAN_KM] * n for n in (2, 5, 10, 20)},
@@ -76,7 +91,7 @@ HUT_GAP_KM = 9.0
 HUT_JITTER_KM = 1.5
 
 
-def _route_file(directory: str, spans_km: list[float]) -> str:
+def _route_file(directory: str, spans_km: list[float], defaults: dict | None = None) -> str:
     positions = [0.0, *itertools.accumulate(spans_km)]
     last = len(positions) - 1
     sites = [
@@ -87,7 +102,7 @@ def _route_file(directory: str, spans_km: list[float]) -> str:
     path = os.path.join(directory, f"route{last}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"name": f"bench-{last}", "fiber_type": "NDSF", "quantum_band": "O",
-                   "coexistence": True, "sites": sites}, fh)
+                   "coexistence": True, "sites": sites, "defaults": defaults or {}}, fh)
     return path
 
 
@@ -97,8 +112,8 @@ def mc_us_per_trial(runs: int) -> dict:
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for spans, trials in TRIALS.items():
-            chain = build_chain(load_route(_route_file(tmp, [SPAN_KM] * spans)))
+        for name, (spans, trials, defaults) in MC_ROWS.items():
+            chain = build_chain(load_route(_route_file(tmp, [SPAN_KM] * spans, defaults)))
             simulate_chain_mc(chain, trials=trials, seed=SEED)
             samples = []
             for _ in range(runs):
@@ -111,7 +126,7 @@ def mc_us_per_trial(runs: int) -> dict:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            out[f"{spans}_spans"] = {
+            out[name] = {
                 "trials": trials,
                 "median_us": round(statistics.median(samples), 2),
                 "samples_us": [round(s, 2) for s in samples],
