@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .linalg import DensityMatrix, tensor, partial_trace, fidelity, apply_unitary
 from .channels import KrausChannel, apply_channel, compose, verify_cptp
+from .channels import memory_decay, entanglement_swap, teleport
 from .fiber import Band, FiberSpec, FiberSpan, transmittance, span_channel_stack
 from .repeater import (
     MemorySpec,
@@ -13,9 +14,6 @@ from .repeater import (
     EndToEndResult,
     span_entanglement_attempt,
     span_attempts,
-    memory_decay,
-    entanglement_swap,
-    teleport,
     simulate_chain_mc,
     simulate_chain_analytic,
 )

@@ -10,17 +10,22 @@ batched numpy products rather than a loop over operators.
 apply_to_subsystem folds the operators into the channel's d^2 x d^2
 superoperator first, so its cost does not grow with their number. Channel
 composition multiplies operator sets, so keep stacks shallow.
+
+memory_decay, entanglement_swap and teleport act on dense pairs, as the
+oracle of the engines' Bell-weight steps in qorsim.linalg; no plan runs them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
 from .linalg import (
+    BELL_KETS,
+    BELL_SIDE_OPS,
     MAX_DIM,
     DensityMatrix,
     DimensionError,
@@ -30,6 +35,9 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
 )
+
+if TYPE_CHECKING:
+    from .repeater import MemorySpec, QorsNode
 
 COMPLETENESS_TOL = 1e-10
 CHOI_PSD_TOL = 1e-10
@@ -293,3 +301,68 @@ def embed_qubit_channel(channel: KrausChannel) -> KrausChannel:
     ops[:, :2, :2] = channel.operators
     ops[0, VACUUM_INDEX, VACUUM_INDEX] = 1.0
     return KrausChannel(ops)
+
+
+# Dense pair operations.
+
+def memory_decay(
+    state: DensityMatrix, dwell_s: float, memory: MemorySpec, qubit: int
+) -> DensityMatrix:
+    """Depolarize one qubit of a pair for a storage interval."""
+    if dwell_s < 0:
+        raise StateError("dwell time must be nonnegative")
+    if state.dim != 4:
+        raise DimensionError("memory decay acts on two-qubit states")
+    if qubit not in (0, 1):
+        raise DimensionError("qubit index must be 0 or 1")
+    p = 1.0 - math.exp(-dwell_s / memory.coherence_time)
+    return apply_to_subsystem(depolarizing_channel(p), state, qubit, [2, 2])
+
+
+# Linear-optics BSMs herald only the odd-parity Bell outcomes.
+_HERALDED_OUTCOMES = (1, 3)
+
+
+def _bell_measure(joint: np.ndarray, pre: int, outcomes) -> np.ndarray:
+    """Bell-measure the middle two qubits of ``joint``, a state on a
+    ``pre``-dimensional system and three qubits. Each kept outcome's
+    projection, Pauli-corrected on the last qubit, is summed; returns the
+    normalized state of the first system and the last qubit."""
+    t = joint.reshape((pre, 2, 2, 2) * 2)
+    out = np.zeros((2 * pre, 2 * pre), dtype=complex)
+    for k in outcomes:
+        v = BELL_KETS[k].reshape(2, 2)
+        m = np.einsum("mn,amnbcpqd,pq->abcd", v.conj(), t, v).reshape(2 * pre, 2 * pre)
+        c = np.kron(np.eye(pre), BELL_SIDE_OPS[k])
+        out += c @ m @ c.conj().T
+    tr = float(np.real(np.trace(out)))
+    if tr < 1e-14:
+        raise StateError("Bell measurement has no support on the kept outcomes")
+    out = out / tr
+    return (out + out.conj().T) / 2
+
+
+def entanglement_swap(
+    left: DensityMatrix, right: DensityMatrix, node: QorsNode
+) -> DensityMatrix:
+    """Connect two pairs meeting at a node into one longer pair.
+
+    Interference visibility enters as a phase-flip on the node-side qubit of
+    the left pair before the measurement. The returned state aggregates the
+    heralded outcomes after correction, given that the swap succeeds.
+    """
+    if left.dim != 4 or right.dim != 4:
+        raise DimensionError("entanglement swap needs two two-qubit states")
+    joint = np.kron(left.matrix, right.matrix)
+    penalty = node.bsm_visibility_penalty
+    z = np.kron(np.kron(np.eye(2), np.diag([1.0, -1.0])), np.eye(4))
+    joint = (1.0 - penalty) * joint + penalty * (z @ joint @ z)
+    return DensityMatrix(_bell_measure(joint, 2, _HERALDED_OUTCOMES))
+
+
+def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
+    """Teleport a single-qubit state through an entangled resource pair,
+    averaging over all four corrected measurement outcomes."""
+    if state.dim != 2 or resource.dim != 4:
+        raise DimensionError("teleport needs a qubit state and a two-qubit resource")
+    return DensityMatrix(_bell_measure(np.kron(state.matrix, resource.matrix), 1, range(4)))

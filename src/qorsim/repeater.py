@@ -33,24 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_to_subsystem, depolarizing_channel
+from .channels import entanglement_swap, memory_decay, teleport  # noqa: F401
 from .fiber import FiberSpan, photon_dwell_time, transmittance
-from .linalg import (
-    BELL_KETS,
-    BELL_SIDE_OPS,
-    DensityMatrix,
-    DimensionError,
-    StateError,
-    bell_convolve,
-    bell_decay,
-    bell_dephase,
-)
+from .linalg import DimensionError, StateError, bell_convolve, bell_decay, bell_dephase
 
 # The analytic engine sums over the attempt grid of one side of a merge,
 # about 37/p atoms, with closed forms for the other side. When both first
 # spans herald below this, the summed side is coarsened to success
-# GEOM_EXACT_MIN_P at the same mean. That bounds the sum; it is off by
-# O(GEOM_EXACT_MIN_P) and is the only approximation of the merge sums.
+# GEOM_EXACT_MIN_P at the same mean, which is off by O(GEOM_EXACT_MIN_P).
 GEOM_EXACT_MIN_P = 1e-4
 
 
@@ -184,72 +174,6 @@ def span_entanglement_attempt(
     if noise > 0.0:
         bell = bell_decay(bell, 1.0 - noise / (p + noise))
     return SpanAttempt(success_probability=p, bell=bell)
-
-
-def memory_decay(
-    state: DensityMatrix, dwell_s: float, memory: MemorySpec, qubit: int
-) -> DensityMatrix:
-    """Depolarize one qubit of a pair for a storage interval."""
-    if dwell_s < 0:
-        raise StateError("dwell time must be nonnegative")
-    if state.dim != 4:
-        raise DimensionError("memory decay acts on two-qubit states")
-    if qubit not in (0, 1):
-        raise DimensionError("qubit index must be 0 or 1")
-    p = 1.0 - math.exp(-dwell_s / memory.coherence_time)
-    if p == 0.0:
-        return state
-    return apply_to_subsystem(depolarizing_channel(p), state, qubit, [2, 2])
-
-
-# Linear-optics BSMs herald only the odd-parity Bell outcomes.
-_HERALDED_OUTCOMES = (1, 3)
-
-
-def _bell_measure(joint: np.ndarray, pre: int, outcomes) -> np.ndarray:
-    """Bell-measure the middle two qubits of ``joint``, a state on a
-    ``pre``-dimensional system and three qubits. Each kept outcome's
-    projection, Pauli-corrected on the last qubit, is summed; returns the
-    normalized state of the first system and the last qubit."""
-    t = joint.reshape((pre, 2, 2, 2) * 2)
-    out = np.zeros((2 * pre, 2 * pre), dtype=complex)
-    for k in outcomes:
-        v = BELL_KETS[k].reshape(2, 2)
-        m = np.einsum("mn,amnbcpqd,pq->abcd", v.conj(), t, v).reshape(2 * pre, 2 * pre)
-        c = np.kron(np.eye(pre), BELL_SIDE_OPS[k])
-        out += c @ m @ c.conj().T
-    tr = float(np.real(np.trace(out)))
-    if tr < 1e-14:
-        raise StateError("Bell measurement has no support on the kept outcomes")
-    out = out / tr
-    return (out + out.conj().T) / 2
-
-
-def entanglement_swap(
-    left: DensityMatrix, right: DensityMatrix, node: QorsNode
-) -> DensityMatrix:
-    """Connect two pairs meeting at a node into one longer pair.
-
-    Interference visibility enters as a phase-flip on the node-side qubit of
-    the left pair before the measurement. The returned state aggregates the
-    heralded outcomes after correction, given that the swap succeeds.
-    """
-    if left.dim != 4 or right.dim != 4:
-        raise DimensionError("entanglement swap needs two two-qubit states")
-    joint = np.kron(left.matrix, right.matrix)
-    penalty = node.bsm_visibility_penalty
-    if penalty > 0.0:
-        z = np.kron(np.kron(np.eye(2), np.diag([1.0, -1.0])), np.eye(4))
-        joint = (1.0 - penalty) * joint + penalty * (z @ joint @ z)
-    return DensityMatrix(_bell_measure(joint, 2, _HERALDED_OUTCOMES))
-
-
-def teleport(state: DensityMatrix, resource: DensityMatrix) -> DensityMatrix:
-    """Teleport a single-qubit state through an entangled resource pair,
-    averaging over all four corrected measurement outcomes."""
-    if state.dim != 2 or resource.dim != 4:
-        raise DimensionError("teleport needs a qubit state and a two-qubit resource")
-    return DensityMatrix(_bell_measure(np.kron(state.matrix, resource.matrix), 1, range(4)))
 
 
 # Chain engines. Every span state the span stack produces is diagonal in
@@ -964,13 +888,18 @@ def _summed_wait(p_a, cycle_a, p_b, cycle_b, r_a, r_b):
 def simulate_chain_analytic(chain: RepeaterChain) -> EndToEndResult:
     """Expected-value model of the same protocol the Monte Carlo runs.
 
-    Exact for single spans and for two-span chains with generous cutoffs
-    (span stacks produce Bell-diagonal states, for which the swap algebra
-    and wait-decay expectations here are closed form) unless both spans
-    herald below GEOM_EXACT_MIN_P; longer chains approximate intermediate
-    frontier times by their means. The delivered pair is the Monte Carlo's
-    lam * c + (1 - lam) / 4 with lam's expectation carried as one scalar.
-    A fidelity, rate or latency that is not finite raises StateError.
+    Exact for one span, and for two spans whose cutoff does not bind, unless
+    both herald below GEOM_EXACT_MIN_P. Otherwise the pair rate is at least
+    the true mean rate, for any chain and cutoff; the fidelity errs either
+    way. Without a cutoff, E[max(F, S)] is convex in the frontier time F for
+    S independent of F, so collapsing F to its mean lowers each merge's mean
+    time (Jensen; induction over the merges). A cutoff, ignored here, only
+    delays: coupled draw by draw, no swap comes earlier. The GEOM_EXACT_MIN_P
+    coarsening keeps the mean and is smaller in convex order, and the 1e-16
+    tail truncation drops only positive terms. At a 1 ms cutoff and 10 ms
+    coherence the rate read 16-43 % high on 3-span routes, and +261 % on
+    25 km spans. A fidelity, rate or latency that is not finite raises
+    StateError.
     """
     models = _span_models(chain)
     front = models[0].ready

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import qorsim
+from qorsim import channels, repeater
 from qorsim.channels import (
     RAIL_DIM,
     VACUUM_INDEX,
@@ -495,3 +497,10 @@ class TestIdentityChannel:
 def test_channel_input_checks(make, error, match):
     with pytest.raises(error, match=match):
         make()
+
+
+@pytest.mark.parametrize("name", ["memory_decay", "entanglement_swap", "teleport"])
+def test_dense_pair_operations_are_one_object(name):
+    # The dense pair operations live here; repeater and the package
+    # re-export them, so each name is one function wherever it is imported.
+    assert getattr(repeater, name) is getattr(channels, name) is getattr(qorsim, name)

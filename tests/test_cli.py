@@ -1,11 +1,13 @@
 """Command-line entry points, output formats, and error paths."""
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,6 +19,8 @@ from qorsim.fiber import BANDS, DEFAULT_FIBER_TYPES
 from qorsim.planner import PARAMS, _interval, load_fiber_table, validate_report
 
 from conftest import write_route
+
+BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _run(capsys, argv):
@@ -51,6 +55,30 @@ class TestRuntimeImports:
         out = _fresh_interpreter(
             "import sys, qorsim, qorsim.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert out.strip() == "[]"
+
+    def test_benchmark_tracer_targets_resolve(self):
+        # The benchmark imports qorsim, then planner, qkd and repeater, and its
+        # tracer finds each traced function as sys.modules[module].attr and
+        # rebinds it. The targets are read from the tracer's own source: the
+        # TRACED table, and McCapture's call of _patch_everywhere with a
+        # literal module and attribute.
+        targets = set()
+        for node in ast.walk(ast.parse(BENCH_TRACER.read_text())):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "TRACED" for t in node.targets):
+                targets.update(ast.literal_eval(node.value).values())
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_patch_everywhere"
+                  and all(isinstance(a, ast.Constant) for a in node.args[:2])):
+                targets.add(tuple(a.value for a in node.args[:2]))
+        assert ("qorsim.repeater", "simulate_chain_mc") in targets
+        assert len(targets) > 1
+        out = _fresh_interpreter(
+            "import sys, qorsim; from qorsim import planner, qkd, repeater; "
+            f"print([t for t in {sorted(targets)!r} "
+            "if not callable(getattr(sys.modules.get(t[0]), t[1], None))])"
         )
         assert out.strip() == "[]"
 

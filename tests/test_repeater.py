@@ -1477,6 +1477,33 @@ class TestBellEngineAgainstDenseOracle:
 _EXACT_CHAINS = 20
 _EXACT_Z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 2 * _EXACT_CHAINS))
 
+# Drawn chains outside the exact domain, half with a binding cutoff, and the
+# one-sided Bonferroni z bound over their rate comparisons at a family-wise
+# false-alarm rate of 1e-3.
+_BOUND_CHAINS = 16
+_BOUND_Z = NormalDist().inv_cdf(1.0 - 1e-3 / _BOUND_CHAINS)
+
+
+def _approximate_domain_chain(rng, binding):
+    """2-4 O-band spans of U(13, 16) km with dephasing U(0, 0.05), nodes
+    with coherence time U(10, 50) ms, write, read and detector efficiencies
+    U(0.6, 1) and BSM success U(0.3, 1), and a cutoff of U(1, 3) ms, which
+    binds, or of 1e6 s."""
+    count = int(rng.integers(2, 5))
+    spans = tuple(
+        FiberSpan(length_km=rng.uniform(13.0, 16.0), quantum_band=O_BAND,
+                  dephasing_p=rng.uniform(0.0, 0.05))
+        for _ in range(count)
+    )
+    nodes = tuple(
+        _node(coherence=rng.uniform(0.01, 0.05), write=rng.uniform(0.6, 1.0),
+              read=rng.uniform(0.6, 1.0), bsm=rng.uniform(0.3, 1.0),
+              det=rng.uniform(0.6, 1.0))
+        for _ in range(count - 1)
+    )
+    cutoff = rng.uniform(1e-3, 3e-3) if binding else 1e6
+    return RepeaterChain(spans=spans, nodes=nodes, attempt_rate=1e6, memory_cutoff=cutoff)
+
 
 class TestAnalyticEngine:
     def test_single_span_closed_form(self):
@@ -1502,6 +1529,16 @@ class TestAnalyticEngine:
         for _ in range(_EXACT_CHAINS):
             chain, z = exact_domain_z_scores(rng, trials=100_000)
             assert max(map(abs, z)) < _EXACT_Z, (chain, z)
+
+    def test_rate_bounds_mc_on_drawn_chains(self, rng):
+        # Outside the exact domain the analytic rate is at least the true
+        # mean rate (simulate_chain_analytic says why), so Monte Carlo may
+        # read any amount lower, but higher only by its noise.
+        for i in range(_BOUND_CHAINS):
+            chain = _approximate_domain_chain(rng, binding=i % 2 == 0)
+            an = simulate_chain_analytic(chain)
+            mc = simulate_chain_mc(chain, trials=4000, seed=int(rng.integers(2**32)))
+            assert mc.pair_rate_hz <= an.pair_rate_hz + _BOUND_Z * mc.rate_stderr, chain
 
     def test_three_span_approximation_stays_close(self):
         chain = RepeaterChain(

@@ -383,3 +383,17 @@ def test_module_imports_no_numpy(name):
     modules |= {n.module for n in ast.walk(tree)
                 if isinstance(n, ast.ImportFrom) and n.level == 0}
     assert not {m for m in modules if m.split(".")[0] == "numpy"}
+
+
+def test_engines_module_takes_no_dense_state_code():
+    # The dense layer is the engines' oracle: repeater.py re-exports the
+    # dense pair operations and otherwise reads only the Bell-weight steps.
+    tree = ast.parse((PACKAGE / "repeater.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert imported["channels"] == {"entanglement_swap", "memory_decay", "teleport"}
+    assert imported["linalg"] == {
+        "DimensionError", "StateError", "bell_convolve", "bell_decay", "bell_dephase",
+    }

@@ -13,7 +13,10 @@ that cutoff races run in them, which the planner's 1 s default never starts
 on these chains. Each Monte Carlo run is one ``simulate_chain_mc`` call
 with seed 42 and workers=1, after one untimed warm-up call; one more
 untimed call under ``tracemalloc`` gives the run's traced peak bytes per
-trial. The analytic part times
+trial. The ``5_spans_cutoff_2ms`` row is a fixed 96-trial comparison
+figure, not a per-trial cost of the chain: its µs per trial moves with the
+trial count, from 7718 at 64 trials to 6249 at 256 trials of the same seed.
+Both checkouts run the same 96 trials. The analytic part times
 ``simulate_chain_analytic`` on the same chains and on a 102 km + 17 km
 chain, whose long span heralds just above the engine's GEOM_EXACT_MIN_P.
 The engine caches a chain's first merge by its six floats, so each chain is
@@ -24,8 +27,14 @@ the part never reads larger than the whole. The hut-subset part plans all
 4095 non-empty hut subsets of one 12-hut route (gaps 9 ± 1.5 km), chains
 built beforehand: cold, the cache cleared before each call, and warm, one
 pass in subset order with the cache cleared once before it, as a planner
-sweeping the route sees it. Each value is the median over ``--runs`` runs.
-A checkout without the cache reads the same cold and warm.
+sweeping the route sees it. A cold figure is a minimum over per-call
+times, because medians of cold calls spread wider than any effect a cache
+miss could have: per chain, the fastest of the ``--runs`` cold calls (and the least time one spent in ``span_attempts``); per hut
+candidate, its fastest cold call, averaged over the candidates. Every other
+value is the median over ``--runs`` runs. A checkout without the cache
+reads the same cold and warm.
+
+``--runs 1``, the CI smoke step, takes about 10 s on a 2-core host.
 
 With ``--suite`` it also times the tier-1 test suite and the AC7 test
 (analytic vs Monte Carlo at 1e5 trials) of that checkout, in fresh
@@ -143,9 +152,9 @@ def _merge_cache_clear(repeater):
 
 
 def analytic_ms(runs: int) -> dict:
-    """Median ms of ``simulate_chain_analytic`` per chain, cold and warm, and
-    of the time the cold calls spend in ``span_attempts``, after one warm-up
-    call."""
+    """Ms of ``simulate_chain_analytic`` per chain, after one warm-up call:
+    the fastest cold call, the median warm call, and the least time a cold
+    call spent in ``span_attempts``."""
     from qorsim import repeater
     from qorsim.planner import build_chain, load_route
 
@@ -179,9 +188,9 @@ def analytic_ms(runs: int) -> dict:
                     repeater.simulate_chain_analytic(chain)
                     warm.append((time.perf_counter() - t) * 1e3)
                 out[name] = {
-                    "cold_ms": round(statistics.median(cold), 3),
+                    "cold_ms": round(min(cold), 3),
                     "warm_ms": round(statistics.median(warm), 3),
-                    "span_attempts_ms": round(statistics.median(part), 3),
+                    "span_attempts_ms": round(min(part), 3),
                 }
     finally:
         repeater.span_attempts = span_attempts
@@ -189,8 +198,9 @@ def analytic_ms(runs: int) -> dict:
 
 
 def hut_subsets_us(runs: int) -> dict:
-    """Median µs per candidate of ``simulate_chain_analytic`` over every
-    non-empty hut subset of the HUTS-hut route, cold and warm."""
+    """µs per candidate of ``simulate_chain_analytic`` over every non-empty
+    hut subset of the HUTS-hut route: cold, each candidate's fastest call
+    over the runs, averaged over the candidates; warm, the median pass."""
     from qorsim import repeater
     from qorsim.planner import build_chain, load_route
 
@@ -206,26 +216,26 @@ def hut_subsets_us(runs: int) -> dict:
         for combo in itertools.combinations(huts, size)
     ]
 
-    def pass_us(clear_each: bool) -> float:
+    def pass_us(clear_each: bool) -> list[float]:
         # Both passes time each call alone, so that they differ only in
         # when the cache is cleared.
-        total = 0.0
+        times = []
         clear()
         for chain in chains:
             if clear_each:
                 clear()
             t = time.perf_counter()
             repeater.simulate_chain_analytic(chain)
-            total += time.perf_counter() - t
-        return total * 1e6 / len(chains)
+            times.append((time.perf_counter() - t) * 1e6)
+        return times
 
     cold, warm = [], []
     for _ in range(runs):
         cold.append(pass_us(True))
-        warm.append(pass_us(False))
+        warm.append(statistics.fmean(pass_us(False)))
     return {f"{HUTS}_huts": {
         "candidates": len(chains),
-        "cold_us": round(statistics.median(cold), 1),
+        "cold_us": round(statistics.fmean(map(min, zip(*cold))), 1),
         "warm_us": round(statistics.median(warm), 1),
     }}
 
